@@ -24,8 +24,7 @@ def parse_args(argv):
                    help="magnetic angle (default pi/4)")
     p.add_argument("--tilts", type=float, nargs="+", default=[0.05, 0.1, 0.3])
     p.add_argument("--horizons", type=float, nargs="+",
-                   default=[2.0, 5.0, 10.0, 20.0, 40.0])
-    p.add_argument("--j-max", type=int, default=200)
+                   default=[2.0, 5.0, 10.0, 20.0, 40.0, 400.0, 4000.0])
     p.add_argument("--out", help="optional CSV path")
     return p.parse_args(argv)
 
@@ -44,7 +43,7 @@ def main(argv=None):
         print(f"\ntilt lambda={lam:g}  (limit {limit!r})")
         print(f"{'T':>8} {'Lambda_T':>16} {'error':>12} {'T*error':>10}")
         for T in args.horizons:
-            val = cramer_finite_T(lam, spec, T, args.j_max)
+            val = cramer_finite_T(lam, spec, T)
             err = abs(val - limit) if math.isfinite(val) else math.inf
             scaled = T * err if math.isfinite(err) else math.inf
             print(f"{T:8g} {val:16.10f} {err:12.2e} {scaled:10.4f}"

@@ -14,7 +14,9 @@ from .chaos import (
     MgfQuery,
     chaos_terms,
     conditional_mgf,
+    conditional_mgf_series,
     cramer_finite_T,
+    cramer_finite_T_series,
     g_coefficients,
     s0,
 )

@@ -2,14 +2,31 @@
 
 For the unit-noise process Y started at x (dY = D_lam Y dt + dW with
 D_lam = A + lam*N) the functional int_0^T |N Y_s|^2 ds is a quadratic form
-in a Gaussian process.  Its law splits into a deterministic term ``s0``,
-a linear Gaussian part with projection coefficients ``g`` onto the kernel
-eigenfunctions, and a pure second-order part carrying the kernel
-eigenvalues gamma.  This module evaluates those pieces in closed form and
-assembles the conditional MGF (a Fredholm determinant times a Gaussian
-correction) and the finite-horizon scaled cumulant generating function
-``cramer_finite_T`` obtained by averaging the start over the stationary
-law of the reduced process.
+in a Gaussian process.  Each rotation channel (alpha, beta) contributes
+independently, so with q = 4 theta beta^2 and mu^2 = alpha^2 - 2q the
+production path is closed form per channel:
+
+  * the Fredholm determinant prod_j (1 - theta gamma_j) of the kernel
+    operator (Gelfand-Yaglom),
+        w = e^{alpha T} [cosh(mu T) - (alpha/mu) sinh(mu T)],
+    with cos/sin in sqrt(-mu^2) when mu^2 < 0 and 1 - alpha T at mu^2 = 0;
+  * the scalar Riccati coefficient of the start-dependent Gaussian part,
+        p = 2q sinh(mu T) / (mu cosh(mu T) - alpha sinh(mu T)).
+
+``conditional_mgf`` is then exp(sum_k [-log w_k + p_k |<x, U_k>|^2] / 2)
+and ``cramer_finite_T`` averages the start over the stationary law of the
+reduced process, -(1/2T) sum_k [log w_k + log(1 - p_k/(2|alpha_k|))].  Both
+are evaluated in log space (e^{-2 mu T} instead of cosh/sinh), so they stay
+finite at horizons far past |alpha| T = 709.  Divergence is decided by the
+same comparison theta >= 1/gamma_1 as the spectral layer, with gamma_1 from
+the same root solver, so the +inf boundary agrees with it exactly.
+
+The eigenvalue-series route — a truncated kernel spectrum, the projection
+coefficients ``g`` of the start onto its eigenfunctions, the mean ``s0``
+and analytic log-determinant tails — is kept as the independent oracles
+``conditional_mgf_series`` and ``cramer_finite_T_series``.  The tilt
+``lam`` and truncation ``j_max`` carried by ``MgfQuery`` (and the fourth
+argument of ``cramer_finite_T``) affect only those oracles.
 
 Everything here is Q-free: the tilted process is driven by unit noise, so
 only the drift's spectral data enters.
@@ -41,7 +58,9 @@ __all__ = [
     "g_coefficients",
     "chaos_terms",
     "conditional_mgf",
+    "conditional_mgf_series",
     "cramer_finite_T",
+    "cramer_finite_T_series",
 ]
 
 # exp() overflows past ~709.78 in double precision; an MGF that large is
@@ -69,7 +88,10 @@ class ChaosTerms:
 
 @dataclasses.dataclass(frozen=True)
 class MgfQuery:
-    """Evaluation point for the conditional MGF E^x exp(theta * functional)."""
+    """Evaluation point for the conditional MGF E^x exp(theta * functional).
+
+    ``lam`` and ``j_max`` are read only by ``conditional_mgf_series``.
+    """
 
     x: Sequence[float]
     theta: float
@@ -198,8 +220,130 @@ def g_coefficients(
     return chaos_terms(x, spec, lam, T, j_max).g_coeffs
 
 
+def _diverges(theta: float, spectrum: Spectrum, T: float) -> bool:
+    """theta at or past 1/gamma_1, never for theta <= 0 (gamma_1 > 0).
+
+    For alpha < 0 the first root omega_1 lies in (pi/2T, pi/T), which
+    brackets gamma_1 = max_k 8 beta_k^2/(alpha_k^2 + omega_1^2).  Only a
+    theta within a 1e-6 margin of that bracket needs the root: gamma_1 then
+    comes from ``kernel_spectrum`` itself (one root per distinct alpha) and
+    is compared in the same form, so the +inf boundary agrees exactly with
+    the spectral layer and the series oracles.
+    """
+    if not theta > 0.0:
+        return False
+    rot = [(a * a, 8.0 * b * b) for a, b in spectrum.pairs if b != 0.0]
+    w = math.pi / T
+    if theta * max(c / (a2 + 0.25 * w * w) for a2, c in rot) <= 1.0 - 1e-6:
+        return False
+    if theta * max(c / (a2 + w * w) for a2, c in rot) >= 1.0 + 1e-6:
+        return True
+    gamma_1 = kernel_spectrum(spectrum, T, 1).gamma_max
+    return gamma_1 > 0.0 and theta >= 1.0 / gamma_1
+
+
+def _channel_closed_form(
+    alpha: float, beta: float, theta: float, T: float
+) -> Optional[tuple[float, float]]:
+    """(log w, p) of one channel: the Fredholm log-determinant
+    sum_j log(1 - theta gamma_j) and the Riccati coefficient p.
+
+    With a = |alpha|, both are written through s = e^{-mu T} sinh(mu T)/mu
+    and c = e^{-mu T} cosh(mu T): b = c + a s, log w = (mu - a) T + log b,
+    p = 2q s / b.  For mu^2 < 0 the factor e^{-mu T} is dropped and s, c
+    become sin(nu T)/nu, cos(nu T).  Returns None when rounding has carried
+    b to its first zero, i.e. theta sits on the divergence threshold.
+    """
+    a = -alpha
+    q = 4.0 * theta * beta * beta
+    mu2 = alpha * alpha - 2.0 * q
+    if mu2 > 0.0:
+        mu = math.sqrt(mu2)
+        em1 = math.expm1(-2.0 * mu * T)
+        s = -em1 / (2.0 * mu)
+        c = 1.0 + 0.5 * em1
+        shift = -2.0 * q * T / (mu + a)  # (mu - a) T without cancellation
+    elif mu2 < 0.0:
+        nu = math.sqrt(-mu2)
+        s = math.sin(nu * T) / nu
+        c = math.cos(nu * T)
+        shift = -a * T
+    else:
+        s, c, shift = T, 1.0, -a * T
+    b = c + a * s
+    if not b > 0.0:
+        return None
+    return shift + math.log(b), 2.0 * q * s / b
+
+
 def conditional_mgf(q: MgfQuery, spec: SystemSpec) -> float:
     """E^x exp(theta * int_0^T |N Y_s|^2 ds), +inf at and past theta = 1/gamma_1.
+
+    Closed form per channel, exp(sum_k [-log w_k + p_k |<x, U_k>|^2] / 2);
+    ``q.lam`` and ``q.j_max`` are not used (see ``conditional_mgf_series``).
+    """
+    spectrum = spectral_decompose(spec, allow_reversible=True)
+    if not spectrum.has_rotation:
+        return 1.0
+    theta = q.theta
+    if _diverges(theta, spectrum, q.T):
+        return math.inf
+    if theta == 0.0:
+        return 1.0
+    ov = _overlaps_sq(_start_vector(q.x, spec.dim), spectrum)
+    log_mgf = 0.0
+    for k, (alpha, beta) in enumerate(spectrum.pairs):
+        if beta == 0.0:
+            continue
+        terms = _channel_closed_form(alpha, beta, theta, q.T)
+        if terms is None:
+            return math.inf
+        log_w, p = terms
+        log_mgf += 0.5 * (p * ov[k] - log_w)
+    if log_mgf > _LOG_HUGE:
+        return math.inf
+    return math.exp(log_mgf)
+
+
+def cramer_finite_T(
+    lam: float, spec: SystemSpec, T: float, j_max: int = 200
+) -> float:
+    """Finite-horizon scaled cumulant generating function at tilt lam.
+
+    Averages the conditional MGF at theta = lam(1+lam)/2 over the
+    stationary start law of the reduced process and takes (1/T) log:
+
+        -(1/2T) sum_k [log w_k + log(1 - p_k/(2|alpha_k|))].
+
+    Divergence — theta at or past 1/gamma_1, or some channel's p_k reaching
+    2|alpha_k| — is genuine information and is returned as +inf rather than
+    raised.  ``j_max`` is not used (see ``cramer_finite_T_series``).
+    """
+    if not T > 0:
+        raise DomainError("T must be positive")
+    theta = 0.5 * lam * (1.0 + lam)
+    spectrum = spectral_decompose(spec, with_vectors=False, allow_reversible=True)
+    if not spectrum.has_rotation or theta == 0.0:
+        return 0.0
+    if _diverges(theta, spectrum, T):
+        return math.inf
+    total = 0.0
+    for alpha, beta in spectrum.pairs:
+        if beta == 0.0:
+            continue
+        terms = _channel_closed_form(alpha, beta, theta, T)
+        if terms is None:
+            return math.inf
+        log_w, p = terms
+        ratio = p / (-2.0 * alpha)
+        if ratio >= 1.0:
+            return math.inf
+        total += log_w + math.log1p(-ratio)
+    return -total / (2.0 * T)
+
+
+def conditional_mgf_series(q: MgfQuery, spec: SystemSpec) -> float:
+    """Eigenvalue-series oracle for ``conditional_mgf``, truncated at q.j_max.
 
     Evaluated in the log domain as
 
@@ -223,7 +367,7 @@ def conditional_mgf(q: MgfQuery, spec: SystemSpec) -> float:
     gammas = kspec.gammas
     one_minus = 1.0 - theta * gammas
     log_det = float(np.sum(np.log1p(-theta * gammas)))
-    for k, (alpha, beta) in enumerate(spectrum.pairs):
+    for alpha, beta in spectrum.pairs:
         if beta == 0.0:
             continue
         log_det += log_det_tail(alpha, beta, q.T, theta, q.j_max + 1)
@@ -239,23 +383,17 @@ def conditional_mgf(q: MgfQuery, spec: SystemSpec) -> float:
     return math.exp(log_mgf)
 
 
-def cramer_finite_T(
+def cramer_finite_T_series(
     lam: float, spec: SystemSpec, T: float, j_max: int = 200
 ) -> float:
-    """Finite-horizon scaled cumulant generating function at tilt lam.
+    """Eigenvalue-series oracle for ``cramer_finite_T``, truncated at j_max.
 
-    Averages the conditional MGF at theta = lam(1+lam)/2 over the
-    stationary start law of the reduced process and takes (1/T) log.  The
-    value decomposes as I1 + I2 + I3:
+    Sums two parts (the difference of the closed-form trace terms that the
+    stationary average also produces cancels identically and is omitted):
 
-      I1  difference of the two closed-form trace terms (cancels exactly),
       I2  per-channel Gaussian integral of the start-dependent exponent,
           -1/(2T) sum_k log(1 - c_k/|alpha_k|),
       I3  -1/(2T) times the log-determinant with its analytic tail.
-
-    Divergence — theta at or past 1/gamma_1, or some channel coefficient
-    c_k reaching |alpha_k| — is genuine information and is returned as
-    +inf rather than raised.
     """
     if not T > 0:
         raise DomainError("T must be positive")
@@ -266,10 +404,6 @@ def cramer_finite_T(
     kspec = kernel_spectrum(spectrum, T, j_max)
     if kspec.gamma_max > 0.0 and theta >= 1.0 / kspec.gamma_max:
         return math.inf
-
-    i1 = (theta / T) * _s0_trace(spec, T) - (theta / (2.0 * T)) * trace_closed_form(
-        spec, T
-    )
 
     log_det = 0.0
     i2_sum = 0.0
@@ -289,6 +423,4 @@ def cramer_finite_T(
         if c_k >= -alpha:  # |alpha_k| for a stable drift
             return math.inf
         i2_sum += math.log1p(-c_k / (-alpha))
-    i2 = -i2_sum / (2.0 * T)
-    i3 = -log_det / (2.0 * T)
-    return i1 + i2 + i3
+    return -(i2_sum + log_det) / (2.0 * T)

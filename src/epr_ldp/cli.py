@@ -332,11 +332,8 @@ def cmd_mgf(cfg: RunConfig, outdir: str) -> int:
     lam = float(section.get("lambda", 0.0))
     theta = section.get("theta")
     theta = 0.5 * lam * (1.0 + lam) if theta is None else float(theta)
-    value = conditional_mgf(
-        MgfQuery(x=x0, theta=theta, lam=lam, T=cfg.horizon, j_max=cfg.j_max),
-        cfg.system,
-    )
-    lam_T = cramer_finite_T(lam, cfg.system, cfg.horizon, cfg.j_max)
+    value = conditional_mgf(MgfQuery(x=x0, theta=theta, T=cfg.horizon), cfg.system)
+    lam_T = cramer_finite_T(lam, cfg.system, cfg.horizon)
     sp = spectral_decompose(cfg.system, with_vectors=False)
     gamma_max = kernel_spectrum(sp, cfg.horizon, 1).gamma_max
     fp = cfg.fingerprint()

@@ -372,8 +372,10 @@ def _nu_partial_sums(alpha: float, T: float, J1: int) -> tuple[float, float]:
     r = abs(alpha)
     x = r * T
     total1 = T * math.tanh(x) / (2.0 * r)
-    # derivative of  s -> T tanh(sqrt(s) T)/(2 sqrt(s))  at s = a2, negated
-    total2 = T * (math.tanh(x) - x / math.cosh(x) ** 2) / (4.0 * r**3)
+    # derivative of  s -> T tanh(sqrt(s) T)/(2 sqrt(s))  at s = a2, negated;
+    # x sech^2 x is written as 4x e^{-2x}/(1 + e^{-2x})^2, finite for any x
+    e2 = math.exp(-2.0 * x)
+    total2 = T * (math.tanh(x) - 4.0 * x * e2 / (1.0 + e2) ** 2) / (4.0 * r**3)
     jj = np.arange(1, J1 + 1)
     nu2 = ((2.0 * jj - 1.0) * (math.pi / (2.0 * T))) ** 2
     part1 = float(np.sum(1.0 / (a2 + nu2)))

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from . import montecarlo as mc
-from .chaos import MgfQuery, conditional_mgf, cramer_finite_T
+from .chaos import MgfQuery, conditional_mgf, cramer_finite_T, cramer_finite_T_series
 from .cramer import cramer, cramer_domain, legendre_oracle, rate, symmetry_residuals
 from .model import (
     SystemSpec,
@@ -116,9 +116,16 @@ def _finite_horizon() -> dict:
     target = cramer(0.1, sp)
     err = abs(cramer_finite_T(0.1, spec, 10.0) - target)
     diverged = math.isinf(cramer_finite_T(0.3, spec, 10.0))
+    series_residual = 0.0
+    for T in (1.0, 5.0):
+        closed = cramer_finite_T(0.1, spec, T)
+        series = cramer_finite_T_series(0.1, spec, T, 2000)
+        series_residual = max(series_residual, abs(closed - series) / abs(series))
     return _check(
-        "finite_horizon_convergence", err <= 0.5 and diverged,
+        "finite_horizon_convergence",
+        err <= 0.5 and diverged and series_residual <= 1e-10,
         error_at_T10=float(err), divergence_reported=diverged,
+        series_residual=series_residual,
     )
 
 

@@ -10,7 +10,9 @@ from epr_ldp.chaos import (
     MgfQuery,
     chaos_terms,
     conditional_mgf,
+    conditional_mgf_series,
     cramer_finite_T,
+    cramer_finite_T_series,
     g_coefficients,
     s0,
 )
@@ -18,6 +20,7 @@ from epr_ldp.cramer import cramer
 from epr_ldp.errors import DimensionError, DomainError
 from epr_ldp.model import SystemSpec, magnetic_example, spectral_decompose
 from epr_ldp.spectral import eigenfunction_norm_sq, kernel_spectrum, trace_closed_form
+from epr_ldp.testing import random_system
 
 X0 = np.array([1.0, 0.0])
 
@@ -132,8 +135,15 @@ class TestConditionalMgf:
         assert conditional_mgf(MgfQuery(x=np.ones(2), theta=0.4), spec) == 1.0
 
     def test_pinned_value(self, pi4_spec):
-        assert conditional_mgf(self.q(-0.5), pi4_spec) == pytest.approx(
+        # the series oracle truncated at j_max = 200
+        assert conditional_mgf_series(self.q(-0.5), pi4_spec) == pytest.approx(
             0.3759036777966844, rel=1e-10
+        )
+
+    def test_closed_form_pinned_value(self, pi4_spec):
+        # confirmed by the j_max = 2000 series to 1.7e-12
+        assert conditional_mgf(self.q(-0.5), pi4_spec) == pytest.approx(
+            0.3759036784398398, rel=1e-12
         )
 
     def test_diverges_at_top_eigenvalue(self, pi4_spec, pi4_spectrum):
@@ -151,8 +161,8 @@ class TestConditionalMgf:
     def test_truncation_stable(self, pi4_spec, pi4_spectrum):
         gamma1 = kernel_spectrum(pi4_spectrum, 1.0).gamma_max
         theta = 0.9 / gamma1
-        v100 = conditional_mgf(self.q(theta, j_max=100), pi4_spec)
-        v400 = conditional_mgf(self.q(theta, j_max=400), pi4_spec)
+        v100 = conditional_mgf_series(self.q(theta, j_max=100), pi4_spec)
+        v400 = conditional_mgf_series(self.q(theta, j_max=400), pi4_spec)
         assert v100 == pytest.approx(v400, rel=1e-6)
 
     def test_log_derivatives_match_moments(self, pi4_spec, pi4_spectrum):
@@ -207,3 +217,88 @@ class TestFiniteHorizon:
     def test_rejects_bad_horizon(self, pi4_spec):
         with pytest.raises(DomainError):
             cramer_finite_T(0.1, pi4_spec, 0.0)
+
+
+class TestClosedFormVsSeries:
+    """The closed form against the eigenvalue-series oracle at j_max = 2000."""
+
+    @pytest.mark.parametrize("T", [1.0, 5.0])
+    def test_cumulant(self, pi4_spec, T):
+        for lam in (-0.3, 0.1, 0.2):
+            closed = cramer_finite_T(lam, pi4_spec, T)
+            series = cramer_finite_T_series(lam, pi4_spec, T, 2000)
+            assert closed == pytest.approx(series, rel=1e-10)
+
+    @pytest.mark.parametrize("T, rel", [(1.0, 1e-9), (5.0, 1e-8)])
+    def test_mgf(self, pi4_spec, T, rel):
+        for theta in (-2.0, -0.5, 0.1):
+            q = MgfQuery(x=X0, theta=theta, T=T, j_max=2000)
+            assert conditional_mgf(q, pi4_spec) == pytest.approx(
+                conditional_mgf_series(q, pi4_spec), rel=rel
+            )
+
+    def test_long_horizon_correction_is_constant(self, pi4_spec, pi4_spectrum):
+        # Lambda - Lambda_T = c/T + o(1/T), far past where e^{|alpha| T}
+        # overflows a double
+        limit = cramer(0.1, pi4_spectrum)
+        scaled = [
+            T * (limit - cramer_finite_T(0.1, pi4_spec, T))
+            for T in (40.0, 400.0, 4000.0)
+        ]
+        assert max(scaled) - min(scaled) <= 1e-9
+        assert scaled[0] == pytest.approx(0.020938669725, abs=1e-9)
+
+
+class TestDivergenceBoundary:
+    HORIZONS = (0.05, 0.5, 2.0, 10.0, 60.0)
+
+    def systems(self):
+        rng = np.random.default_rng(20240)
+        styles = ("identity", "scalar", "poly")
+        return [random_system(rng, 2 + i % 5, styles[i % 3]) for i in range(60)]
+
+    def test_threshold_sweep(self):
+        """theta = 1/gamma_1 diverges in both functions, exactly as the
+        spectral layer's comparison says; just below it the MGF is finite."""
+        for spec in self.systems():
+            sp = spectral_decompose(spec, with_vectors=False)
+            x0 = np.zeros(spec.dim)
+            for T in self.HORIZONS:
+                gamma1 = kernel_spectrum(sp, T).gamma_max
+                theta = 1.0 / gamma1
+                assert conditional_mgf(MgfQuery(x=x0, theta=theta, T=T), spec) == math.inf
+                # smallest float tilt whose theta = lam(1+lam)/2 reaches 1/gamma_1
+                lam = (math.sqrt(1.0 + 8.0 * theta) - 1.0) / 2.0
+                while 0.5 * lam * (1.0 + lam) < theta:
+                    lam = math.nextafter(lam, math.inf)
+                assert cramer_finite_T(lam, spec, T) == math.inf
+                below = MgfQuery(x=x0, theta=(1.0 - 1e-9) * theta, T=T)
+                assert math.isfinite(conditional_mgf(below, spec))
+                # one ulp below, rounding may already reach the zero of w
+                ulp_below = MgfQuery(x=x0, theta=math.nextafter(theta, 0.0), T=T)
+                assert conditional_mgf(ulp_below, spec) > 0.0
+                # from a zero start only the determinant is left, finite
+                # exactly below the threshold
+                for ratio in np.geomspace(0.2, 5.0, 25):
+                    q = MgfQuery(x=x0, theta=ratio * theta, T=T)
+                    diverged = conditional_mgf(q, spec) == math.inf
+                    assert diverged == (ratio * theta >= 1.0 / gamma1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 6),
+        log_T=st.floats(math.log(1e-3), math.log(1e4)),
+        theta=st.floats(-10.0, 10.0),
+        lam=st.floats(-3.0, 2.0),
+    )
+    def test_property_value_or_inf(self, seed, d, log_T, theta, lam):
+        rng = np.random.default_rng(seed)
+        spec = random_system(rng, d, ("identity", "scalar", "poly")[seed % 3])
+        T = math.exp(log_T)
+        x0 = rng.standard_normal(d)
+        mgf = conditional_mgf(MgfQuery(x=x0, theta=theta, T=T), spec)
+        lam_T = cramer_finite_T(lam, spec, T)
+        assert isinstance(mgf, float) and 0.0 <= mgf <= math.inf
+        assert isinstance(lam_T, float)
+        assert math.isfinite(lam_T) or lam_T == math.inf

@@ -212,6 +212,15 @@ class TestMgf:
         cfg = write_config(tmp_path, MAGNETIC)
         assert main(["mgf", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    def test_long_horizon(self, tmp_path, capsys):
+        # |alpha| T = 714, past the double range of e^{|alpha| T}
+        payload = dict(MAGNETIC, mgf={"x0": [1.0, 0.0], "lambda": 0.1}, horizon=1010.0)
+        cfg = write_config(tmp_path, payload)
+        outdir = tmp_path / "mgf_long"
+        assert main(["mgf", "--config", cfg, "--out", str(outdir)]) == 0
+        _, _, rows = read_csv(outdir / "mgf.csv")
+        assert math.isfinite(float(rows[0][4]))
+
 
 class TestSimulate:
     MC = {"dt": 0.01, "n_traj": 32, "seed": 5}

@@ -20,6 +20,7 @@ from epr_ldp.spectral import (
     spectrum_gamma_tail,
     trace_closed_form,
 )
+from epr_ldp.spectral import _nu_partial_sums
 
 # First two roots of omega cos(omega) = -sin(omega) on the positive axis,
 # i.e. the alpha = -1, T = 1 frequency equation.
@@ -244,3 +245,30 @@ class TestTraceIdentity:
     def test_flat_channel_contributes_nothing(self):
         assert gamma_tail(-1.0, 0.0, 1.0, 201) == 0.0
         assert log_det_tail(-1.0, 0.0, 1.0, 0.4, 201) == 0.0
+
+
+class TestLongHorizonTails:
+    """The closed-form nu_j sums behind the tails stay finite past the
+    |alpha| T ~ 710 overflow of cosh."""
+
+    def test_nu_partial_sums_unchanged_at_300(self):
+        alpha, T, J1 = -1.0, 300.0, 20200
+        x = abs(alpha) * T
+        jj = np.arange(1, J1 + 1)
+        nu2 = ((2.0 * jj - 1.0) * (math.pi / (2.0 * T))) ** 2
+        ref1 = T * math.tanh(x) / 2.0 - float(np.sum(1.0 / (1.0 + nu2)))
+        ref2 = T * (math.tanh(x) - x / math.cosh(x) ** 2) / 4.0 - float(
+            np.sum(1.0 / (1.0 + nu2) ** 2)
+        )
+        got1, got2 = _nu_partial_sums(alpha, T, J1)
+        assert got1 == pytest.approx(ref1, rel=1e-14)
+        assert got2 == pytest.approx(ref2, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha_T", [1000.0, 1e4])
+    def test_tails_finite(self, classic_spectrum, alpha_T):
+        alpha, beta = classic_spectrum.pairs[0]
+        T = alpha_T / abs(alpha)
+        assert all(math.isfinite(v) for v in _nu_partial_sums(alpha, T, 20200))
+        assert math.isfinite(log_det_tail(alpha, beta, T, 0.1, 201))
+        assert math.isfinite(gamma_tail(alpha, beta, T, 201))
+        assert math.isfinite(spectrum_gamma_tail(classic_spectrum, T, 201))
