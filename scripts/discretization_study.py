@@ -32,7 +32,7 @@ def parse_args(argv):
 def main(argv=None):
     args = parse_args(argv)
     spec = magnetic_example(args.theta)
-    target = mean_epr(spectral_decompose(spec, with_vectors=False))
+    target = mean_epr(spectral_decompose(spec))
     print(f"target long-run mean: {target:.6f}")
 
     exact = simulate_epr(

@@ -32,7 +32,7 @@ def parse_args(argv):
 def main(argv=None):
     args = parse_args(argv)
     spec = magnetic_example(args.theta)
-    sp = spectral_decompose(spec, with_vectors=False)
+    sp = spectral_decompose(spec)
     dom = cramer_domain(sp)
     print(f"magnetic theta={args.theta:g}, finiteness interval "
           f"[{dom.a:.6f}, {dom.b:.6f}]")

@@ -31,7 +31,7 @@ def parse_args(argv):
 def main(argv=None):
     args = parse_args(argv)
     spec = magnetic_example(args.theta)
-    sp = spectral_decompose(spec, with_vectors=False)
+    sp = spectral_decompose(spec)
     analytic = np.array(
         [e.gamma for e in kernel_spectrum(sp, args.horizon).descending()]
     )[: args.top]

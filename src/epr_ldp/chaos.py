@@ -39,7 +39,6 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionError, DomainError
 from .model import Spectrum, SystemSpec, spectral_decompose
@@ -117,24 +116,7 @@ def _start_vector(x, dim: int) -> np.ndarray:
 
 def _overlaps_sq(x: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     """|<x, U_k>|^2 per channel entry (Hermitian inner product)."""
-    if spectrum.channel_vectors is None:
-        raise DomainError("spectrum was built without channel vectors")
-    return np.array(
-        [abs(np.vdot(U, x)) ** 2 for U in spectrum.channel_vectors]
-    )
-
-
-def _s0_trace(spec: SystemSpec, T: float) -> float:
-    """tr[N'(M^-2(e^{MT} - I) - T M^-1) N], the start-independent part of s0."""
-    A = spec.A
-    N = A - A.T
-    M = A + A.T
-    E = expm(M * T)
-    d = spec.dim
-    Y = np.linalg.solve(M, np.linalg.solve(M, E - np.eye(d))) - T * np.linalg.solve(
-        M, np.eye(d)
-    )
-    return float(np.trace(N.T @ Y @ N))
+    return np.array([abs(np.vdot(U, x)) ** 2 for U in spectrum.channel_vectors])
 
 
 def s0(x, spec: SystemSpec, T: float) -> float:
@@ -142,8 +124,8 @@ def s0(x, spec: SystemSpec, T: float) -> float:
 
     Splits as a start-dependent quadratic part, per channel
     (2 beta^2/alpha)(e^{2 alpha T} - 1)|<x, U_k>|^2, plus the
-    start-independent trace integral int_0^T tr[N' e^{uM} N](T - u) du
-    evaluated in closed form.
+    start-independent trace integral int_0^T tr[N' e^{uM} N](T - u) du,
+    which is half the kernel trace ``trace_closed_form``.
     """
     if not T > 0:
         raise DomainError("T must be positive")
@@ -156,7 +138,7 @@ def s0(x, spec: SystemSpec, T: float) -> float:
     quad = float(
         np.sum(2.0 * betas**2 / alphas * (np.exp(2.0 * alphas * T) - 1.0) * ov)
     )
-    return quad + _s0_trace(spec, T)
+    return quad + 0.5 * trace_closed_form(spec, T)
 
 
 def _hat_g(alpha: float, omega: float, phase: float, T: float, beta: float) -> float:
@@ -322,7 +304,7 @@ def cramer_finite_T(
     if not T > 0:
         raise DomainError("T must be positive")
     theta = 0.5 * lam * (1.0 + lam)
-    spectrum = spectral_decompose(spec, with_vectors=False, allow_reversible=True)
+    spectrum = spectral_decompose(spec, allow_reversible=True)
     if not spectrum.has_rotation or theta == 0.0:
         return 0.0
     if _diverges(theta, spectrum, T):
@@ -398,7 +380,7 @@ def cramer_finite_T_series(
     if not T > 0:
         raise DomainError("T must be positive")
     theta = 0.5 * lam * (1.0 + lam)
-    spectrum = spectral_decompose(spec, with_vectors=False, allow_reversible=True)
+    spectrum = spectral_decompose(spec, allow_reversible=True)
     if not spectrum.has_rotation:
         return 0.0
     kspec = kernel_spectrum(spectrum, T, j_max)

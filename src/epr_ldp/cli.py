@@ -4,8 +4,8 @@ Outputs are CSV or JSON with a config fingerprint embedded in every file,
 floats serialized in shortest-round-trip form, and `inf`/`-inf`/`nan`
 written literally so extended-real results survive the trip to disk.
 
-Exit codes: 0 success, 1 domain/validation failure, 2 config error,
-3 I/O error.
+Exit codes: 0 success, 1 domain/validation failure (an invalid system is
+refused before any work), 2 config error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .chaos import MgfQuery, conditional_mgf, cramer_finite_T
 from .cramer import cramer_curve, cramer_domain, rate
-from .errors import ConfigError, EprLdpError
+from .errors import ConfigError, DomainError, EprLdpError
 from .model import (
     SystemSpec,
     magnetic_example,
@@ -257,7 +257,7 @@ def cmd_validate(cfg: RunConfig, outdir: str) -> int:
 
 
 def cmd_curves(cfg: RunConfig, outdir: str) -> int:
-    sp = spectral_decompose(cfg.system, with_vectors=False)
+    sp = spectral_decompose(cfg.system)
     dom = cramer_domain(sp)
     if cfg.lambda_grid is not None:
         lam_grid = cfg.lambda_grid.points()
@@ -296,7 +296,7 @@ def cmd_curves(cfg: RunConfig, outdir: str) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
-    sp = spectral_decompose(cfg.system, with_vectors=False)
+    sp = spectral_decompose(cfg.system)
     ks = kernel_spectrum(sp, cfg.horizon, cfg.j_max)
     rows = [(e.k, e.j, e.omega, e.gamma) for e in ks.entries]
     nys = nystrom_spectrum(cfg.system, lam=0.0, T=cfg.horizon,
@@ -334,8 +334,7 @@ def cmd_mgf(cfg: RunConfig, outdir: str) -> int:
     theta = 0.5 * lam * (1.0 + lam) if theta is None else float(theta)
     value = conditional_mgf(MgfQuery(x=x0, theta=theta, T=cfg.horizon), cfg.system)
     lam_T = cramer_finite_T(lam, cfg.system, cfg.horizon)
-    sp = spectral_decompose(cfg.system, with_vectors=False)
-    gamma_max = kernel_spectrum(sp, cfg.horizon, 1).gamma_max
+    gamma_max = kernel_spectrum(spectral_decompose(cfg.system), cfg.horizon, 1).gamma_max
     fp = cfg.fingerprint()
     header = "theta,lambda,T,conditional_mgf,cramer_finite_T"
     row = (theta, lam, cfg.horizon, value, lam_T)
@@ -414,8 +413,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (default: "
                    f"${OUTDIR_ENV} or the working directory)")
     p.add_argument("--seed", type=int, help="override mc.seed")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker hint; results never depend on it")
     p.add_argument(
         "command",
         choices=["validate", "curves", "spectrum", "mgf", "simulate", "verify"],
@@ -444,6 +441,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.config is None:
             raise ConfigError(f"command {args.command!r} requires --config")
         cfg = load_config(args.config, {"seed": args.seed})
+        if args.command != "validate":
+            failing = [c.name for c in validate_system(cfg.system).failing()
+                       if c.severity == "error"]
+            if failing:
+                raise DomainError(f"system fails validation: {', '.join(failing)}")
         return _COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -113,12 +113,12 @@ class Spectrum:
 
     ``pairs[k] = (alpha_k, beta_k)`` with a_k = alpha_k + i beta_k an
     eigenvalue of A; both members of a conjugate pair are stored (+beta
-    before -beta) and real eigenvalues carry beta = 0.  ``channel_vectors``,
-    when present, holds the matching orthonormal complex eigenvectors.
+    before -beta) and real eigenvalues carry beta = 0.  ``channel_vectors``
+    holds the matching orthonormal complex eigenvectors.
     """
 
     pairs: tuple[tuple[float, float], ...]
-    channel_vectors: Optional[tuple[np.ndarray, ...]] = None
+    channel_vectors: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
@@ -271,12 +271,7 @@ def _cluster_by_gap(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return groups
 
 
-def spectral_decompose(
-    spec: SystemSpec,
-    *,
-    with_vectors: bool = True,
-    allow_reversible: bool = False,
-) -> Spectrum:
+def spectral_decompose(spec: SystemSpec, *, allow_reversible: bool = False) -> Spectrum:
     """Exact conjugate-paired eigendecomposition of the normal drift.
 
     Works through the commuting symmetric/skew split rather than a general
@@ -289,21 +284,34 @@ def spectral_decompose(
 
     Channels are sorted by (alpha ascending, |beta| descending, beta
     descending), which keeps conjugate pairs adjacent with +beta first and
-    makes the output deterministic.
+    makes the output deterministic.  The reconstruction
+    ``A = sum_k a_k U_k U_k*`` is verified to relative tolerance 1e-10, so a
+    non-normal A raises :class:`NumericError`.  Computed once per spec and
+    cached on it (the spec is frozen and A is read-only, so the cache cannot
+    go stale); every call returns the same :class:`Spectrum`.
 
     Parameters
     ----------
     spec : SystemSpec
-    with_vectors : bool
-        Also return the channel vectors and verify the reconstruction
-        ``A = sum_k a_k U_k U_k*`` to relative tolerance 1e-10.
     allow_reversible : bool
         Permit an all-real spectrum (symmetric A).  By default that raises
         :class:`ReversibilityError`, since every downstream large-deviation
         object degenerates.
     """
+    if "_channels" not in vars(spec):
+        object.__setattr__(spec, "_channels", _decompose(spec))
+    spectrum, reversible = spec._channels
+    if reversible and not allow_reversible:
+        raise ReversibilityError(
+            "drift is symmetric within tolerance; no rotation channels "
+            "(pass allow_reversible=True to decompose anyway)"
+        )
+    return spectrum
+
+
+def _decompose(spec: SystemSpec) -> tuple[Spectrum, bool]:
+    """Uncached :func:`spectral_decompose`: the spectrum and whether A is symmetric."""
     A = spec.A
-    d = spec.dim
     scale = 1.0 + float(np.linalg.norm(A))
     M = A + A.T
     N = A - A.T
@@ -344,36 +352,33 @@ def spectral_decompose(
                 i += 1
 
     channels.sort(key=lambda c: (c[0], -abs(c[1]), -c[1]))
-    if not allow_reversible and all(abs(b) <= beta_tol for _, b, _ in channels):
-        raise ReversibilityError(
-            "drift is symmetric within tolerance; no rotation channels "
-            "(pass allow_reversible=True to decompose anyway)"
-        )
-
     pairs = tuple((a, b) for a, b, _ in channels)
-    vectors: Optional[tuple[np.ndarray, ...]] = None
-    if with_vectors:
-        vecs = []
-        for _, _, U in channels:
-            U = U.copy()
-            U.setflags(write=False)
-            vecs.append(U)
-        vectors = tuple(vecs)
-        recon = sum(
-            (a + 1j * b) * np.outer(U, np.conj(U))
-            for (a, b), U in zip(pairs, vectors)
+    vectors = tuple(U for _, _, U in channels)
+    for U in vectors:
+        U.setflags(write=False)
+    recon = sum(
+        (a + 1j * b) * np.outer(U, np.conj(U)) for (a, b), U in zip(pairs, vectors)
+    )
+    if np.linalg.norm(recon - A) > 1e-10 * scale:
+        raise NumericError(
+            "channel reconstruction residual exceeds tolerance "
+            f"({np.linalg.norm(recon - A):.3e}); is A normal?"
         )
-        if np.linalg.norm(recon - A) > 1e-10 * scale:
-            raise NumericError(
-                "channel reconstruction residual exceeds tolerance "
-                f"({np.linalg.norm(recon - A):.3e}); is A normal?"
-            )
-    return Spectrum(pairs=pairs, channel_vectors=vectors)
+    reversible = all(abs(b) <= beta_tol for a, b in pairs)
+    return Spectrum(pairs=pairs, channel_vectors=vectors), reversible
 
 
 def derived_matrices(spec: SystemSpec) -> DerivedMatrices:
     """M/N split, stationary covariance Gamma = -Q M^{-1}, and the log
-    normalization constant of the stationary Gaussian density."""
+    normalization constant of the stationary Gaussian density; computed
+    once per spec and cached on it (a failure is not cached)."""
+    if "_derived" not in vars(spec):
+        object.__setattr__(spec, "_derived", _derive(spec))
+    return spec._derived
+
+
+def _derive(spec: SystemSpec) -> DerivedMatrices:
+    """Uncached body of :func:`derived_matrices`."""
     A, Q = spec.A, spec.Q
     M = A + A.T
     N = A - A.T

@@ -37,7 +37,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, DomainError, NumericError
-from .model import Spectrum, SystemSpec, derived_matrices, spectral_decompose
+from .model import Spectrum, SystemSpec, spectral_decompose
 
 __all__ = [
     "OmegaRoots",
@@ -234,12 +234,13 @@ def eigenfunction_norm_sq(omega: float, phase: float, T: float) -> float:
 
 
 def _channel_kernel_factors(alpha, beta, lam, T, u1, u2):
-    """Scalar kernel factor c_k(u1, u2) of the channel projection."""
+    """Scalar kernel factor c_k(u1, u2) of the channel projection, written as
+    (-4 beta^2/alpha) e^{i f (u1-u2)} (e^{alpha|u1-u2|} - e^{alpha(T-u1)} e^{alpha(T-u2)}),
+    f = (1 + 2 lambda) beta: every exponent is <= 0, so no horizon overflows."""
     freq = (1.0 + 2.0 * lam) * beta
-    left = np.exp(-(alpha - 1j * freq) * u1)
-    right = np.exp(-(alpha + 1j * freq) * u2)
-    env = np.exp(2.0 * alpha * np.maximum(u1, u2)) - math.exp(2.0 * alpha * T)
-    return (-4.0 * beta * beta / alpha) * left * right * env
+    left = (-4.0 * beta * beta / alpha) * np.exp(1j * freq * u1)
+    tail = np.exp(alpha * (T - u1)) * np.exp(alpha * (T - u2))
+    return left * np.exp(-1j * freq * u2) * (np.exp(alpha * np.abs(u1 - u2)) - tail)
 
 
 def kernel_eval(
@@ -259,7 +260,7 @@ def kernel_eval(
         raise DomainError("T must be positive")
     if not (0 <= u1 <= T and 0 <= u2 <= T):
         raise DomainError("u1, u2 must lie in [0, T]")
-    sp = spectral_decompose(spec, with_vectors=True, allow_reversible=True)
+    sp = spectral_decompose(spec, allow_reversible=True)
     H = np.zeros((spec.dim, spec.dim), dtype=complex)
     for (alpha, beta), U in zip(sp.pairs, sp.channel_vectors):
         if beta == 0.0:
@@ -298,13 +299,17 @@ def nystrom_spectrum(
     oracle for the analytic spectrum: it never touches the Sturm-Liouville
     roots.  The kernel's kink along u1 = u2 limits the quadrature order;
     tolerances of ~1e-4 at n=400 (Gauss-Legendre) account for that.
+
+    No horizon overflows, but the kernel decays like e^{alpha |u1 - u2|},
+    so accuracy needs enough nodes per unit of |alpha| T: at 400 nodes the
+    pi/4 magnetic example gives 8.44 at T = 300 against the analytic 7.998.
     """
     if not n_nodes >= 8:
         raise DomainError("n_nodes must be >= 8")
     if not T > 0:
         raise DomainError("T must be positive")
     t, w = _quadrature(rule, n_nodes, T)
-    sp = spectral_decompose(spec, with_vectors=True, allow_reversible=True)
+    sp = spectral_decompose(spec, allow_reversible=True)
     d = spec.dim
     n = n_nodes
     G = np.zeros((n, d, n, d))
@@ -321,7 +326,10 @@ def nystrom_spectrum(
     G *= sw[None, None, :, None]
     B = G.reshape(n * d, n * d)
     B = (B + B.T) / 2.0
-    vals = np.linalg.eigvalsh(B)
+    try:
+        vals = np.linalg.eigvalsh(B)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Nystrom eigensolve failed at T={T!r}") from exc
     return vals[::-1]
 
 
@@ -335,8 +343,8 @@ def trace_closed_form(spec: SystemSpec, T: float) -> float:
     """
     if not T > 0:
         raise DomainError("T must be positive")
-    dm = derived_matrices(spec)
-    M, N = dm.M, dm.N
+    A = spec.A
+    M, N = A + A.T, A - A.T  # Q-free: Gamma need not exist
     W = np.linalg.solve(M, N)
     E = scipy.linalg.expm(M * T)
     term1 = float(np.trace(W.T @ (E - np.eye(spec.dim)) @ W))

@@ -41,7 +41,7 @@ def _symmetry() -> dict:
                random_system(rng, 3), random_system(rng, 4)]
     worst_lam, worst_rate = 0.0, 0.0
     for spec in systems:
-        sp = spectral_decompose(spec, with_vectors=False)
+        sp = spectral_decompose(spec)
         dom = cramer_domain(sp)
         xm = 3.0 * mean_epr(sp)
         r1, r2 = symmetry_residuals(
@@ -57,7 +57,7 @@ def _symmetry() -> dict:
 
 
 def _legendre() -> dict:
-    sp = spectral_decompose(magnetic_example(math.pi / 4), with_vectors=False)
+    sp = spectral_decompose(magnetic_example(math.pi / 4))
     xm = 3.0 * mean_epr(sp)
     worst = 0.0
     for x in np.linspace(-xm, xm, 21):
@@ -69,7 +69,7 @@ def _legendre() -> dict:
 
 def _nystrom() -> dict:
     spec = SystemSpec(np.array([[-1.0, 1.0], [-1.0, -1.0]]))
-    sp = spectral_decompose(spec, with_vectors=False)
+    sp = spectral_decompose(spec)
     ks = kernel_spectrum(sp, 1.0, 40)
     analytic = np.array([e.gamma for e in ks.descending()[:5]])
     lam_vals = {}
@@ -87,7 +87,7 @@ def _trace_identity() -> dict:
     worst = 0.0
     for spec in (SystemSpec(np.array([[-1.0, 1.0], [-1.0, -1.0]])),
                  magnetic_example(math.pi / 4)):
-        sp = spectral_decompose(spec, with_vectors=False)
+        sp = spectral_decompose(spec)
         ks = kernel_spectrum(sp, 1.0, 200)
         total = float(np.sum(ks.gammas)) + spectrum_gamma_tail(sp, 1.0, 201)
         closed = trace_closed_form(spec, 1.0)
@@ -112,7 +112,7 @@ def _mgf_vs_mc() -> dict:
 
 def _finite_horizon() -> dict:
     spec = magnetic_example(math.pi / 4)
-    sp = spectral_decompose(spec, with_vectors=False)
+    sp = spectral_decompose(spec)
     target = cramer(0.1, sp)
     err = abs(cramer_finite_T(0.1, spec, 10.0) - target)
     diverged = math.isinf(cramer_finite_T(0.3, spec, 10.0))
@@ -144,7 +144,7 @@ def _lln() -> dict:
 
 def _empirical_mgf() -> dict:
     spec = magnetic_example(math.pi / 4)
-    sp = spectral_decompose(spec, with_vectors=False)
+    sp = spectral_decompose(spec)
     ens = mc.simulate_epr(spec, mc.SimConfig(T=30.0, dt=2e-3, n_traj=2000, seed=4173))
     est = mc.empirical_mgf(ens, 0.05)
     target = cramer(0.05, sp)
@@ -165,7 +165,7 @@ def _q_invariance() -> dict:
     lam_curves = []
     rate_vals = []
     for spec in variants:
-        sp = spectral_decompose(spec, with_vectors=False)
+        sp = spectral_decompose(spec)
         lam_curves.append([cramer(float(l), sp) for l in grids])
         rate_vals.append([rate(x, sp).I for x in (0.5, 1.0, 2.0)])
     identical = all(lam_curves[0] == c for c in lam_curves[1:]) and all(
@@ -187,7 +187,7 @@ def _q_invariance() -> dict:
 
 def _tail_trend() -> dict:
     spec = magnetic_example(math.pi / 4)
-    sp = spectral_decompose(spec, with_vectors=False)
+    sp = spectral_decompose(spec)
     target = rate(2.2, sp).I
     dists = []
     for i, T in enumerate((5.0, 10.0)):

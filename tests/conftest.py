@@ -16,7 +16,7 @@ def pi4_spec():
 
 @pytest.fixture(scope="session")
 def pi4_spectrum(pi4_spec):
-    return spectral_decompose(pi4_spec, with_vectors=False)
+    return spectral_decompose(pi4_spec)
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +27,7 @@ def classic_spec():
 
 @pytest.fixture(scope="session")
 def classic_spectrum(classic_spec):
-    return spectral_decompose(classic_spec, with_vectors=False)
+    return spectral_decompose(classic_spec)
 
 
 def commuting_q_variants(A: np.ndarray) -> dict:

@@ -64,14 +64,14 @@ def report(number, name, ok, detail):
 def benchmark_spectra():
     """Three magnetic angles plus five frozen random systems with d <= 6."""
     spectra = [
-        spectral_decompose(magnetic_example(theta), with_vectors=False)
+        spectral_decompose(magnetic_example(theta))
         for theta in (math.pi / 6, math.pi / 4, math.pi / 3)
     ]
     rng = np.random.default_rng(417)
     styles = ("identity", "scalar", "poly", "identity", "scalar")
     for d, style in zip((2, 3, 4, 5, 6), styles):
         spectra.append(
-            spectral_decompose(random_system(rng, d, style), with_vectors=False)
+            spectral_decompose(random_system(rng, d, style))
         )
     return spectra
 
@@ -162,7 +162,7 @@ def test_criterion_04_trace_identity(classic_spec, pi4_spec):
 
     worst = 0.0
     for spec in (classic_spec, pi4_spec):
-        sp = spectral_decompose(spec, with_vectors=False)
+        sp = spectral_decompose(spec)
         for T in (1.0, 5.0):
             tr = trace_closed_form(spec, T)
             partial = float(np.sum(kernel_spectrum(sp, T, j_max=200).gammas))
@@ -295,7 +295,7 @@ def test_criterion_09_noise_invariance(pi4_spec):
         SystemSpec(A, 0.1 * np.eye(2)),
         SystemSpec(A, 1.5 * np.eye(2) - 0.4 * M + 0.1 * M @ M),
     ]
-    spectra = [spectral_decompose(s, with_vectors=False) for s in variants]
+    spectra = [spectral_decompose(s) for s in variants]
     dom = cramer_domain(spectra[0])
     lam_grid = np.linspace(dom.a, dom.b, 41)
     x_grid = np.linspace(-3.0 * SQRT2, 3.0 * SQRT2, 21)

@@ -80,7 +80,7 @@ class TestLinearCoefficients:
     def test_projection_oracle(self, pi4_spec):
         T = 1.0
         sp = spectral_decompose(pi4_spec)
-        ks = kernel_spectrum(spectral_decompose(pi4_spec, with_vectors=False), T)
+        ks = kernel_spectrum(spectral_decompose(pi4_spec), T)
         g = g_coefficients(X0, pi4_spec, 0.0, T)
         (alpha, beta), U = sp.pairs[0], sp.channel_vectors[0]
         overlap = abs(np.vdot(U, X0))
@@ -261,7 +261,7 @@ class TestDivergenceBoundary:
         """theta = 1/gamma_1 diverges in both functions, exactly as the
         spectral layer's comparison says; just below it the MGF is finite."""
         for spec in self.systems():
-            sp = spectral_decompose(spec, with_vectors=False)
+            sp = spectral_decompose(spec)
             x0 = np.zeros(spec.dim)
             for T in self.HORIZONS:
                 gamma1 = kernel_spectrum(sp, T).gamma_max

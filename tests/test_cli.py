@@ -13,6 +13,9 @@ from epr_ldp.errors import ConfigError
 from epr_ldp.model import magnetic_example, mean_epr, spectral_decompose
 
 MAGNETIC = {"system": {"example": "magnetic", "theta": math.pi / 4}}
+# every section a gated subcommand reads, so only the system can fail
+RUNNABLE = {"horizon": 2.0, "mc": {"dt": 0.01, "n_traj": 8, "seed": 1},
+            "mgf": {"x0": [1.0, 0.0], "lambda": 0.1}}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -75,6 +78,21 @@ class TestExitCodes:
         failing = {c["name"] for c in payload["checks"] if not c["passed"]}
         assert "normality" in failing
 
+    @pytest.mark.parametrize("command", ["curves", "spectrum", "mgf", "simulate"])
+    @pytest.mark.parametrize(
+        "system, failing",
+        [({"matrix_A": magnetic_example(math.pi / 4).A.tolist(),
+           "matrix_Q": [[1.0, 0.0], [0.0, 2.0]]}, "aq_commute"),
+         ({"matrix_A": [[-1.0, 2.0], [0.0, -1.0]]}, "normality")],
+        ids=["non_commuting_q", "non_normal_a"],
+    )
+    def test_invalid_system_refused(self, tmp_path, capsys, command, system, failing):
+        cfg = write_config(tmp_path, dict(RUNNABLE, system=system))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert failing in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_system_is_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"horizon": 1.0})
         assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -129,12 +147,12 @@ class TestCurves:
     def test_lambda_round_trip_bit_exact(self, tmp_path, capsys):
         outdir = self.run(tmp_path)
         _, _, rows = read_csv(outdir / "curves_lambda.csv")
-        sp = spectral_decompose(magnetic_example(math.pi / 4), with_vectors=False)
+        sp = spectral_decompose(magnetic_example(math.pi / 4))
         for r in rows[::10]:
             assert float(r[1]) == cramer(float(r[0]), sp)
 
     def test_out_of_domain_rows(self, tmp_path, capsys):
-        sp = spectral_decompose(magnetic_example(math.pi / 4), with_vectors=False)
+        sp = spectral_decompose(magnetic_example(math.pi / 4))
         dom = cramer_domain(sp)
         grid = {"min": dom.b + 0.01, "max": dom.b + 0.05, "count": 3}
         outdir = self.run(tmp_path, {"lambda_grid": grid}, out="outside")
@@ -145,7 +163,7 @@ class TestCurves:
             assert r[3] == "false"
 
     def test_rate_file_vanishes_at_mean(self, tmp_path, capsys):
-        sp = spectral_decompose(magnetic_example(math.pi / 4), with_vectors=False)
+        sp = spectral_decompose(magnetic_example(math.pi / 4))
         mbar = mean_epr(sp)
         grid = {"min": mbar, "max": mbar, "count": 1}
         outdir = self.run(tmp_path, {"x_grid": grid}, out="at_mean")

@@ -27,7 +27,7 @@ SQRT2 = math.sqrt(2.0)
 
 def random_spectrum(seed, d=4):
     spec = random_system(np.random.default_rng(seed), d, "identity")
-    return spectral_decompose(spec, with_vectors=False)
+    return spectral_decompose(spec)
 
 
 class TestDomain:
@@ -39,10 +39,8 @@ class TestDomain:
         assert dom.a + dom.b == pytest.approx(-1.0, abs=1e-12)
 
     def test_reversible_spectrum_rejected(self):
-        sp = spectral_decompose(
-            random_system(np.random.default_rng(3), 2, "identity"), with_vectors=False
-        )
-        flat = type(sp)(pairs=((-1.0, 0.0), (-2.0, 0.0)), channel_vectors=None)
+        sp = spectral_decompose(random_system(np.random.default_rng(3), 2, "identity"))
+        flat = type(sp)(pairs=((-1.0, 0.0), (-2.0, 0.0)), channel_vectors=())
         with pytest.raises(ReversibilityError):
             cramer_domain(flat)
         with pytest.raises(ReversibilityError):
@@ -241,7 +239,7 @@ class TestQInvariance:
             for rng, style in zip(rngs, ["identity", "scalar", "poly"])
         ]
         assert all(np.array_equal(specs[0].A, s.A) for s in specs)
-        spectra = [spectral_decompose(s, with_vectors=False) for s in specs]
+        spectra = [spectral_decompose(s) for s in specs]
         lams = np.linspace(-1.2, 0.2, 31)
         base = [cramer(float(l), spectra[0]) for l in lams]
         for sp in spectra[1:]:

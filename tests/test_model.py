@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epr_ldp import model
+from epr_ldp.chaos import MgfQuery, conditional_mgf, cramer_finite_T, s0
 from epr_ldp.errors import (
     DataError,
     DimensionError,
     DomainError,
+    NumericError,
     ReversibilityError,
 )
 from epr_ldp.model import (
@@ -21,6 +24,7 @@ from epr_ldp.model import (
     spectral_decompose,
     validate_system,
 )
+from epr_ldp.spectral import kernel_eval, nystrom_spectrum
 from epr_ldp.testing import random_system
 
 from conftest import commuting_q_variants
@@ -154,9 +158,64 @@ class TestSpectralDecompose:
         assert betas == pytest.approx([-c, 0.0, c], rel=1e-14)
         assert np.allclose(sp.alphas, -c)
 
-    def test_without_vectors(self, pi4_spectrum):
-        assert pi4_spectrum.channel_vectors is None
+    def test_vectors_always_present(self, pi4_spectrum):
+        assert len(pi4_spectrum.channel_vectors) == pi4_spectrum.dim
         assert pi4_spectrum.alphas.shape == (2,)
+
+    def test_non_normal_drift_raises_numeric_error(self):
+        # the reconstruction check runs before the reversibility check
+        spec = SystemSpec(np.array([[-1.0, 2.0], [0.0, -1.0]]))
+        for allow in (False, True):
+            with pytest.raises(NumericError, match="is A normal"):
+                spectral_decompose(spec, allow_reversible=allow)
+
+
+class TestAnalysisCache:
+    def test_one_object_per_spec(self, pi4_spec):
+        assert spectral_decompose(pi4_spec) is spectral_decompose(pi4_spec)
+        assert derived_matrices(pi4_spec) is derived_matrices(pi4_spec)
+        # a shared result must not be writable by any one caller
+        vectors = spectral_decompose(pi4_spec).channel_vectors
+        assert not any(U.flags.writeable for U in vectors)
+        assert not derived_matrices(pi4_spec).Gamma.flags.writeable
+        twin = SystemSpec(pi4_spec.A, pi4_spec.Q)
+        assert spectral_decompose(twin) is not spectral_decompose(pi4_spec)
+        assert derived_matrices(twin) is not derived_matrices(pi4_spec)
+        assert spectral_decompose(twin).pairs == spectral_decompose(pi4_spec).pairs
+
+    def test_reversibility_checked_on_every_call(self):
+        spec = SystemSpec(np.diag([-2.0, -1.0]))
+        sp = spectral_decompose(spec, allow_reversible=True)
+        with pytest.raises(ReversibilityError):
+            spectral_decompose(spec)
+        assert spectral_decompose(spec, allow_reversible=True) is sp
+
+    def test_failure_not_cached(self, monkeypatch):
+        calls = []
+        derive = model._derive
+        monkeypatch.setattr(model, "_derive", lambda s: calls.append(s) or derive(s))
+        spec = SystemSpec(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # M = 0
+        for _ in range(2):
+            with pytest.raises(NumericError):
+                derived_matrices(spec)
+        assert len(calls) == 2
+
+    def test_one_decomposition_per_spec_across_layers(self, monkeypatch):
+        calls = []
+        decompose = model._decompose
+        monkeypatch.setattr(
+            model, "_decompose", lambda s: calls.append(s) or decompose(s)
+        )
+        for n, theta in enumerate((math.pi / 5, math.pi / 3), start=1):
+            spec = magnetic_example(theta)
+            x = np.array([0.3, -0.8])
+            conditional_mgf(MgfQuery(x=x, theta=0.2, T=2.0), spec)
+            cramer_finite_T(0.1, spec, 2.0)
+            s0(x, spec, 2.0)
+            kernel_eval(spec, 0.1, 2.0, 0.5, 1.5)
+            nystrom_spectrum(spec, 0.1, 2.0, n_nodes=16)
+            assert len(calls) == n
+            assert calls[-1] is spec
 
 
 class TestDerivedMatrices:
@@ -192,8 +251,8 @@ class TestDerivedMatrices:
         A = magnetic_example(math.pi / 3).A
         M = A + A.T
         spec = SystemSpec(A, 1.5 * np.eye(2) - 0.4 * M + 0.1 * M @ M)
-        sp0 = spectral_decompose(SystemSpec(A), with_vectors=False)
-        sp1 = spectral_decompose(reduce_to_identity_noise(spec), with_vectors=False)
+        sp0 = spectral_decompose(SystemSpec(A))
+        sp1 = spectral_decompose(reduce_to_identity_noise(spec))
         assert np.allclose(sp0.alphas, sp1.alphas, rtol=1e-12)
         assert np.allclose(sp0.betas, sp1.betas, rtol=1e-12)
 
@@ -212,7 +271,7 @@ class TestMagneticExample:
 
     def test_mean_epr_closed_form(self):
         for theta in (math.pi / 6, math.pi / 4, math.pi / 3):
-            sp = spectral_decompose(magnetic_example(theta), with_vectors=False)
+            sp = spectral_decompose(magnetic_example(theta))
             expected = 2.0 * math.sin(theta) ** 2 / math.cos(theta)
             assert mean_epr(sp) == pytest.approx(expected, rel=1e-12)
 

@@ -1,6 +1,7 @@
 """Sturm-Liouville roots, kernel spectrum, discretized oracle, trace identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from epr_ldp.spectral import (
     spectrum_gamma_tail,
     trace_closed_form,
 )
-from epr_ldp.spectral import _nu_partial_sums
+from epr_ldp.spectral import _channel_kernel_factors, _nu_partial_sums
 
 # First two roots of omega cos(omega) = -sin(omega) on the positive axis,
 # i.e. the alpha = -1, T = 1 frequency equation.
@@ -178,6 +179,22 @@ class TestKernelEval:
         assert H.dtype == float
         assert np.max(np.abs(H - Ht.T)) <= 1e-11
 
+    def test_factor_matches_textbook_form(self):
+        # e^{-(a - i f) u1} e^{-(a + i f) u2} (e^{2a max(u1, u2)} - e^{2aT}),
+        # safe to evaluate directly at a short horizon
+        alpha, beta, lam, T = -0.8, 0.6, 0.3, 2.5
+        u = np.linspace(0.0, T, 33)
+        U1, U2 = u[:, None], u[None, :]
+        f = (1.0 + 2.0 * lam) * beta
+        textbook = (
+            (-4.0 * beta * beta / alpha)
+            * np.exp(-(alpha - 1j * f) * U1)
+            * np.exp(-(alpha + 1j * f) * U2)
+            * (np.exp(2.0 * alpha * np.maximum(U1, U2)) - math.exp(2.0 * alpha * T))
+        )
+        got = _channel_kernel_factors(alpha, beta, lam, T, U1, U2)
+        assert np.max(np.abs(got - textbook)) <= 1e-13 * np.max(np.abs(textbook))
+
 
 class TestNystrom:
     def test_matches_analytic_top5(self, classic_spec, classic_spectrum):
@@ -207,6 +224,16 @@ class TestNystrom:
         with pytest.raises(ConfigError):
             nystrom_spectrum(classic_spec, 0.0, 1.0, n_nodes=50, rule="simpson")
 
+    @pytest.mark.parametrize("T", [600.0, 1e4])
+    def test_long_horizon_finite(self, pi4_spec, T):
+        # far past |alpha| T = 709, where e^{|alpha| T} alone overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = nystrom_spectrum(pi4_spec, 0.2, T)
+            H = kernel_eval(pi4_spec, 0.2, T, 0.0, T)
+        assert np.all(np.isfinite(vals))
+        assert np.all(np.isfinite(H))
+
 
 class TestTraceIdentity:
     def test_worked_value(self, classic_spec):
@@ -215,7 +242,7 @@ class TestTraceIdentity:
 
     def test_truncation_plus_tail_closes(self, pi4_spec, classic_spec):
         for spec in (pi4_spec, classic_spec):
-            sp = spectral_decompose(spec, with_vectors=False)
+            sp = spectral_decompose(spec)
             for T in (1.0, 5.0):
                 tr = trace_closed_form(spec, T)
                 partial = float(np.sum(kernel_spectrum(sp, T, j_max=200).gammas))
