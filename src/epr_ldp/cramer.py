@@ -8,14 +8,13 @@ ell(lambda) = 4 lambda (1 + lambda),
 
 on the closed interval [a, b] determined by m = min_{beta_k != 0}
 alpha_k^2 / beta_k^2 via a,b = -1/2 -/+ 1/2 sqrt(1+m), and +infinity
-outside.  The rate function is evaluated in closed form through the
-substitution ell: I(x) = lambda(ell0(x)) x + F(ell0(x)) where ell0(x) is
-the unique root in [-1, m) of |x| = sqrt(1+ell) sum_k beta_k^2 /
-sqrt(alpha_k^2 - ell beta_k^2), and an independent Legendre-search oracle
-(grid + golden section on lambda x - Lambda(lambda)) cross-checks it.
-
-Both members of each conjugate channel pair are summed, so the k-sums run
-over all d channels.
+outside.  Only the rotating channels enter, through constants computed once
+per spectrum.  The rate function is evaluated in closed form through the
+substitution ell: I(x) = lambda(ell0(x)) x + F(ell0(x)) where ell0(x) is the
+unique root in [-1, m) of |x| = sqrt(1+ell) sum_k beta_k^2 / sqrt(alpha_k^2 -
+ell beta_k^2), found by one safeguarded Newton iteration over an array of
+levels; an independent Legendre-search oracle (grid + golden section on
+lambda x - Lambda(lambda)) cross-checks it.
 """
 
 from __future__ import annotations
@@ -30,22 +29,13 @@ from .errors import DomainError, NumericError, ReversibilityError
 from .model import Spectrum
 
 __all__ = [
-    "CramerDomain",
-    "CramerCurve",
-    "RatePoint",
-    "cramer_domain",
-    "cramer",
-    "cramer_curve",
-    "cramer_derivative",
-    "F_of_ell",
-    "lambda_of_ell",
-    "ell0_solve",
-    "rate",
-    "legendre_oracle",
-    "symmetry_residuals",
+    "CramerDomain", "CramerCurve", "RatePoint", "cramer_domain", "cramer",
+    "cramer_curve", "cramer_derivative", "F_of_ell", "lambda_of_ell",
+    "ell0_solve", "rate", "legendre_oracle", "symmetry_residuals",
 ]
 
 _RADICAND_CLAMP = 1e-14
+_NEWTON_TOL = 1e-8  # a logit step this small lands within rounding of the root
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,30 +69,48 @@ class RatePoint:
     residual: float
 
 
-def _rotation_channels(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    alphas = spectrum.alphas
-    betas = spectrum.betas
-    if not np.any(betas != 0.0):
-        raise ReversibilityError(
-            "all channels are real (drift symmetric): Lambda/I are degenerate"
-        )
-    return alphas, betas
+class _Channels:
+    """Constants of the rotating channels of one spectrum; a real channel
+    adds sqrt(alpha^2) + alpha = 0 to Lambda and nothing to the sums."""
+
+    def __init__(self, spectrum: Spectrum) -> None:
+        rot = spectrum.betas != 0.0
+        if not np.any(rot):
+            raise ReversibilityError(
+                "all channels are real (drift symmetric): Lambda/I are degenerate")
+        self.alpha2, self.beta2 = spectrum.alphas[rot] ** 2, spectrum.betas[rot] ** 2
+        ratio = self.alpha2 / self.beta2
+        m = float(np.min(ratio))
+        half_width = 0.5 * math.sqrt(1.0 + m)
+        self.dom = CramerDomain(m=m, a=-0.5 - half_width, b=-0.5 + half_width)
+        self.alpha_sum = float(np.sum(spectrum.alphas[rot]))
+        # Radicands within `clamp` of 0 are 0; ell <= ell_max counts as inside.
+        self.clamp = _RADICAND_CLAMP * np.maximum(1.0, np.maximum(self.alpha2, self.beta2))
+        self.ell_max = m + _RADICAND_CLAMP * max(1.0, m)
+        # alpha_k^2 - m beta_k^2, exactly 0 on the channels that set m.
+        self.gap = np.where(ratio == m, 0.0, np.maximum(self.alpha2 - m * self.beta2, 0.0))
+        # ell0's first upper bracket, and |x| there and at ell = (m - 1)/2.
+        self.top = m * (1.0 - 1e-15) if m > 0 else m - 1e-15
+        ells = np.array([self.top, 0.5 * (m - 1.0)])
+        self.top_level, self.level_mid = _level(self, 1.0 + ells, m - ells)[0].tolist()
+
+
+def _channels(spectrum: Spectrum) -> _Channels:
+    """The rotating channels' constants, computed once per spectrum and kept
+    on it (the spectrum is frozen, so they cannot go stale)."""
+    if "_cramer_channels" not in vars(spectrum):
+        object.__setattr__(spectrum, "_cramer_channels", _Channels(spectrum))
+    return spectrum._cramer_channels
 
 
 def cramer_domain(spectrum: Spectrum) -> CramerDomain:
     """Domain data (m, a, b) of the Cramer function."""
-    alphas, betas = _rotation_channels(spectrum)
-    rot = betas != 0.0
-    m = float(np.min(alphas[rot] ** 2 / betas[rot] ** 2))
-    half_width = 0.5 * math.sqrt(1.0 + m)
-    return CramerDomain(m=m, a=-0.5 - half_width, b=-0.5 + half_width)
+    return _channels(spectrum).dom
 
 
-def _clamped_radicands(
-    alphas: np.ndarray, betas: np.ndarray, ell: np.ndarray
-) -> np.ndarray:
-    """alpha_k^2 - ell beta_k^2 with values within 1e-14 (scaled) of 0
-    clamped to exactly 0.
+def _radicands(ch: _Channels, ell) -> np.ndarray:
+    """alpha_k^2 - ell beta_k^2 (one row per ell) with values within 1e-14
+    (scaled) of 0 clamped to exactly 0.
 
     At the domain endpoints the minimizing channel's radicand is exactly 0
     analytically but lands a few ulps off in floats; the two-sided clamp
@@ -110,77 +118,68 @@ def _clamped_radicands(
     exact and the lambda <-> -1-lambda symmetry at machine precision.  A
     strongly negative radicand signals an internal inconsistency.
     """
-    r = alphas**2 - np.multiply.outer(ell, betas**2)
-    scale = np.maximum(1.0, np.maximum(alphas**2, betas**2))
-    if np.any(r < -_RADICAND_CLAMP * scale):
+    r = ch.alpha2 - np.multiply.outer(ell, ch.beta2)
+    if np.any(r < -ch.clamp):
         raise NumericError("radicand strongly negative inside the domain")
-    return np.where(np.abs(r) <= _RADICAND_CLAMP * scale, 0.0, np.maximum(r, 0.0))
+    return np.where(r <= ch.clamp, 0.0, r)
 
 
-def _cramer_values(spectrum: Spectrum, lambdas: np.ndarray) -> np.ndarray:
-    alphas, betas = _rotation_channels(spectrum)
-    dom = cramer_domain(spectrum)
+def _F(ch: _Channels, radicands) -> np.ndarray:
+    return 0.5 * (np.sqrt(radicands).sum(axis=-1) + ch.alpha_sum)
+
+
+def _cramer_values(ch: _Channels, lambdas) -> np.ndarray:
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    ell = 4.0 * lambdas * (1.0 + lambdas)
     out = np.full(lambdas.shape, math.inf)
     # Membership is decided in the ell variable (the only one the formula
     # sees): ell <= m up to the clamp tolerance.  This admits the 1-ulp
     # excursions of fl(-1-lambda) past the float endpoints.
-    ell_all = 4.0 * lambdas * (1.0 + lambdas)
-    inside = ell_all <= dom.m + _RADICAND_CLAMP * max(1.0, dom.m)
-    if np.any(inside):
-        r = _clamped_radicands(alphas, betas, ell_all[inside])
-        out[inside] = -0.5 * np.sum(np.sqrt(r) + alphas, axis=-1)
+    inside = ell <= ch.ell_max
+    out[inside] = -_F(ch, _radicands(ch, ell[inside]))
     return out
 
 
 def cramer(lam: float, spectrum: Spectrum) -> float:
     """Cramer function Lambda(lambda); +inf outside [a, b]."""
-    return float(_cramer_values(spectrum, np.array([lam]))[0])
+    return float(_cramer_values(_channels(spectrum), lam)[0])
 
 
-def cramer_curve(
-    spectrum: Spectrum,
-    lambdas: Sequence[float],
-    with_derivative: bool = False,
-) -> CramerCurve:
-    """Evaluate Lambda (and optionally Lambda') on a grid."""
+def cramer_curve(spectrum: Spectrum, lambdas: Sequence[float],
+                 with_derivative: bool = False) -> CramerCurve:
+    """Evaluate Lambda (and optionally Lambda', in one array expression) on a grid."""
+    ch = _channels(spectrum)
     grid = np.asarray(lambdas, dtype=float)
-    values = _cramer_values(spectrum, grid)
     deriv = None
     if with_derivative:
-        dom = cramer_domain(spectrum)
         deriv = np.full(grid.shape, math.nan)
-        interior = (grid > dom.a) & (grid < dom.b)
-        deriv[interior] = [cramer_derivative(l, spectrum) for l in grid[interior]]
-        deriv[grid == dom.a] = -math.inf
-        deriv[grid == dom.b] = math.inf
-    return CramerCurve(lambda_grid=grid, values=values, derivative=deriv)
+        interior = (grid > ch.dom.a) & (grid < ch.dom.b)
+        lam = grid[interior]
+        r = _radicands(ch, 4.0 * lam * (1.0 + lam))
+        with np.errstate(divide="ignore"):  # +-inf where a radicand clamps to 0
+            deriv[interior] = (1.0 + 2.0 * lam) * (ch.beta2 / np.sqrt(r)).sum(axis=-1)
+        deriv[grid == ch.dom.a] = -math.inf
+        deriv[grid == ch.dom.b] = math.inf
+    return CramerCurve(lambda_grid=grid, values=_cramer_values(ch, grid), derivative=deriv)
 
 
 def cramer_derivative(lam: float, spectrum: Spectrum) -> float:
     """Lambda'(lambda) = (1+2 lambda) sum_k beta_k^2 / sqrt(alpha_k^2 -
     4 lambda(1+lambda) beta_k^2), defined strictly inside (a, b); diverges
     toward the endpoints (steepness)."""
-    alphas, betas = _rotation_channels(spectrum)
     dom = cramer_domain(spectrum)
     if not (dom.a < lam < dom.b):
         raise DomainError(f"lambda={lam} outside the open interval ({dom.a}, {dom.b})")
-    ell = 4.0 * lam * (1.0 + lam)
-    r = _clamped_radicands(alphas, betas, np.array(ell))
-    with np.errstate(divide="ignore"):
-        terms = np.where(betas != 0.0, betas**2 / np.sqrt(r), 0.0)
-    return float((1.0 + 2.0 * lam) * np.sum(terms))
+    return float(cramer_curve(spectrum, [lam], with_derivative=True).derivative[0])
 
 
 def F_of_ell(ell: float, spectrum: Spectrum) -> float:
     """F(ell) = 1/2 sum_k ( sqrt(alpha_k^2 - ell beta_k^2) + alpha_k ), the
     Cramer function expressed in the variable ell; equals -Lambda(lambda(ell))."""
-    alphas, betas = _rotation_channels(spectrum)
-    dom = cramer_domain(spectrum)
-    if ell > dom.m + _RADICAND_CLAMP * max(1.0, dom.m):
-        raise DomainError(f"ell={ell} exceeds m={dom.m}")
-    r = _clamped_radicands(alphas, betas, np.array(ell))
-    return float(0.5 * np.sum(np.sqrt(r) + alphas))
+    ch = _channels(spectrum)
+    if ell > ch.ell_max:
+        raise DomainError(f"ell={ell} exceeds m={ch.dom.m}")
+    return float(_F(ch, _radicands(ch, ell)))
 
 
 def lambda_of_ell(ell: float, branch: int = +1) -> float:
@@ -195,86 +194,97 @@ def lambda_of_ell(ell: float, branch: int = +1) -> float:
     return (root - 1.0) / 2.0 if branch == +1 else (-root - 1.0) / 2.0
 
 
-def _abs_x_of_ell(
-    alphas: np.ndarray, betas: np.ndarray, ell: float
-) -> float:
-    """Right side sqrt(1+ell) sum_k beta_k^2/sqrt(alpha_k^2 - ell beta_k^2),
-    strictly increasing in ell on [-1, m), diverging at m."""
-    r = alphas**2 - ell * betas**2
-    with np.errstate(divide="ignore"):
-        s = np.where(betas != 0.0, betas**2 / np.sqrt(np.maximum(r, 0.0)), 0.0)
-    return math.sqrt(max(1.0 + ell, 0.0)) * float(np.sum(s))
+def _level(ch: _Channels, w, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|x| = sqrt(w) S at 1 + ell = w, m - ell = v, S = sum_k beta_k^2 / sqrt(r_k)
+    and D = 2 dS/dell, with r_k = (alpha_k^2 - m beta_k^2) + beta_k^2 v exact
+    up to the pole at ell = m."""
+    r = ch.gap + np.multiply.outer(v, ch.beta2)
+    q = ch.beta2 / np.sqrt(r)
+    S = q.sum(axis=-1)
+    return np.sqrt(w) * S, S, (q * ch.beta2 / r).sum(axis=-1)
+
+
+def _solve(ch: _Channels, xs: np.ndarray, tol: float):
+    """ell0, I and the residual |x|(ell0) - |x| for every level in xs."""
+    t = np.abs(xs)
+    if np.isnan(t).any():
+        raise DomainError("EPR level x is NaN")
+    ell, v, resid = np.full(xs.shape, -1.0), np.full(xs.shape, 1.0 + ch.dom.m), np.zeros(xs.shape)
+    todo = t > 1e-12
+    if todo.any():
+        ell[todo], v[todo], resid[todo] = _newton(ch, t[todo])
+    bad = ~(np.abs(resid) <= np.maximum(tol, 1e-9 * np.maximum(1.0, t)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericError(f"ell0 solve residual {resid[i]:.3e} above tolerance at x={xs[i]}")
+    # lambda's + branch as ell0 / (2 (1 + sqrt(1+ell0))) and F from the unclamped
+    # radicands at v = m - ell0 stay exact when alpha^2 and ell0 are far below 1.
+    root = np.sqrt(1.0 + ch.dom.m - v)
+    lam = np.where(xs >= 0, ell / (2.0 * (1.0 + root)), -0.5 * (1.0 + root))
+    I = np.where(todo, lam * xs, 0.0) + _F(ch, ch.gap + np.multiply.outer(v, ch.beta2))
+    if (I < -1e-10).any():
+        i = int(np.argmax(I < -1e-10))
+        raise NumericError(f"rate evaluated negative ({I[i]:.3e}) at x={xs[i]}")
+    return ell, np.maximum(I, 0.0), resid
+
+
+def _newton(ch: _Channels, t: np.ndarray):
+    """Roots ell0 of |x|(ell) = t > 0, with m - ell0 and the residuals.
+
+    The bracket [-1, hi] has hi = m (1 - 1e-15), moved toward m geometrically
+    while |x|(hi) < t (the right side diverges at m, so a bracket always
+    exists).  Newton steps are taken on log |x| in the logit coordinate
+    z = log((1+ell)/(m-ell)), in which it is nearly linear with slope 1/2
+    at both ends (exactly so for a single rotation pair); the start is that
+    line through the midpoint ell = (m-1)/2.  A step that leaves [lo, hi] is
+    replaced by bisection.  The iterate is carried as 1 + ell and m - ell,
+    which resolve ell0 near -1 and near m far below one ulp of ell.
+    """
+    m = ch.dom.m
+    tops, top_levels = [ch.top], [ch.top_level]
+    while top_levels[-1] < t.max():
+        new_hi = m - (m - tops[-1]) / 16.0
+        if new_hi <= tops[-1] or len(tops) > 80:
+            raise NumericError("could not bracket ell0 below m")
+        tops.append(new_hi)
+        top_levels.append(float(_level(ch, 1.0 + new_hi, m - new_hi)[0]))
+    hi = np.array(tops)[np.searchsorted(top_levels, t)]
+    lo = np.full(t.shape, -1.0)
+    s = (t / ch.level_mid) ** 2  # e^z at the start
+    v = (1.0 + m) / (1.0 + s)
+    w = s * v
+    ell = np.where(w < v, w - 1.0, m - v)
+    with np.errstate(all="ignore"):
+        for _ in range(100):
+            g, S, D = _level(ch, w, v)
+            below = g < t
+            lo = np.where(below, ell, lo)
+            hi = np.where(below, hi, ell)
+            # d log|x| / dz = (1 + w D / S) v / (2 (1 + m)); the logit step
+            # dz maps (w, v) to (p, v) / (v + p) (1 + m) with p = w e^-dz.
+            dz = np.log(g / t) * (2.0 * (1.0 + m)) / ((1.0 + w * D / S) * v)
+            p = w * np.exp(-dz)
+            w_new, v_new = (1.0 + m) * p / (v + p), (1.0 + m) * v / (v + p)
+            ell_new = np.where(w_new < v_new, w_new - 1.0, m - v_new)
+            out = ~((ell_new >= lo) & (ell_new <= hi))
+            if out.any():  # bisect where the step leaves the bracket
+                ell_new[out] = mid = 0.5 * (lo[out] + hi[out])
+                w_new[out], v_new[out] = 1.0 + mid, m - mid
+            ell, w, v = ell_new, w_new, v_new
+            if not out.any() and (np.abs(dz) <= _NEWTON_TOL).all():
+                break
+    return ell, v, _level(ch, w, v)[0] - t
 
 
 def ell0_solve(x: float, spectrum: Spectrum, tol: float = 1e-12) -> RatePoint:
     """Solve for ell0(x) and evaluate the closed-form rate at x.
 
-    x = 0 (within 1e-12) short-circuits to ell0 = -1 exactly.  Otherwise
-    bracketed bisection on [-1, m), with the upper bracket approaching m
-    geometrically when needed (the right side diverges at m, so a bracket
-    always exists), followed by Newton polish.
+    x = 0 (within 1e-12) short-circuits to ell0 = -1 exactly; otherwise the
+    safeguarded Newton iteration of ``_newton`` runs.  A residual above
+    max(tol, 1e-9 max(1, |x|)) or a negative rate raises :class:`NumericError`.
     """
-    alphas, betas = _rotation_channels(spectrum)
-    dom = cramer_domain(spectrum)
-    m = dom.m
-    if abs(x) <= 1e-12:
-        return RatePoint(x=float(x), ell0=-1.0, I=F_of_ell(-1.0, spectrum),
-                         residual=0.0)
-    target = abs(x)
-
-    def f(ell: float) -> float:
-        return _abs_x_of_ell(alphas, betas, ell) - target
-
-    lo = -1.0
-    hi = m * (1.0 - 1e-15) if m > 0 else m - 1e-15
-    attempts = 0
-    while f(hi) < 0.0:
-        new_hi = m - (m - hi) / 16.0
-        attempts += 1
-        if new_hi <= hi or attempts > 80:
-            raise NumericError("could not bracket ell0 below m")
-        hi = new_hi
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = f(mid)
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(hi)):
-            break
-    ell = 0.5 * (lo + hi)
-    # Newton polish on the same equation.
-    for _ in range(3):
-        r = alphas**2 - ell * betas**2
-        if np.any(r <= 0.0):
-            break
-        s = float(np.sum(np.where(betas != 0.0, betas**2 / np.sqrt(r), 0.0)))
-        sp = float(np.sum(np.where(betas != 0.0, 0.5 * betas**4 / r**1.5, 0.0)))
-        root1 = math.sqrt(1.0 + ell)
-        val = root1 * s - target
-        dval = s / (2.0 * root1) + root1 * sp
-        if dval == 0.0:
-            break
-        step = val / dval
-        new_ell = ell - step
-        if not (lo - 1e-12 <= new_ell < m):
-            break
-        ell = new_ell
-    residual = f(ell)
-    if abs(residual) > max(tol, 1e-9 * max(1.0, target)):
-        raise NumericError(
-            f"ell0 solve residual {residual:.3e} above tolerance at x={x}"
-        )
-    branch = +1 if x >= 0 else -1
-    I = lambda_of_ell(ell, branch) * x + F_of_ell(ell, spectrum)
-    if I < -1e-10:
-        raise NumericError(f"rate evaluated negative ({I:.3e}) at x={x}")
-    return RatePoint(x=float(x), ell0=float(ell), I=max(I, 0.0),
-                     residual=float(residual))
+    ell, I, resid = _solve(_channels(spectrum), np.array([x], dtype=float), tol)
+    return RatePoint(float(x), float(ell[0]), float(I[0]), float(resid[0]))
 
 
 def rate(x: float, spectrum: Spectrum) -> RatePoint:
@@ -287,20 +297,21 @@ def legendre_oracle(x: float, spectrum: Spectrum, n_grid: int = 2001) -> float:
     (lambda x - Lambda(lambda)): coarse grid then golden-section polish.
 
     Evaluates only grid/golden points, so the result never exceeds the true
-    supremum; with n_grid >= 1000 it is within ~1e-6 of it.
+    supremum; with n_grid >= 1000 it is within ~1e-6 of it.  It never calls
+    the ell0 solver.
     """
     if n_grid < 3:
         raise DomainError("n_grid must be >= 3")
-    dom = cramer_domain(spectrum)
-    grid = np.linspace(dom.a, dom.b, n_grid)
-    vals = grid * x - _cramer_values(spectrum, grid)
+    ch = _channels(spectrum)
+    grid = np.linspace(ch.dom.a, ch.dom.b, n_grid)
+    vals = grid * x - _cramer_values(ch, grid)
     i = int(np.argmax(vals))
     best = float(vals[i])
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, n_grid - 1)]
 
-    def f(lam: float) -> float:
-        return lam * x - cramer(lam, spectrum)
+    def f(lam: float) -> float:  # lambda x - Lambda(lambda) = lambda x + F(ell)
+        return lam * x + float(_F(ch, _radicands(ch, 4.0 * lam * (1.0 + lam))))
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
@@ -308,38 +319,27 @@ def legendre_oracle(x: float, spectrum: Spectrum, n_grid: int = 2001) -> float:
     fc, fd = f(c), f(d)
     for _ in range(100):
         if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
+            hi, d, fd, c = d, c, fc, d - invphi * (d - lo)
             fc = f(c)
         else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
+            lo, c, fc, d = c, d, fd, c + invphi * (hi - c)
             fd = f(d)
         if hi - lo <= 1e-14 * max(1.0, abs(hi)):
             break
     return max(best, fc, fd)
 
 
-def symmetry_residuals(
-    spectrum: Spectrum,
-    lambda_grid: Sequence[float],
-    x_grid: Sequence[float],
-) -> tuple[float, float]:
+def symmetry_residuals(spectrum: Spectrum, lambda_grid: Sequence[float],
+                       x_grid: Sequence[float]) -> tuple[float, float]:
     """Fluctuation-symmetry residuals (max |Lambda(l) - Lambda(-1-l)|,
     max |I(x) - I(-x) + x|) over the given grids; empty grids give 0."""
-    lam = np.asarray(lambda_grid, dtype=float)
-    xs = np.asarray(x_grid, dtype=float)
-    res1 = 0.0
+    lam, xs = (np.asarray(grid, dtype=float) for grid in (lambda_grid, x_grid))
+    res1 = res2 = 0.0
     if lam.size:
-        v1 = _cramer_values(spectrum, lam)
-        v2 = _cramer_values(spectrum, -1.0 - lam)
-        both_inf = np.isinf(v1) & np.isinf(v2)
-        diff = np.where(both_inf, 0.0, np.abs(v1 - v2))
-        res1 = float(np.max(diff))
-    res2 = 0.0
+        v1 = _cramer_values(_channels(spectrum), lam)
+        v2 = _cramer_values(_channels(spectrum), -1.0 - lam)
+        res1 = float(np.max(np.where(np.isinf(v1) & np.isinf(v2), 0.0, np.abs(v1 - v2))))
     if xs.size:
-        for x in xs:
-            a = rate(float(x), spectrum).I
-            b = rate(float(-x), spectrum).I
-            res2 = max(res2, abs(a - b + x))
+        _, I, _ = _solve(_channels(spectrum), np.concatenate([xs, -xs]), 1e-12)
+        res2 = float(np.max(np.abs(I[: xs.size] - I[xs.size:] + xs)))
     return res1, res2

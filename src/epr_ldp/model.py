@@ -24,6 +24,7 @@ not.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Optional
 
@@ -114,7 +115,8 @@ class Spectrum:
     ``pairs[k] = (alpha_k, beta_k)`` with a_k = alpha_k + i beta_k an
     eigenvalue of A; both members of a conjugate pair are stored (+beta
     before -beta) and real eigenvalues carry beta = 0.  ``channel_vectors``
-    holds the matching orthonormal complex eigenvectors.
+    holds the matching orthonormal complex eigenvectors.  ``alphas`` and
+    ``betas`` are built once, as read-only arrays.
     """
 
     pairs: tuple[tuple[float, float], ...]
@@ -124,13 +126,17 @@ class Spectrum:
     def dim(self) -> int:
         return len(self.pairs)
 
-    @property
+    @functools.cached_property
     def alphas(self) -> np.ndarray:
-        return np.array([p[0] for p in self.pairs])
+        out = np.array([p[0] for p in self.pairs])
+        out.setflags(write=False)
+        return out
 
-    @property
+    @functools.cached_property
     def betas(self) -> np.ndarray:
-        return np.array([p[1] for p in self.pairs])
+        out = np.array([p[1] for p in self.pairs])
+        out.setflags(write=False)
+        return out
 
     @property
     def has_rotation(self) -> bool:
@@ -338,8 +344,10 @@ def _decompose(spec: SystemSpec) -> tuple[Spectrum, bool]:
             raise NumericError(f"Schur factorization failed for S={S!r}") from exc
         i = 0
         while i < g:
-            if i + 1 < g and abs(T_[i + 1, i]) > beta_tol:
-                b = float(T_[i, i + 1] - T_[i + 1, i]) / 2.0
+            # A 2x2 block is a rotation pair only if its beta = b/2 exceeds
+            # the tolerance that also decides reversibility below.
+            b = float(T_[i, i + 1] - T_[i + 1, i]) / 2.0 if i + 1 < g else 0.0
+            if abs(b) / 2.0 > beta_tol:
                 u = Vg @ Z[:, i]
                 v = Vg @ Z[:, i + 1]
                 U = (u + 1j * v) / math.sqrt(2.0)

@@ -30,6 +30,7 @@ tail independent of the closed-form trace it is checked against.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Optional
 
@@ -272,9 +273,19 @@ def kernel_eval(
     return H.real
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] (an n x n eigensolve),
+    built once per node count and returned read-only."""
+    rule = np.polynomial.legendre.leggauss(n_nodes)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def _quadrature(rule: str, n_nodes: int, T: float) -> tuple[np.ndarray, np.ndarray]:
     if rule == "gauss":
-        x, w = np.polynomial.legendre.leggauss(n_nodes)
+        x, w = _gauss_legendre(n_nodes)
         return (x + 1.0) * (T / 2.0), w * (T / 2.0)
     if rule == "trapezoid":
         t = np.linspace(0.0, T, n_nodes)

@@ -12,7 +12,6 @@ import math
 import time
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from . import montecarlo as mc
 from .chaos import MgfQuery, conditional_mgf, cramer_finite_T, cramer_finite_T_series
@@ -171,6 +170,8 @@ def _q_invariance() -> dict:
     identical = all(lam_curves[0] == c for c in lam_curves[1:]) and all(
         rate_vals[0] == r for r in rate_vals[1:]
     )
+    from scipy.stats import ks_2samp  # imported here: scipy.stats costs ~0.8 s at start-up
+
     ensembles = [
         mc.simulate_epr(spec, mc.SimConfig(T=10.0, dt=5e-3, n_traj=2000, seed=4174 + i))
         for i, spec in enumerate(variants)

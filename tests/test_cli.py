@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from epr_ldp.cli import format_value, load_config, main
 from epr_ldp.cramer import cramer, cramer_domain
 from epr_ldp.errors import ConfigError
 from epr_ldp.model import magnetic_example, mean_epr, spectral_decompose
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 MAGNETIC = {"system": {"example": "magnetic", "theta": math.pi / 4}}
 # every section a gated subcommand reads, so only the system can fail
@@ -296,6 +302,14 @@ class TestSimulate:
         assert est["lambda"] == 0.05
         assert math.isfinite(est["value"])
         assert est["stderr"] > 0.0
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats is most of the start-up cost; only `verify` needs it
+    code = "import sys, epr_ldp.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"
 
 
 class TestVerify:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from epr_ldp.cramer import (
     F_of_ell,
@@ -19,7 +20,7 @@ from epr_ldp.cramer import (
     symmetry_residuals,
 )
 from epr_ldp.errors import DomainError, ReversibilityError
-from epr_ldp.model import mean_epr, spectral_decompose
+from epr_ldp.model import magnetic_example, mean_epr, spectral_decompose
 from epr_ldp.testing import random_system
 
 SQRT2 = math.sqrt(2.0)
@@ -118,6 +119,17 @@ class TestCramerCurve:
         assert curve.derivative[3] == math.inf
         assert curve.derivative[2] == pytest.approx(0.0, abs=1e-12)
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8))
+    def test_array_derivative_matches_scalar(self, seed, d):
+        sp = random_spectrum(seed, d)
+        dom = cramer_domain(sp)
+        grid = np.linspace(dom.a, dom.b, 41)
+        curve = cramer_curve(sp, grid, with_derivative=True)
+        for lam, slope in zip(grid[1:-1], curve.derivative[1:-1]):
+            scalar = cramer_derivative(float(lam), sp)
+            assert abs(slope - scalar) <= 1e-14 * abs(scalar)
+
     def test_without_derivative(self, pi4_spectrum):
         curve = cramer_curve(pi4_spectrum, [0.0, 0.1])
         assert curve.derivative is None
@@ -211,6 +223,88 @@ class TestRate:
         vals = np.array([cramer(float(l), sp) for l in grid])
         second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
         assert np.min(second) >= -1e-9 * max(1.0, np.max(np.abs(vals)))
+
+
+def brentq_ell0(x, sp):
+    """Test-only reference root of |x| = sqrt(1+ell) sum beta^2 / sqrt(alpha^2 -
+    ell beta^2) on [-1, m), bracketed as the library brackets it."""
+    rot = sp.betas != 0.0
+    a2, b2 = sp.alphas[rot] ** 2, sp.betas[rot] ** 2
+    m = float(np.min(a2 / b2))
+
+    def f(ell):
+        return math.sqrt(1.0 + ell) * float(np.sum(b2 / np.sqrt(a2 - ell * b2))) - abs(x)
+
+    hi = m * (1.0 - 1e-15)
+    while f(hi) < 0.0:
+        hi = m - (m - hi) / 16.0
+    return brentq(f, -1.0, hi, xtol=1e-300, maxiter=1000)
+
+
+def assert_matches_reference(x, sp):
+    pt = rate(x, sp)
+    ref = brentq_ell0(x, sp)
+    assert abs(pt.ell0 - ref) <= 1e-12 * (1.0 + abs(pt.ell0))
+    assert abs(pt.residual) <= max(1e-12, 1e-9 * max(1.0, abs(x)))
+
+
+class TestSolverAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 8),
+        style=st.sampled_from(["identity", "scalar", "poly"]),
+        k=st.floats(-5.0, 5.0),
+    )
+    def test_property_random_systems(self, seed, d, style, k):
+        sp = spectral_decompose(random_system(np.random.default_rng(seed), d, style))
+        x = k * mean_epr(sp)
+        if abs(x) > 1e-12:
+            assert_matches_reference(x, sp)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_narrow_domain(self, sign):
+        sp = spectral_decompose(magnetic_example(sign * (math.pi / 2 - 0.01)))
+        assert cramer_domain(sp).m < 2e-4
+        for k in np.linspace(-5.0, 5.0, 41):
+            if k != 0.0:
+                assert_matches_reference(float(k * mean_epr(sp)), sp)
+
+    def test_levels_just_past_short_circuit(self, pi4_spectrum):
+        for x in (2e-12, -2e-12):
+            assert_matches_reference(x, pi4_spectrum)
+        assert rate(2e-12, pi4_spectrum).I == pytest.approx(1.0 - SQRT2 / 2.0, rel=1e-10)
+
+    def test_tiny_levels(self, pi4_spectrum):
+        # 1+ell0 lies below one ulp of ell here; the old solver raised
+        # ZeroDivisionError or failed its residual gate on these levels.
+        for x in np.geomspace(1.1e-12, 1e-4, 60):
+            assert_matches_reference(float(x), pi4_spectrum)
+            assert_matches_reference(float(-x), pi4_spectrum)
+
+    def test_tiny_scale_rate(self):
+        # alpha^2 = 1e-14: every radicand lies below the absolute 1e-14 clamp
+        # and ell0 ~ 1e-14, so I = lambda x + F must avoid both to stay exact.
+        sp = spectral_decompose(magnetic_example(math.pi / 2 - 1e-7))
+        a2, b2 = sp.alphas**2, sp.betas**2
+        for k in (0.5, 1.5, 2.0, 3.0, -2.0):
+            x = k * mean_epr(sp)
+            ell = brentq_ell0(x, sp)
+            root = math.sqrt(1.0 + ell)
+            lam = 0.5 * math.expm1(0.5 * math.log1p(ell)) if x >= 0 else -0.5 * (1.0 + root)
+            expected = lam * x + 0.5 * float(np.sum(np.sqrt(a2 - ell * b2) + sp.alphas))
+            assert rate(x, sp).I == pytest.approx(expected, rel=1e-6)
+
+    def test_batch_matches_single_levels(self, pi4_spectrum):
+        xs = np.linspace(-3.0 * SQRT2, 3.0 * SQRT2, 7)
+        _, res_rate = symmetry_residuals(pi4_spectrum, [], xs)
+        single = max(abs(rate(float(x), pi4_spectrum).I - rate(float(-x), pi4_spectrum).I + x)
+                     for x in xs)
+        assert res_rate == pytest.approx(single, abs=1e-13)
+
+    def test_nan_level_rejected(self, pi4_spectrum):
+        with pytest.raises(DomainError):
+            rate(math.nan, pi4_spectrum)
 
 
 class TestLegendreAgreement:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from epr_ldp import model
 from epr_ldp.chaos import MgfQuery, conditional_mgf, cramer_finite_T, s0
+from epr_ldp.cramer import cramer_domain
 from epr_ldp.errors import (
     DataError,
     DimensionError,
@@ -157,6 +158,24 @@ class TestSpectralDecompose:
         betas = sorted(sp.betas)
         assert betas == pytest.approx([-c, 0.0, c], rel=1e-14)
         assert np.allclose(sp.alphas, -c)
+
+    def test_tiny_rotation_is_reversible(self):
+        # |beta| = 2e-12 is within the 1e-12 (1 + |A|) tolerance that decides
+        # reversibility, so the Schur block must not become a rotation pair.
+        spec = SystemSpec(np.array([[-1.0, 2e-12], [-2e-12, -1.0]]))
+        with pytest.raises(ReversibilityError):
+            spectral_decompose(spec)
+        sp = spectral_decompose(spec, allow_reversible=True)
+        assert sp.pairs == ((-1.0, 0.0), (-1.0, 0.0))
+        assert not sp.has_rotation
+        with pytest.raises(ReversibilityError):
+            cramer_domain(sp)
+
+    def test_channel_arrays_built_once_read_only(self, pi4_spectrum):
+        assert pi4_spectrum.alphas is pi4_spectrum.alphas
+        assert pi4_spectrum.betas is pi4_spectrum.betas
+        assert not pi4_spectrum.alphas.flags.writeable
+        assert not pi4_spectrum.betas.flags.writeable
 
     def test_vectors_always_present(self, pi4_spectrum):
         assert len(pi4_spectrum.channel_vectors) == pi4_spectrum.dim

@@ -21,7 +21,7 @@ from epr_ldp.spectral import (
     spectrum_gamma_tail,
     trace_closed_form,
 )
-from epr_ldp.spectral import _channel_kernel_factors, _nu_partial_sums
+from epr_ldp.spectral import _channel_kernel_factors, _gauss_legendre, _nu_partial_sums
 
 # First two roots of omega cos(omega) = -sin(omega) on the positive axis,
 # i.e. the alpha = -1, T = 1 frequency equation.
@@ -219,6 +219,14 @@ class TestNystrom:
         g = nystrom_spectrum(classic_spec, 0.0, 1.0, n_nodes=200, rule="gauss")
         t = nystrom_spectrum(classic_spec, 0.0, 1.0, n_nodes=201, rule="trapezoid")
         assert t[0] == pytest.approx(g[0], rel=1e-2)
+
+    def test_gauss_rule_cached_read_only(self, classic_spec):
+        x, w = _gauss_legendre(64)
+        assert _gauss_legendre(64)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
+        first = nystrom_spectrum(classic_spec, 0.0, 1.0, n_nodes=64)
+        second = nystrom_spectrum(classic_spec, 0.0, 1.0, n_nodes=64)
+        assert np.array_equal(first[:5], second[:5])
 
     def test_rejects_unknown_rule(self, classic_spec):
         with pytest.raises(ConfigError):
