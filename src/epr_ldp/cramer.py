@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _RADICAND_CLAMP = 1e-14
+_ELL_SHIFT = 1e-15
 _NEWTON_TOL = 1e-8  # a logit step this small lands within rounding of the root
 
 
@@ -81,12 +82,17 @@ class _Channels:
         self.alpha2, self.beta2 = spectrum.alphas[rot] ** 2, spectrum.betas[rot] ** 2
         ratio = self.alpha2 / self.beta2
         m = float(np.min(ratio))
-        half_width = 0.5 * math.sqrt(1.0 + m)
-        self.dom = CramerDomain(m=m, a=-0.5 - half_width, b=-0.5 + half_width)
+        # b = (sqrt(1+m) - 1)/2, written so it stays exact for m far below 1
+        b = 0.5 * m / (1.0 + math.sqrt(1.0 + m))
+        self.dom = CramerDomain(m=m, a=-1.0 - b, b=b)
         self.alpha_sum = float(np.sum(spectrum.alphas[rot]))
-        # Radicands within `clamp` of 0 are 0; ell <= ell_max counts as inside.
-        self.clamp = _RADICAND_CLAMP * np.maximum(1.0, np.maximum(self.alpha2, self.beta2))
-        self.ell_max = m + _RADICAND_CLAMP * max(1.0, m)
+        # Radicands within `clamp` of 0 are 0.  1e-14 alpha_k^2 bounds the
+        # rounding of alpha_k^2 - ell beta_k^2 where it is near 0 (there
+        # ell beta_k^2 <= alpha_k^2), and 1e-15 beta_k^2 the shift of ell when
+        # fl(-1-lambda) rounds (4 |1+2 lambda| |1+lambda| 2^-53 < 1e-15 for
+        # m <= 1; the first term covers larger m).  The floor scales with each
+        # channel, so radicands far below 1 (alpha_k -> 0) stay exact.
+        self.clamp = _RADICAND_CLAMP * self.alpha2 + _ELL_SHIFT * self.beta2
         # alpha_k^2 - m beta_k^2, exactly 0 on the channels that set m.
         self.gap = np.where(ratio == m, 0.0, np.maximum(self.alpha2 - m * self.beta2, 0.0))
         # ell0's first upper bracket, and |x| there and at ell = (m - 1)/2.
@@ -108,20 +114,24 @@ def cramer_domain(spectrum: Spectrum) -> CramerDomain:
     return _channels(spectrum).dom
 
 
-def _radicands(ch: _Channels, ell) -> np.ndarray:
-    """alpha_k^2 - ell beta_k^2 (one row per ell) with values within 1e-14
-    (scaled) of 0 clamped to exactly 0.
+def _radicands(ch: _Channels, ell) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_k^2 - ell beta_k^2 (one row per ell) with values within the
+    channel's clamp of 0 set to exactly 0, and whether each row lies in the
+    domain (no radicand below minus the clamp; False for a NaN ell).
 
     At the domain endpoints the minimizing channel's radicand is exactly 0
     analytically but lands a few ulps off in floats; the two-sided clamp
     removes the sqrt's infinite slope there, which keeps boundary values
-    exact and the lambda <-> -1-lambda symmetry at machine precision.  A
-    strongly negative radicand signals an internal inconsistency.
+    exact and the lambda <-> -1-lambda symmetry at machine precision.
+    Deciding membership on the radicands admits the 1-ulp excursions of
+    fl(-1-lambda) past the float endpoints.
     """
     r = ch.alpha2 - np.multiply.outer(ell, ch.beta2)
-    if np.any(r < -ch.clamp):
-        raise NumericError("radicand strongly negative inside the domain")
-    return np.where(r <= ch.clamp, 0.0, r)
+    return np.where(r <= ch.clamp, 0.0, r), (r >= -ch.clamp).all(axis=-1)
+
+
+def _lambda_radicands(ch: _Channels, lam) -> tuple[np.ndarray, np.ndarray]:
+    return _radicands(ch, 4.0 * lam * (1.0 + lam))
 
 
 def _F(ch: _Channels, radicands) -> np.ndarray:
@@ -130,14 +140,10 @@ def _F(ch: _Channels, radicands) -> np.ndarray:
 
 def _cramer_values(ch: _Channels, lambdas) -> np.ndarray:
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    ell = 4.0 * lambdas * (1.0 + lambdas)
-    out = np.full(lambdas.shape, math.inf)
-    # Membership is decided in the ell variable (the only one the formula
-    # sees): ell <= m up to the clamp tolerance.  This admits the 1-ulp
-    # excursions of fl(-1-lambda) past the float endpoints.
-    inside = ell <= ch.ell_max
-    out[inside] = -_F(ch, _radicands(ch, ell[inside]))
-    return out
+    if np.isnan(lambdas).any():
+        raise DomainError("lambda is NaN")
+    r, inside = _lambda_radicands(ch, lambdas)
+    return np.where(inside, -_F(ch, r), math.inf)
 
 
 def cramer(lam: float, spectrum: Spectrum) -> float:
@@ -155,7 +161,7 @@ def cramer_curve(spectrum: Spectrum, lambdas: Sequence[float],
         deriv = np.full(grid.shape, math.nan)
         interior = (grid > ch.dom.a) & (grid < ch.dom.b)
         lam = grid[interior]
-        r = _radicands(ch, 4.0 * lam * (1.0 + lam))
+        r, _ = _lambda_radicands(ch, lam)
         with np.errstate(divide="ignore"):  # +-inf where a radicand clamps to 0
             deriv[interior] = (1.0 + 2.0 * lam) * (ch.beta2 / np.sqrt(r)).sum(axis=-1)
         deriv[grid == ch.dom.a] = -math.inf
@@ -177,9 +183,10 @@ def F_of_ell(ell: float, spectrum: Spectrum) -> float:
     """F(ell) = 1/2 sum_k ( sqrt(alpha_k^2 - ell beta_k^2) + alpha_k ), the
     Cramer function expressed in the variable ell; equals -Lambda(lambda(ell))."""
     ch = _channels(spectrum)
-    if ell > ch.ell_max:
-        raise DomainError(f"ell={ell} exceeds m={ch.dom.m}")
-    return float(_F(ch, _radicands(ch, ell)))
+    r, inside = _radicands(ch, ell)
+    if not inside:
+        raise DomainError(f"ell={ell} is NaN or exceeds m={ch.dom.m}")
+    return float(_F(ch, r))
 
 
 def lambda_of_ell(ell: float, branch: int = +1) -> float:
@@ -302,6 +309,8 @@ def legendre_oracle(x: float, spectrum: Spectrum, n_grid: int = 2001) -> float:
     """
     if n_grid < 3:
         raise DomainError("n_grid must be >= 3")
+    if math.isnan(x):
+        raise DomainError("EPR level x is NaN")
     ch = _channels(spectrum)
     grid = np.linspace(ch.dom.a, ch.dom.b, n_grid)
     vals = grid * x - _cramer_values(ch, grid)
@@ -311,7 +320,7 @@ def legendre_oracle(x: float, spectrum: Spectrum, n_grid: int = 2001) -> float:
     hi = grid[min(i + 1, n_grid - 1)]
 
     def f(lam: float) -> float:  # lambda x - Lambda(lambda) = lambda x + F(ell)
-        return lam * x + float(_F(ch, _radicands(ch, 4.0 * lam * (1.0 + lam))))
+        return lam * x + float(_F(ch, _lambda_radicands(ch, lam)[0]))
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
@@ -324,7 +333,8 @@ def legendre_oracle(x: float, spectrum: Spectrum, n_grid: int = 2001) -> float:
         else:
             lo, c, fc, d = c, d, fd, c + invphi * (hi - c)
             fd = f(d)
-        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
+        # Lambda bends on the scale of b ~ m/4 next to b, far below 1 as m -> 0
+        if hi - lo <= 1e-14 * max(1.0, abs(hi)) * min(1.0, ch.dom.m):
             break
     return max(best, fc, fd)
 

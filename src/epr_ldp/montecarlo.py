@@ -5,7 +5,10 @@ law for any step size) and Euler--Maruyama (needed when the driving
 increments themselves enter the functional).  The per-trajectory noise
 streams are counter-based Philox substreams keyed on (seed, trajectory
 index) and consumed in fixed time-major order, so ensembles are
-bit-identical however the work is chunked or distributed.
+bit-identical however the work is chunked or distributed.  Ensemble
+states are component-major, shape (d, n_traj), and each noise window has
+shape (steps, d, n_traj), so a step multiplies contiguous rows; the layout
+does not change which deviates a trajectory draws.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ _MASK64 = (1 << 64) - 1
 # Target number of resident normal deviates per drawing window; windows
 # only batch the generator calls and never change per-trajectory streams.
 _WINDOW_VALUES = 20_000_000
+# Doubles in the buffer that stages each window's per-trajectory draws
+# before their transposed copy into the component-major window.
+_DRAW_VALUES = 131_072
 
 _SCHEMES = ("exact_ou", "euler_maruyama")
 
@@ -158,11 +164,30 @@ def _windows(n_steps: int, n_traj: int, dim: int) -> Iterator[int]:
         done += take
 
 
-def _draw_block(gens: list, n: int, dim: int) -> np.ndarray:
-    block = np.empty((len(gens), n, dim))
-    for i, g in enumerate(gens):
-        block[i] = g.standard_normal((n, dim))
-    return block
+def _draw_block(gens: list, window: np.ndarray) -> None:
+    """Fill a (steps, dim, n_traj) window, component-major: trajectory i's
+    steps * dim deviates, drawn in one call from its own stream, fill
+    window[:, :, i].  They are staged in a buffer of about _DRAW_VALUES
+    doubles (at least one trajectory) and copied in transposed."""
+    per_traj = window.shape[0] * window.shape[1]
+    columns = window.reshape(per_traj, len(gens))
+    buf = np.empty((max(1, min(len(gens), _DRAW_VALUES // per_traj)), per_traj))
+    for start in range(0, len(gens), len(buf)):
+        chunk = gens[start:start + len(buf)]
+        for row, g in zip(buf, chunk):
+            g.standard_normal(out=row)
+        columns[:, start:start + len(chunk)] = buf[:len(chunk)].T
+
+
+def _noise(gens: list, n_steps: int, dim: int) -> Iterator[np.ndarray]:
+    """Each step's (dim, n_traj) deviates, drawn window by window into one
+    reused array; a step's row is overwritten once the next window is drawn."""
+    block = None
+    for take in _windows(n_steps, len(gens), dim):
+        if block is None:  # the first window is the largest
+            block = np.empty((take, dim, len(gens)))
+        _draw_block(gens, block[:take])
+        yield from block[:take]
 
 
 def sample_stationary(spec: SystemSpec, rng: np.random.Generator, size=None):
@@ -221,13 +246,13 @@ def _starts(
         z = np.empty((len(gens), d))
         for i, g in enumerate(gens):
             z[i] = g.standard_normal(d)
-        return z @ root
+        return np.ascontiguousarray((z @ root).T)
     vec = np.asarray(config.start, dtype=float)
     if vec.shape != (d,):
         raise ConfigError(
             f"fixed start has shape {vec.shape}, expected ({d},)"
         )
-    return np.tile(vec, (len(gens), 1))
+    return np.repeat(vec[:, None], len(gens), axis=1)
 
 
 def simulate_epr(spec: SystemSpec, config: SimConfig) -> EprEnsemble:
@@ -256,38 +281,38 @@ def simulate_epr(spec: SystemSpec, config: SimConfig) -> EprEnsemble:
             "discretization bias may dominate"
         )
     gens = _trajectory_generators(config.seed, config.n_traj)
-    X = _starts(spec, config, gens)
+    x = _starts(spec, config, gens)
     acc = np.zeros(config.n_traj)
 
     if config.scheme == "exact_ou":
         E, root = _exact_step_matrices(spec, h)
         K = np.linalg.solve(spec.Q, N)
-        for take in _windows(n_steps, config.n_traj, d):
-            Z = _draw_block(gens, take, d)
-            for s in range(take):
-                X_next = X @ E.T + Z[:, s, :] @ root.T
-                acc -= np.sum((X @ K) * X_next, axis=1)
-                X = X_next
+        for z in _noise(gens, n_steps, d):
+            x_next = E @ x
+            x_next += root @ z
+            acc -= np.einsum("it,it->t", K.T @ x, x_next)
+            x = x_next
         samples = acc / config.T
     else:
         sqrt_q = _sym_sqrt(spec.Q)
         C = np.linalg.solve(sqrt_q, N)  # Q^{-1/2} N
         sqrt_h = math.sqrt(h)
         ito = np.zeros(config.n_traj)
-        w_cur = np.sum((X @ C.T) ** 2, axis=1)
+        cx = C @ x
+        w_cur = np.einsum("it,it->t", cx, cx)
         time_int = np.zeros(config.n_traj)
         # overflow of an unstable step is detected after the loop and raised
         # as NumericError, so silence the intermediate warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for take in _windows(n_steps, config.n_traj, d):
-                Z = _draw_block(gens, take, d)
-                for s in range(take):
-                    dB = sqrt_h * Z[:, s, :]
-                    ito += np.sum((X @ C.T) * dB, axis=1)
-                    X = X + h * (X @ A.T) + dB @ sqrt_q.T
-                    w_next = np.sum((X @ C.T) ** 2, axis=1)
-                    time_int += 0.5 * h * (w_cur + w_next)
-                    w_cur = w_next
+            for z in _noise(gens, n_steps, d):
+                dB = sqrt_h * z
+                ito += np.einsum("it,it->t", cx, dB)
+                x = x + h * (A @ x)
+                x += sqrt_q @ dB
+                cx = C @ x
+                w_next = np.einsum("it,it->t", cx, cx)
+                time_int += 0.5 * h * (w_cur + w_next)
+                w_cur = w_next
             samples = (ito + 0.5 * time_int) / config.T
 
     if not np.all(np.isfinite(samples)):
@@ -317,16 +342,17 @@ def simulate_z_integral(
         raise ConfigError(f"start has shape {vec.shape}, expected ({d},)")
     gens = _trajectory_generators(config.seed, config.n_traj)
     E, root = _exact_step_matrices(ts, h)
-    Y = np.tile(vec, (config.n_traj, 1))
-    w_cur = np.sum((Y @ N.T) ** 2, axis=1)
+    y = np.repeat(vec[:, None], config.n_traj, axis=1)
+    ny = N @ y
+    w_cur = np.einsum("it,it->t", ny, ny)
     acc = np.zeros(config.n_traj)
-    for take in _windows(n_steps, config.n_traj, d):
-        Z = _draw_block(gens, take, d)
-        for s in range(take):
-            Y = Y @ E.T + Z[:, s, :] @ root.T
-            w_next = np.sum((Y @ N.T) ** 2, axis=1)
-            acc += 0.5 * h * (w_cur + w_next)
-            w_cur = w_next
+    for z in _noise(gens, n_steps, d):
+        y = E @ y
+        y += root @ z
+        ny = N @ y
+        w_next = np.einsum("it,it->t", ny, ny)
+        acc += 0.5 * h * (w_cur + w_next)
+        w_cur = w_next
     acc.setflags(write=False)
     return acc
 

@@ -20,7 +20,7 @@ from epr_ldp.cramer import (
     symmetry_residuals,
 )
 from epr_ldp.errors import DomainError, ReversibilityError
-from epr_ldp.model import magnetic_example, mean_epr, spectral_decompose
+from epr_ldp.model import SystemSpec, magnetic_example, mean_epr, spectral_decompose
 from epr_ldp.testing import random_system
 
 SQRT2 = math.sqrt(2.0)
@@ -306,6 +306,22 @@ class TestSolverAgainstReference:
         with pytest.raises(DomainError):
             rate(math.nan, pi4_spectrum)
 
+    def test_nan_lambda_rejected_by_cramer(self, pi4_spectrum):
+        with pytest.raises(DomainError):
+            cramer(math.nan, pi4_spectrum)
+
+    def test_nan_lambda_rejected_by_cramer_curve(self, pi4_spectrum):
+        with pytest.raises(DomainError):
+            cramer_curve(pi4_spectrum, [0.1, math.nan], with_derivative=True)
+
+    def test_nan_level_rejected_by_legendre_oracle(self, pi4_spectrum):
+        with pytest.raises(DomainError):
+            legendre_oracle(math.nan, pi4_spectrum)
+
+    def test_nan_ell_rejected(self, pi4_spectrum):
+        with pytest.raises(DomainError):
+            F_of_ell(math.nan, pi4_spectrum)
+
 
 class TestLegendreAgreement:
     def test_magnetic_levels(self, pi4_spectrum):
@@ -321,6 +337,26 @@ class TestLegendreAgreement:
             closed = rate(float(x), sp).I
             searched = legendre_oracle(float(x), sp)
             assert abs(closed - searched) <= 1e-6 * (1.0 + closed)
+
+
+class TestSmallChannels:
+    def test_tiny_alpha_legendre_matches_rate(self):
+        # alpha^2 = 1e-14 against beta^2 = 1: every radicand on [0, b] lies
+        # below 1e-14, which a clamp floored at unit scale set to 0.
+        sp = spectral_decompose(magnetic_example(math.pi / 2 - 1e-7))
+        assert cramer(0.0, sp) == 0.0
+        for k in (1.5, 2.0):
+            x = k * mean_epr(sp)
+            closed = rate(x, sp).I
+            assert legendre_oracle(x, sp) == pytest.approx(closed, rel=1e-6)
+
+    def test_small_scale_system_scales_lambda(self, pi4_spec):
+        # A -> s A scales every channel, hence Lambda, by s.
+        s = 1e-7
+        sp = spectral_decompose(SystemSpec(s * pi4_spec.A))
+        for lam in (-1.1, -0.5, 0.1):
+            assert cramer(lam, sp) == pytest.approx(s * cramer(lam, spectral_decompose(pi4_spec)),
+                                                    rel=1e-12)
 
 
 class TestQInvariance:

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 import epr_ldp.montecarlo as mc
 from epr_ldp.chaos import s0
 from epr_ldp.errors import ConfigError, NumericError
-from epr_ldp.model import SystemSpec, derived_matrices, magnetic_example
+from epr_ldp.model import SystemSpec, _sym_sqrt, derived_matrices, magnetic_example
 from epr_ldp.montecarlo import (
     EprEnsemble,
     SimConfig,
@@ -21,8 +22,76 @@ from epr_ldp.montecarlo import (
     tail_estimate,
     tilted_system,
 )
+from epr_ldp.testing import random_system
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _reference_windows(gens, n_steps, d):
+    """Trajectory-major (n_traj, steps, d) noise windows."""
+    for take in mc._windows(n_steps, len(gens), d):
+        yield np.stack([g.standard_normal((take, d)) for g in gens])
+
+
+def reference_epr(spec, config):
+    """simulate_epr's samples from the trajectory-major (n_traj, d) stepper
+    the library used before its component-major layout: the oracle for it."""
+    h = mc._resolve_dt(spec, config)
+    n_steps = max(1, int(round(config.T / h)))
+    h = config.T / n_steps
+    d, A = spec.dim, spec.A
+    N = A - A.T
+    gens = mc._trajectory_generators(config.seed, config.n_traj)
+    if config.start == "stationary":
+        z = np.array([g.standard_normal(d) for g in gens])
+        X = z @ _sym_sqrt(derived_matrices(spec).Gamma)
+    else:
+        X = np.tile(np.asarray(config.start), (config.n_traj, 1))
+    acc = np.zeros(config.n_traj)
+    if config.scheme == "exact_ou":
+        E, root = mc._exact_step_matrices(spec, h)
+        K = np.linalg.solve(spec.Q, N)
+        for Z in _reference_windows(gens, n_steps, d):
+            for s in range(Z.shape[1]):
+                X_next = X @ E.T + Z[:, s, :] @ root.T
+                acc -= np.sum((X @ K) * X_next, axis=1)
+                X = X_next
+        return acc / config.T
+    sqrt_q = _sym_sqrt(spec.Q)
+    C = np.linalg.solve(sqrt_q, N)
+    sqrt_h = math.sqrt(h)
+    ito = np.zeros(config.n_traj)
+    w_cur = np.sum((X @ C.T) ** 2, axis=1)
+    time_int = np.zeros(config.n_traj)
+    for Z in _reference_windows(gens, n_steps, d):
+        for s in range(Z.shape[1]):
+            dB = sqrt_h * Z[:, s, :]
+            ito += np.sum((X @ C.T) * dB, axis=1)
+            X = X + h * (X @ A.T) + dB @ sqrt_q.T
+            w_next = np.sum((X @ C.T) ** 2, axis=1)
+            time_int += 0.5 * h * (w_cur + w_next)
+            w_cur = w_next
+    return (ito + 0.5 * time_int) / config.T
+
+
+def reference_z_integral(spec, lam, x, config):
+    """simulate_z_integral from the trajectory-major stepper."""
+    h = mc._resolve_dt(spec, config)
+    n_steps = max(1, int(round(config.T / h)))
+    h = config.T / n_steps
+    N = spec.A - spec.A.T
+    gens = mc._trajectory_generators(config.seed, config.n_traj)
+    E, root = mc._exact_step_matrices(tilted_system(spec, lam), h)
+    Y = np.tile(np.asarray(x, dtype=float), (config.n_traj, 1))
+    w_cur = np.sum((Y @ N.T) ** 2, axis=1)
+    acc = np.zeros(config.n_traj)
+    for Z in _reference_windows(gens, n_steps, spec.dim):
+        for s in range(Z.shape[1]):
+            Y = Y @ E.T + Z[:, s, :] @ root.T
+            w_next = np.sum((Y @ N.T) ** 2, axis=1)
+            acc += 0.5 * h * (w_cur + w_next)
+            w_cur = w_next
+    return acc
 
 
 class TestSimConfig:
@@ -117,6 +186,67 @@ class TestSimulateEpr:
         monkeypatch.setattr(mc, "_WINDOW_VALUES", 512)
         chunked = simulate_epr(pi4_spec, cfg).samples
         assert np.array_equal(baseline, chunked)
+
+    @pytest.mark.parametrize("draw_values", [1, 1001])
+    @pytest.mark.parametrize("kind", ["exact_ou", "euler_maruyama", "z"])
+    def test_draw_buffer_size_does_not_change_samples(
+        self, pi4_spec, monkeypatch, kind, draw_values
+    ):
+        # 100 steps x 2 components: 1001 values stage 5 trajectories at a
+        # time, which leaves a last buffer of 2 of the 32.
+        if kind == "z":
+            cfg = SimConfig(T=1.0, dt=0.01, n_traj=32, seed=14)
+            run = lambda: simulate_z_integral(pi4_spec, 0.2, [0.5, -1.0], cfg)
+        else:
+            cfg = SimConfig(T=1.0, dt=0.01, n_traj=32, seed=14, scheme=kind)
+            run = lambda: simulate_epr(pi4_spec, cfg).samples
+        baseline = run()
+        monkeypatch.setattr(mc, "_DRAW_VALUES", draw_values)
+        assert np.array_equal(baseline, run())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 8),
+        style=st.sampled_from(["identity", "scalar", "poly"]),
+        kind=st.sampled_from(["exact_ou", "euler_maruyama", "z"]),
+        fixed_start=st.booleans(),
+        n_traj=st.integers(1, 24),
+        n_steps=st.integers(1, 30),
+    )
+    def test_property_matches_trajectory_major_reference(
+        self, seed, d, style, kind, fixed_start, n_traj, n_steps
+    ):
+        # Same draws, same arithmetic; only sums of eight or more terms may
+        # round differently (np.sum is pairwise there, einsum sequential).
+        rng = np.random.default_rng(seed)
+        spec = random_system(rng, d, style)
+        x0 = tuple(rng.standard_normal(d))
+        T = 0.01 * n_steps
+        if kind == "z":
+            cfg = SimConfig(T=T, dt=0.01, n_traj=n_traj, seed=seed)
+            got = simulate_z_integral(spec, 0.3, x0, cfg)
+            ref = reference_z_integral(spec, 0.3, x0, cfg)
+        else:
+            cfg = SimConfig(T=T, dt=0.01, n_traj=n_traj, seed=seed, scheme=kind,
+                            start=x0 if fixed_start else "stationary")
+            got = simulate_epr(spec, cfg).samples
+            ref = reference_epr(spec, cfg)
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * float(np.max(np.abs(ref))))
+
+    def test_magnetic_ensembles_equal_reference_bitwise(self, pi4_spec, monkeypatch):
+        # d = 2: every sum has two terms, so the layouts agree bit for bit,
+        # across several drawing windows too (6 steps per window here).
+        monkeypatch.setattr(mc, "_WINDOW_VALUES", 3600)
+        for scheme in ("exact_ou", "euler_maruyama"):
+            cfg = SimConfig(T=0.5, dt=0.01, n_traj=300, seed=15, scheme=scheme)
+            assert np.array_equal(simulate_epr(pi4_spec, cfg).samples,
+                                  reference_epr(pi4_spec, cfg))
+        cfg = SimConfig(T=0.5, dt=0.01, n_traj=300, seed=16)
+        assert np.array_equal(simulate_z_integral(pi4_spec, 0.1, [1.0, 0.5], cfg),
+                              reference_z_integral(pi4_spec, 0.1, [1.0, 0.5], cfg))
 
     def test_samples_read_only(self, pi4_spec):
         ens = simulate_epr(pi4_spec, SimConfig(T=1.0, dt=0.05, n_traj=8, seed=1))
