@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .model import Spectrum, SystemSpec, spectral_decompose
+from .model import Spectrum, SystemSpec, check_inputs, spectral_decompose
 from .spectral import (
     KernelSpectrum,
     eigenfunction_norm_sq,
@@ -99,8 +99,7 @@ class MgfQuery:
     j_max: int = 200
 
     def __post_init__(self) -> None:
-        if not self.T > 0:
-            raise DomainError("T must be positive")
+        check_inputs(self.T, x=self.x, theta=self.theta, lam=self.lam)
         if not self.j_max >= 1:
             raise DomainError("j_max must be >= 1")
 
@@ -127,8 +126,7 @@ def s0(x, spec: SystemSpec, T: float) -> float:
     start-independent trace integral int_0^T tr[N' e^{uM} N](T - u) du,
     which is half the kernel trace ``trace_closed_form``.
     """
-    if not T > 0:
-        raise DomainError("T must be positive")
+    check_inputs(T, x=x)
     vec = _start_vector(x, spec.dim)
     spectrum = spectral_decompose(spec, allow_reversible=True)
     if not spectrum.has_rotation:
@@ -173,8 +171,7 @@ def chaos_terms(
     cancel inside the projections, so the coefficients do not depend on it.
     It is recorded for bookkeeping.
     """
-    if not T > 0:
-        raise DomainError("T must be positive")
+    check_inputs(T, x=x, lam=lam)
     vec = _start_vector(x, spec.dim)
     spectrum = spectral_decompose(spec, allow_reversible=True)
     if kspec is None:
@@ -301,8 +298,7 @@ def cramer_finite_T(
     2|alpha_k| — is genuine information and is returned as +inf rather than
     raised.  ``j_max`` is not used (see ``cramer_finite_T_series``).
     """
-    if not T > 0:
-        raise DomainError("T must be positive")
+    check_inputs(T, lam=lam)
     theta = 0.5 * lam * (1.0 + lam)
     spectrum = spectral_decompose(spec, allow_reversible=True)
     if not spectrum.has_rotation or theta == 0.0:
@@ -377,8 +373,7 @@ def cramer_finite_T_series(
           -1/(2T) sum_k log(1 - c_k/|alpha_k|),
       I3  -1/(2T) times the log-determinant with its analytic tail.
     """
-    if not T > 0:
-        raise DomainError("T must be positive")
+    check_inputs(T, lam=lam)
     theta = 0.5 * lam * (1.0 + lam)
     spectrum = spectral_decompose(spec, allow_reversible=True)
     if not spectrum.has_rotation:

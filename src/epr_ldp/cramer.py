@@ -130,10 +130,6 @@ def _radicands(ch: _Channels, ell) -> tuple[np.ndarray, np.ndarray]:
     return np.where(r <= ch.clamp, 0.0, r), (r >= -ch.clamp).all(axis=-1)
 
 
-def _lambda_radicands(ch: _Channels, lam) -> tuple[np.ndarray, np.ndarray]:
-    return _radicands(ch, 4.0 * lam * (1.0 + lam))
-
-
 def _F(ch: _Channels, radicands) -> np.ndarray:
     return 0.5 * (np.sqrt(radicands).sum(axis=-1) + ch.alpha_sum)
 
@@ -142,7 +138,7 @@ def _cramer_values(ch: _Channels, lambdas) -> np.ndarray:
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if np.isnan(lambdas).any():
         raise DomainError("lambda is NaN")
-    r, inside = _lambda_radicands(ch, lambdas)
+    r, inside = _radicands(ch, 4.0 * lambdas * (1.0 + lambdas))
     return np.where(inside, -_F(ch, r), math.inf)
 
 
@@ -161,7 +157,7 @@ def cramer_curve(spectrum: Spectrum, lambdas: Sequence[float],
         deriv = np.full(grid.shape, math.nan)
         interior = (grid > ch.dom.a) & (grid < ch.dom.b)
         lam = grid[interior]
-        r, _ = _lambda_radicands(ch, lam)
+        r, _ = _radicands(ch, 4.0 * lam * (1.0 + lam))
         with np.errstate(divide="ignore"):  # +-inf where a radicand clamps to 0
             deriv[interior] = (1.0 + 2.0 * lam) * (ch.beta2 / np.sqrt(r)).sum(axis=-1)
         deriv[grid == ch.dom.a] = -math.inf
@@ -312,15 +308,19 @@ def legendre_oracle(x: float, spectrum: Spectrum, n_grid: int = 2001) -> float:
     if math.isnan(x):
         raise DomainError("EPR level x is NaN")
     ch = _channels(spectrum)
+
+    def f(lam):  # lambda x - Lambda(lambda) = lambda x + F(ell)
+        # radicands from m - ell = 4 (b - lambda)(lambda - a) >= 0, as in
+        # _level: exact near both endpoints, so no clamp is needed
+        v = 4.0 * (ch.dom.b - lam) * (lam - ch.dom.a)
+        return lam * x + _F(ch, ch.gap + np.multiply.outer(v, ch.beta2))
+
     grid = np.linspace(ch.dom.a, ch.dom.b, n_grid)
-    vals = grid * x - _cramer_values(ch, grid)
+    vals = f(grid)
     i = int(np.argmax(vals))
     best = float(vals[i])
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, n_grid - 1)]
-
-    def f(lam: float) -> float:  # lambda x - Lambda(lambda) = lambda x + F(ell)
-        return lam * x + float(_F(ch, _lambda_radicands(ch, lam)[0]))
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)

@@ -13,12 +13,12 @@ downstream (Cramer functions, kernel spectra, finite-horizon MGFs) is a
 function of the channel data (alpha_k, beta_k) and the orthonormal channel
 vectors U_k with A U_k = a_k U_k.
 
-The decomposition is computed through the symmetric/skew split: eigenspaces
-of the symmetric part M are extracted first, then the restriction of the
-skew part N to each eigenspace is block-diagonalized by a real Schur
-factorization.  This guarantees exactly paired conjugate channels and
-orthonormal channel vectors, which a general nonsymmetric eigensolver does
-not.
+The decomposition jointly diagonalizes the commuting Hermitian pair
+(M, -iN) with symmetric eigensolvers only: eigenspaces of M are extracted
+first (loosely clustered), then -iN is diagonalized on each of them and
+runs of equal beta are split by M again.  This guarantees exactly paired
+conjugate channels and orthonormal channel vectors, which a general
+nonsymmetric eigensolver does not, and needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import math
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DataError,
@@ -265,28 +264,33 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
+def check_inputs(T: float, **values) -> None:
+    """The shared entry-point check of the finite-horizon layers: raise
+    :class:`DomainError` unless the horizon T is positive and finite and no
+    named value (a tilt, a theta, a start vector) contains NaN."""
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"T must be positive and finite, got {T!r}")
+    for name, value in values.items():
+        if np.isnan(np.asarray(value, dtype=float)).any():
+            raise DomainError(f"{name} contains NaN")
+
+
 def _cluster_by_gap(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """Group indices of a sorted 1-D array into runs separated by > tol."""
-    groups = []
-    start = 0
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > tol:
-            groups.append(np.arange(start, i))
-            start = i
-    groups.append(np.arange(start, len(values)))
-    return groups
+    cuts = [i for i in range(1, len(values)) if values[i] - values[i - 1] > tol]
+    return [np.arange(i, j) for i, j in zip([0] + cuts, cuts + [len(values)]) if j > i]
 
 
 def spectral_decompose(spec: SystemSpec, *, allow_reversible: bool = False) -> Spectrum:
     """Exact conjugate-paired eigendecomposition of the normal drift.
 
     Works through the commuting symmetric/skew split rather than a general
-    eigensolver: the eigenspaces of M = A + A' are computed by a symmetric
-    eigensolve, the restriction of N = A - A' to each eigenspace is reduced
-    to 2x2 rotation blocks by a real Schur factorization, and each block
-    yields a conjugate channel pair
-
-        U = (u + i v) / sqrt(2),   A U = (alpha + i beta) U.
+    eigensolver: the eigenvalues of M = A + A' are clustered at
+    1e-4 (1 + max |w|), the Hermitian -i N / 4 restricted to each cluster
+    is diagonalized (its eigenvalues are the channels' beta), and each run
+    of equal beta is split by M restricted to it.  Every eigenvector U with
+    beta > 0 yields the conjugate pair (U, conj U), and alpha + i beta is
+    taken as the Rayleigh quotient U* A U.
 
     Channels are sorted by (alpha ascending, |beta| descending, beta
     descending), which keeps conjugate pairs adjacent with +beta first and
@@ -319,61 +323,64 @@ def _decompose(spec: SystemSpec) -> tuple[Spectrum, bool]:
     """Uncached :func:`spectral_decompose`: the spectrum and whether A is symmetric."""
     A = spec.A
     scale = 1.0 + float(np.linalg.norm(A))
-    M = A + A.T
-    N = A - A.T
+    beta_tol = 1e-12 * scale
+    M, N = A + A.T, A - A.T
     try:
         w, V = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"symmetric eigensolve failed for M={M!r}") from exc
 
-    beta_tol = 1e-12 * scale
-    cluster_tol = 1e-11 * (1.0 + float(np.max(np.abs(w))))
+    # Eigenvectors of a cluster leak into clusters a gap away by ~eps |M| / gap,
+    # which costs ~eps |M| in the reconstruction whatever the gap, so the
+    # clusters can be wide; N cannot mix them (it commutes with M).
     channels: list[tuple[float, float, np.ndarray]] = []
-    for idx in _cluster_by_gap(w, cluster_tol):
-        alpha = float(np.mean(w[idx])) / 2.0
+    for idx in _cluster_by_gap(w, 1e-4 * (1.0 + float(np.max(np.abs(w))))):
         Vg = V[:, idx]
-        S = Vg.T @ N @ Vg
-        S = (S - S.T) / 2.0
-        g = len(idx)
-        if g == 1:
-            channels.append((alpha, 0.0, Vg[:, 0].astype(complex)))
-            continue
-        try:
-            T_, Z = scipy.linalg.schur(S, output="real")
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericError(f"Schur factorization failed for S={S!r}") from exc
-        i = 0
-        while i < g:
-            # A 2x2 block is a rotation pair only if its beta = b/2 exceeds
-            # the tolerance that also decides reversibility below.
-            b = float(T_[i, i + 1] - T_[i + 1, i]) / 2.0 if i + 1 < g else 0.0
-            if abs(b) / 2.0 > beta_tol:
-                u = Vg @ Z[:, i]
-                v = Vg @ Z[:, i + 1]
-                U = (u + 1j * v) / math.sqrt(2.0)
-                # N u = -b v, N v = b u  =>  N U = i b U, so beta = b / 2.
-                channels.append((alpha, b / 2.0, U))
-                channels.append((alpha, -b / 2.0, np.conj(U)))
-                i += 2
-            else:
-                channels.append((alpha, 0.0, (Vg @ Z[:, i]).astype(complex)))
-                i += 1
+        b, Z = np.zeros(1), None  # a lone eigenvalue of M is a real channel
+        if len(idx) > 1:
+            # N U = 2i beta U, so -i S / 4 has the eigenvalues beta on the cluster.
+            S = Vg.T @ N @ Vg
+            b, Z = np.linalg.eigh(-0.25j * (S - S.T))
+        real = np.abs(b) <= beta_tol
+        if real.any():
+            W = Vg
+            if not real.all():
+                # span(Z_real) is closed under conjugation: a real basis of
+                # it is the range of its real orthogonal projector.
+                P = (Z[:, real] @ Z[:, real].conj().T).real
+                W = Vg @ np.linalg.eigh(P)[1][:, -int(real.sum()):]
+            channels += [(a.real, 0.0, U) for a, U in zip(*_split_by_m(A, W))]
+        # betas within 1e-8 (1 + |A|) form one run, which M splits better
+        pos = np.flatnonzero(b > beta_tol)
+        for run in _cluster_by_gap(b[pos], 1e-8 * scale):
+            for a, U in zip(*_split_by_m(A, Vg @ Z[:, pos[run]])):
+                channels.append((a.real, a.imag, U))
+                channels.append((a.real, -a.imag, U.conj()))
 
     channels.sort(key=lambda c: (c[0], -abs(c[1]), -c[1]))
     pairs = tuple((a, b) for a, b, _ in channels)
     vectors = tuple(U for _, _, U in channels)
     for U in vectors:
         U.setflags(write=False)
-    recon = sum(
-        (a + 1j * b) * np.outer(U, np.conj(U)) for (a, b), U in zip(pairs, vectors)
-    )
-    if np.linalg.norm(recon - A) > 1e-10 * scale:
+    Umat = np.column_stack(vectors)
+    recon = (Umat * np.array([a + 1j * b for a, b in pairs])) @ Umat.conj().T
+    residual = float(np.linalg.norm(recon - A))
+    if residual > 1e-10 * scale:
         raise NumericError(
-            "channel reconstruction residual exceeds tolerance "
-            f"({np.linalg.norm(recon - A):.3e}); is A normal?"
+            f"channel reconstruction residual exceeds tolerance ({residual:.3e}); is A normal?"
         )
     reversible = all(abs(b) <= beta_tol for a, b in pairs)
     return Spectrum(pairs=pairs, channel_vectors=vectors), reversible
+
+
+def _split_by_m(A: np.ndarray, W: np.ndarray) -> tuple[list[complex], list[np.ndarray]]:
+    """Orthonormal columns W spanning channels of one beta, rotated onto
+    the eigenvectors of M restricted to span(W), with each column's
+    Rayleigh quotient U* A U = alpha + i beta."""
+    if W.shape[1] > 1:
+        W = W @ np.linalg.eigh(W.conj().T @ (A + A.T) @ W)[1]
+    a = np.sum(W.conj() * (A @ W), axis=0)
+    return a.astype(complex).tolist(), [np.array(u, dtype=complex) for u in W.T]
 
 
 def derived_matrices(spec: SystemSpec) -> DerivedMatrices:

@@ -20,10 +20,9 @@ import math
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigError, DomainError, NumericError
-from .model import SystemSpec, _sym_sqrt, derived_matrices
+from .model import Spectrum, SystemSpec, _sym_sqrt, derived_matrices, spectral_decompose
 
 __all__ = [
     "SimConfig",
@@ -103,17 +102,21 @@ class SimConfig:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class TiltedSystem:
-    """Drift tilt D = A + lam N driving the unit-noise process Y."""
+    """Drift tilt D = A + lam N driving the unit-noise process Y.  D keeps
+    the symmetric part M and the channel vectors U_k of A (``spectrum``);
+    its eigenvalues are alpha_k + i (1 + 2 lam) beta_k."""
 
     lam: float
     D: np.ndarray
+    spectrum: Spectrum
 
 
 def tilted_system(spec: SystemSpec, lam: float) -> TiltedSystem:
     A = spec.A
     D = A + lam * (A - A.T)
     D.setflags(write=False)
-    return TiltedSystem(lam=float(lam), D=D)
+    return TiltedSystem(lam=float(lam), D=D,
+                        spectrum=spectral_decompose(spec, allow_reversible=True))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -201,17 +204,19 @@ def sample_stationary(spec: SystemSpec, rng: np.random.Generator, size=None):
 def _exact_step_matrices(
     system: Union[SystemSpec, TiltedSystem], h: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-step mean map e^{Dh} and a square root of the step covariance
-    Sigma_h = -M^{-1}(I - e^{Mh}) Q (Q = identity for a tilted system)."""
+    """One-step mean map e^{Dh} = Re sum_k e^{(alpha_k + i(1+2 lam) beta_k) h} U_k U_k*
+    over the channels, and a square root of the step covariance
+    Sigma_h = M^{-1}(e^{Mh} - I) Q = V diag(expm1(w h)/w) V' Q from
+    M = V diag(w) V' (Q = identity for a tilted system)."""
     if isinstance(system, TiltedSystem):
-        D = system.D
-        Q = np.eye(D.shape[0])
+        sp, lam, D, Q = system.spectrum, system.lam, system.D, np.eye(system.D.shape[0])
     else:
-        D, Q = system.A, system.Q
-    d = D.shape[0]
-    M = D + D.T
-    E = expm(D * h)
-    sigma = -np.linalg.solve(M, (np.eye(d) - expm(M * h)) @ Q)
+        sp, lam, D, Q = spectral_decompose(system, allow_reversible=True), 0.0, system.A, system.Q
+    U = np.column_stack(sp.channel_vectors)
+    E = ((U * np.exp((sp.alphas + 1j * (1.0 + 2.0 * lam) * sp.betas) * h)) @ U.conj().T).real
+    w, V = np.linalg.eigh(D + D.T)
+    x = w * h
+    sigma = (V * (h * np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0))) @ V.T @ Q
     sigma = (sigma + sigma.T) / 2.0
     try:
         root = np.linalg.cholesky(sigma)

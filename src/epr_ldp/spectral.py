@@ -35,10 +35,9 @@ import math
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, DomainError, NumericError
-from .model import Spectrum, SystemSpec, spectral_decompose
+from .model import Spectrum, SystemSpec, check_inputs, spectral_decompose
 
 __all__ = [
     "OmegaRoots",
@@ -108,8 +107,7 @@ def omega_roots(alpha: float, T: float, j_max: int) -> OmegaRoots:
     """
     if not alpha < 0:
         raise DomainError("alpha must be negative")
-    if not T > 0:
-        raise DomainError("T must be positive")
+    check_inputs(T)
     if not j_max >= 1:
         raise DomainError("j_max must be >= 1")
 
@@ -193,8 +191,7 @@ def kernel_spectrum(spectrum: Spectrum, T: float, j_max: int = 200) -> KernelSpe
     Both members of a conjugate channel pair appear (their eigenvalue
     families coincide), matching the operator's multiplicities.
     """
-    if not T > 0:
-        raise DomainError("T must be positive")
+    check_inputs(T)
     if not j_max >= 1:
         raise DomainError("j_max must be >= 1")
     entries: list[SpectrumEntry] = []
@@ -227,8 +224,7 @@ def eigenfunction_norm_sq(omega: float, phase: float, T: float) -> float:
     """
     if not omega > 0:
         raise DomainError("omega must be positive")
-    if not T > 0:
-        raise DomainError("T must be positive")
+    check_inputs(T)
     return 0.5 * (
         T - (math.sin(2.0 * (omega * T + phase)) - math.sin(2.0 * phase)) / (2.0 * omega)
     )
@@ -257,8 +253,7 @@ def kernel_eval(
     which is real (conjugate channels pair up) and satisfies
     H(u1, u2) = H(u2, u1)'.
     """
-    if not T > 0:
-        raise DomainError("T must be positive")
+    check_inputs(T)
     if not (0 <= u1 <= T and 0 <= u2 <= T):
         raise DomainError("u1, u2 must lie in [0, T]")
     sp = spectral_decompose(spec, allow_reversible=True)
@@ -317,8 +312,7 @@ def nystrom_spectrum(
     """
     if not n_nodes >= 8:
         raise DomainError("n_nodes must be >= 8")
-    if not T > 0:
-        raise DomainError("T must be positive")
+    check_inputs(T)
     t, w = _quadrature(rule, n_nodes, T)
     sp = spectral_decompose(spec, allow_reversible=True)
     d = spec.dim
@@ -349,16 +343,16 @@ def trace_closed_form(spec: SystemSpec, T: float) -> float:
 
         2 [ tr(N' M^{-1} (e^{MT} - I) M^{-1} N) - T tr(N' M^{-1} N) ],
 
-    computed by direct matrix arithmetic (no Sturm-Liouville input), so it
-    can serve as one side of the trace-identity cross-check.
+    computed by direct matrix arithmetic, with e^{MT} - I = V diag(expm1(w T)) V'
+    from M = V diag(w) V' (no channel or Sturm-Liouville input), so it can
+    serve as one side of the trace-identity cross-check.
     """
-    if not T > 0:
-        raise DomainError("T must be positive")
+    check_inputs(T)
     A = spec.A
     M, N = A + A.T, A - A.T  # Q-free: Gamma need not exist
     W = np.linalg.solve(M, N)
-    E = scipy.linalg.expm(M * T)
-    term1 = float(np.trace(W.T @ (E - np.eye(spec.dim)) @ W))
+    w, V = np.linalg.eigh(M)
+    term1 = float(np.sum(np.expm1(w * T) * np.sum((V.T @ W) ** 2, axis=1)))
     term2 = float(np.trace(W.T @ N))
     return 2.0 * (term1 - T * term2)
 

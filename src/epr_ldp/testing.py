@@ -7,7 +7,6 @@ machinery on systems with no hand-picked structure.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import ConfigError
 from .model import SystemSpec
@@ -33,16 +32,13 @@ def random_system(
     """
     if d < 1:
         raise ConfigError("dimension must be >= 1")
-    blocks = []
-    k = d
-    while k >= 2:
+    core = np.zeros((d, d))
+    for k in range(0, d - 1, 2):
         a = -rng.uniform(0.3, 2.0)
         b = rng.uniform(0.3, 2.0)
-        blocks.append(np.array([[a, b], [-b, a]]))
-        k -= 2
-    if k == 1:
-        blocks.append(np.array([[-rng.uniform(0.3, 2.0)]]))
-    core = block_diag(*blocks)
+        core[k:k + 2, k:k + 2] = [[a, b], [-b, a]]
+    if d % 2:
+        core[-1, -1] = -rng.uniform(0.3, 2.0)
     basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
     A = basis @ core @ basis.T
     if q_style == "identity":

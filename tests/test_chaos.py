@@ -219,6 +219,34 @@ class TestFiniteHorizon:
             cramer_finite_T(0.1, pi4_spec, 0.0)
 
 
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda sp, spec: kernel_spectrum(sp, _INF), id="kernel_spectrum-T=inf"),
+        pytest.param(lambda sp, spec: kernel_spectrum(sp, _NAN), id="kernel_spectrum-T=nan"),
+        pytest.param(lambda sp, spec: trace_closed_form(spec, _INF), id="trace_closed_form-T=inf"),
+        pytest.param(lambda sp, spec: trace_closed_form(spec, _NAN), id="trace_closed_form-T=nan"),
+        pytest.param(lambda sp, spec: s0(X0, spec, _INF), id="s0-T=inf"),
+        pytest.param(lambda sp, spec: s0([_NAN, 0.0], spec, 1.0), id="s0-x=nan"),
+        pytest.param(lambda sp, spec: cramer_finite_T(0.1, spec, _INF), id="cramer_finite_T-T=inf"),
+        pytest.param(lambda sp, spec: cramer_finite_T(0.1, spec, -_INF), id="cramer_finite_T-T=-inf"),
+        pytest.param(lambda sp, spec: cramer_finite_T(_NAN, spec, 1.0), id="cramer_finite_T-lam=nan"),
+        pytest.param(lambda sp, spec: MgfQuery(x=X0, theta=0.1, T=_INF), id="MgfQuery-T=inf"),
+        pytest.param(lambda sp, spec: MgfQuery(x=X0, theta=_NAN), id="MgfQuery-theta=nan"),
+        pytest.param(lambda sp, spec: MgfQuery(x=X0, theta=0.1, lam=_NAN), id="MgfQuery-lam=nan"),
+        pytest.param(lambda sp, spec: MgfQuery(x=[0.5, _NAN], theta=0.1), id="MgfQuery-x=nan"),
+    ],
+)
+def test_entry_points_reject_bad_inputs(call, pi4_spec, pi4_spectrum):
+    # a non-finite horizon or a NaN tilt, theta or start has no meaningful
+    # value; each entry point raises DomainError instead of returning NaN
+    with pytest.raises(DomainError):
+        call(pi4_spectrum, pi4_spec)
+
+
 class TestClosedFormVsSeries:
     """The closed form against the eigenvalue-series oracle at j_max = 2000."""
 

@@ -305,11 +305,14 @@ class TestSimulate:
 
 
 def test_cli_import_skips_scipy_stats():
-    # scipy.stats is most of the start-up cost; only `verify` needs it
-    code = "import sys, epr_ldp.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": SRC})
-    assert out.stdout.strip() == "False"
+    # scipy is most of the start-up cost: the library needs only numpy, and
+    # `verify` imports scipy.stats when it runs
+    for module in ("epr_ldp", "epr_ldp.cli"):
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "[]", module
 
 
 class TestVerify:

@@ -350,6 +350,15 @@ class TestSmallChannels:
             closed = rate(x, sp).I
             assert legendre_oracle(x, sp) == pytest.approx(closed, rel=1e-6)
 
+    def test_far_tail_legendre_matches_rate(self):
+        # At 10 mean EPR the optimum's radicand alpha^2/100 = 1e-16 lies far
+        # below the 1e-15 beta^2 clamp of the lambda coordinates; the oracle
+        # works in m - ell, where it is resolved.
+        sp = spectral_decompose(magnetic_example(math.pi / 2 - 1e-7))
+        x = 10.0 * mean_epr(sp)
+        closed = rate(x, sp).I
+        assert abs(legendre_oracle(x, sp) - closed) <= 1e-6 * closed
+
     def test_small_scale_system_scales_lambda(self, pi4_spec):
         # A -> s A scales every channel, hence Lambda, by s.
         s = 1e-7

@@ -342,3 +342,36 @@ def test_channel_vectors_reconstruct_drift(seed, d):
     )
     assert np.max(np.abs(A_rebuilt.imag)) <= 1e-10
     assert np.max(np.abs(A_rebuilt.real - spec.A)) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([4, 8]),
+    gap_exponents=st.lists(st.integers(-12, -1), min_size=3, max_size=3),
+    same_beta=st.lists(st.booleans(), min_size=3, max_size=3),
+)
+def test_near_degenerate_channels_decompose(seed, d, gap_exponents, same_beta):
+    # Rotation pairs whose alphas sit 1e-12 ... 1e-1 apart, some with equal
+    # beta, placed in a random orthonormal basis: a drift that validates must
+    # decompose, and the channels are the planted ones.
+    rng = np.random.default_rng(seed)
+    n = d // 2
+    alphas = -rng.uniform(0.3, 2.0) - np.cumsum([0.0] + [10.0**k for k in gap_exponents[: n - 1]])
+    betas = rng.uniform(0.3, 2.0, n)
+    for k in range(1, n):
+        if same_beta[k - 1]:
+            betas[k] = betas[k - 1]
+    core = np.zeros((d, d))
+    for k, (a, b) in enumerate(zip(alphas, betas)):
+        core[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, b], [-b, a]]
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    spec = SystemSpec(basis @ core @ basis.T)
+    if not validate_system(spec).passed:
+        return
+    sp = spectral_decompose(spec)
+    planted = sorted(
+        ((a, s * b) for a, b in zip(alphas, betas) for s in (1.0, -1.0)),
+        key=lambda c: (c[0], -abs(c[1]), -c[1]),
+    )
+    assert np.max(np.abs(np.array(sp.pairs) - np.array(planted))) <= 1e-12

@@ -4,13 +4,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 import epr_ldp.montecarlo as mc
 from epr_ldp.chaos import s0
+from epr_ldp.cramer import cramer_domain
 from epr_ldp.errors import ConfigError, NumericError
-from epr_ldp.model import SystemSpec, _sym_sqrt, derived_matrices, magnetic_example
+from epr_ldp.model import (
+    SystemSpec,
+    _sym_sqrt,
+    derived_matrices,
+    magnetic_example,
+    spectral_decompose,
+)
 from epr_ldp.montecarlo import (
     EprEnsemble,
     SimConfig,
@@ -164,6 +172,27 @@ class TestExactStep:
         Gamma = derived_matrices(pi4_spec).Gamma
         emp = stepped.T @ stepped / n
         assert np.max(np.abs(emp - Gamma)) <= 8.0 * math.sqrt(2.0 / n) * 0.5
+
+    @pytest.mark.parametrize("q_style", ["identity", "scalar", "poly"])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_step_matrices_match_expm(self, d, q_style):
+        # e^{Dh} comes from the channels and Sigma_h from eigh(M); scipy's
+        # expm of D h and M h is the reference for both
+        spec = random_system(np.random.default_rng(7000 + d), d, q_style)
+        b = cramer_domain(spectral_decompose(spec)).b
+        cases = [(spec, spec.A, spec.Q)] + [
+            (ts, ts.D, np.eye(d))
+            for ts in (tilted_system(spec, lam) for lam in (0.0, 0.3 * b, -0.3 * b))
+        ]
+        for h in (1e-3, 0.1, 2.0):
+            for system, D, Q in cases:
+                E, root = mc._exact_step_matrices(system, h)
+                M = D + D.T
+                E_ref = scipy.linalg.expm(D * h)
+                sigma_ref = np.linalg.solve(M, (scipy.linalg.expm(M * h) - np.eye(d)) @ Q)
+                for got, want in ((E, E_ref), (root @ root.T, sigma_ref)):
+                    scale = max(1.0, float(np.linalg.norm(want)))
+                    assert np.linalg.norm(got - want) <= 1e-12 * scale
 
     def test_rejects_bad_step(self, pi4_spec):
         from epr_ldp.errors import DomainError
