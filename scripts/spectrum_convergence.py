@@ -32,9 +32,7 @@ def main(argv=None):
     args = parse_args(argv)
     spec = magnetic_example(args.theta)
     sp = spectral_decompose(spec)
-    analytic = np.array(
-        [e.gamma for e in kernel_spectrum(sp, args.horizon).descending()]
-    )[: args.top]
+    analytic = kernel_spectrum(sp, args.horizon).descending().gamma[: args.top]
     print(f"analytic top-{args.top}: {np.round(analytic, 8).tolist()}\n")
 
     print(f"{'nodes':>6} {'worst rel err':>14} {'top value':>16}")

@@ -10,9 +10,7 @@ discretization, Legendre-transform search, Monte Carlo simulation).
 """
 
 from .chaos import (
-    ChaosTerms,
     MgfQuery,
-    chaos_terms,
     conditional_mgf,
     conditional_mgf_series,
     cramer_finite_T,
@@ -71,8 +69,6 @@ from .montecarlo import (
 )
 from .spectral import (
     KernelSpectrum,
-    OmegaRoots,
-    SpectrumEntry,
     eigenfunction_norm_sq,
     gamma_tail,
     kernel_eval,

@@ -22,11 +22,15 @@ same comparison theta >= 1/gamma_1 as the spectral layer, with gamma_1 from
 the same root solver, so the +inf boundary agrees with it exactly.
 
 The eigenvalue-series route — a truncated kernel spectrum, the projection
-coefficients ``g`` of the start onto its eigenfunctions, the mean ``s0``
-and analytic log-determinant tails — is kept as the independent oracles
-``conditional_mgf_series`` and ``cramer_finite_T_series``.  The tilt
-``lam`` and truncation ``j_max`` carried by ``MgfQuery`` (and the fourth
-argument of ``cramer_finite_T``) affect only those oracles.
+coefficients ``g`` of the start onto its eigenfunctions and analytic
+log-determinant tails — is kept as the independent oracles
+``conditional_mgf_series`` and ``cramer_finite_T_series``.  Both evaluate
+one array expression over every kernel-spectrum entry and never call the
+closed form.  The truncation ``j_max`` carried by ``MgfQuery`` (and the
+fourth argument of ``cramer_finite_T``) affects only those oracles.  The
+tilt ``MgfQuery.lam`` is validated but read by nothing: the projections do
+not depend on it.  It stays only because the benchmark's
+``finite_horizon`` workload passes it.
 
 Everything here is Q-free: the tilted process is driven by unit noise, so
 only the drift's spectral data enters.
@@ -43,7 +47,6 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .model import Spectrum, SystemSpec, check_inputs, spectral_decompose
 from .spectral import (
-    KernelSpectrum,
     eigenfunction_norm_sq,
     kernel_spectrum,
     log_det_tail,
@@ -51,11 +54,9 @@ from .spectral import (
 )
 
 __all__ = [
-    "ChaosTerms",
     "MgfQuery",
     "s0",
     "g_coefficients",
-    "chaos_terms",
     "conditional_mgf",
     "conditional_mgf_series",
     "cramer_finite_T",
@@ -67,29 +68,12 @@ __all__ = [
 _LOG_HUGE = 709.0
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class ChaosTerms:
-    """Closed-form statistics of int_0^T |N Y_s|^2 ds for a fixed start.
-
-    ``g_coeffs`` is aligned entrywise with ``spectrum_ref.entries``; both
-    members of a conjugate channel pair appear, each carrying a real
-    coefficient, so sums of squares over the entries need no extra
-    multiplicity factor.
-    """
-
-    s0: float
-    g_coeffs: np.ndarray
-    spectrum_ref: KernelSpectrum
-    x: np.ndarray
-    lam: float
-    T: float
-
-
 @dataclasses.dataclass(frozen=True)
 class MgfQuery:
     """Evaluation point for the conditional MGF E^x exp(theta * functional).
 
-    ``lam`` and ``j_max`` are read only by ``conditional_mgf_series``.
+    ``j_max`` is read only by ``conditional_mgf_series``; ``lam`` is read
+    by nothing.
     """
 
     x: Sequence[float]
@@ -139,8 +123,8 @@ def s0(x, spec: SystemSpec, T: float) -> float:
     return quad + 0.5 * trace_closed_form(spec, T)
 
 
-def _hat_g(alpha: float, omega: float, phase: float, T: float, beta: float) -> float:
-    """Projection coefficient before the |<x, U_k>| factor.
+def _hat_g(alpha, omega, phase, T: float, beta):
+    """Projection coefficients before the |<x, U_k>| factor, elementwise.
 
     (4 beta^2/alpha) * (-2 cos(theta) sin(omega T + theta) e^{alpha T}
     + sin(2 theta)) / sqrt(alpha^2 + omega^2), normalized by the
@@ -148,55 +132,54 @@ def _hat_g(alpha: float, omega: float, phase: float, T: float, beta: float) -> f
     root; it is kept so float roots stay faithful to the integral.
     """
     L = (
-        -2.0 * math.cos(phase) * math.sin(omega * T + phase) * math.exp(alpha * T)
-        + math.sin(2.0 * phase)
-    ) / math.sqrt(alpha * alpha + omega * omega)
-    return (4.0 * beta * beta / alpha) * L / math.sqrt(
+        -2.0 * np.cos(phase) * np.sin(omega * T + phase) * np.exp(alpha * T)
+        + np.sin(2.0 * phase)
+    ) / np.sqrt(alpha * alpha + omega * omega)
+    return (4.0 * beta * beta / alpha) * L / np.sqrt(
         eigenfunction_norm_sq(omega, phase, T)
     )
 
 
-def chaos_terms(
-    x,
-    spec: SystemSpec,
-    lam: float = 0.0,
-    T: float = 1.0,
-    j_max: int = 200,
-    *,
-    kspec: Optional[KernelSpectrum] = None,
-) -> ChaosTerms:
-    """Assemble s0 and the per-entry projection coefficients.
-
-    The tilt parameter ``lam`` rotates the integrand's phases only; those
-    cancel inside the projections, so the coefficients do not depend on it.
-    It is recorded for bookkeeping.
-    """
-    check_inputs(T, x=x, lam=lam)
+def g_coefficients(x, spec: SystemSpec, T: float = 1.0, j_max: int = 200) -> np.ndarray:
+    """Real projections of the drift function onto the normalized kernel
+    eigenfunctions, one per entry of the kernel spectrum (channel-major,
+    aligned with ``KernelSpectrum.gammas``).  Both members of a conjugate
+    pair carry a coefficient, so sums of squares need no multiplicity
+    factor."""
+    check_inputs(T, x=x)
     vec = _start_vector(x, spec.dim)
     spectrum = spectral_decompose(spec, allow_reversible=True)
-    if kspec is None:
-        kspec = kernel_spectrum(spectrum, T, j_max)
-    ov = _overlaps_sq(vec, spectrum)
-    alphas, betas = spectrum.alphas, spectrum.betas
-    g = np.array(
-        [
-            _hat_g(alphas[e.k], e.omega, e.phase, T, betas[e.k])
-            * math.sqrt(ov[e.k])
-            for e in kspec.entries
-        ]
-    )
-    return ChaosTerms(
-        s0=s0(vec, spec, T), g_coeffs=g, spectrum_ref=kspec, x=vec,
-        lam=float(lam), T=float(T),
-    )
+    ks = kernel_spectrum(spectrum, T, j_max)
+    alpha, beta = spectrum.alphas[ks.k, None], spectrum.betas[ks.k, None]
+    hat = _hat_g(alpha, ks.omega, ks.phase, T, beta)
+    return (hat * np.sqrt(_overlaps_sq(vec, spectrum))[ks.k, None]).ravel()
 
 
-def g_coefficients(
-    x, spec: SystemSpec, lam: float = 0.0, T: float = 1.0, j_max: int = 200
-) -> np.ndarray:
-    """Real projections of the drift function onto the normalized kernel
-    eigenfunctions, one per (channel, j) entry of the kernel spectrum."""
-    return chaos_terms(x, spec, lam, T, j_max).g_coeffs
+def _series_terms(spectrum: Spectrum, T: float, j_max: int, theta: float):
+    """The eigenvalue-series computation both oracles share, or None at and
+    past theta = 1/gamma_1 of the truncated spectrum.
+
+    Returns the rotation channels k, per channel the start-dependent exponent
+    per unit |<x, U_k>|^2,
+
+        c_k = theta q_k + (theta^2/2) sum_j hat_g_j^2 / (1 - theta gamma_j),
+        q_k = (2 beta^2/alpha)(e^{2 alpha T} - 1),
+
+    and the log-determinant sum log(1 - theta gamma) with its analytic
+    tails.  The two members of a conjugate pair share their tail (only
+    beta^2 enters), so each pair's tail is computed once and doubled.
+    """
+    ks = kernel_spectrum(spectrum, T, j_max)
+    if ks.gamma_max > 0.0 and theta >= 1.0 / ks.gamma_max:
+        return None
+    alpha, beta = spectrum.alphas[ks.k], spectrum.betas[ks.k]
+    hat = _hat_g(alpha[:, None], ks.omega, ks.phase, T, beta[:, None])
+    w = np.sum(hat**2 / (1.0 - theta * ks.gamma), axis=1)
+    q = 2.0 * beta * beta / alpha * (np.exp(2.0 * alpha * T) - 1.0)
+    log_det = float(np.sum(np.log1p(-theta * ks.gamma))) + 2.0 * sum(
+        log_det_tail(a, b, T, theta, j_max + 1) for a, b in spectrum.pairs if b > 0.0
+    )
+    return ks.k, theta * q + 0.5 * theta * theta * w, log_det
 
 
 def _diverges(theta: float, spectrum: Spectrum, T: float) -> bool:
@@ -325,37 +308,23 @@ def conditional_mgf_series(q: MgfQuery, spec: SystemSpec) -> float:
 
     Evaluated in the log domain as
 
-        -1/2 [sum log(1 - theta gamma) + analytic tails]
-        + theta s0 - (theta/2) trace + (theta^2/2) sum g^2/(1 - theta gamma)
+        -1/2 [sum log(1 - theta gamma) + analytic tails] + sum_k c_k |<x, U_k>|^2
 
-    where ``trace`` is the exact closed-form eigenvalue sum, so only the
-    log-determinant and the g-quadratic carry truncation error (the latter's
-    tail decays like j^-4 and is left untruncated-corrected).
+    with c_k from ``_series_terms``: theta q_k |<x, U_k>|^2 is theta times
+    the mean ``s0`` less half the kernel trace, and its (theta^2/2) part is
+    (theta^2/2) sum g^2/(1 - theta gamma).  Only the log-determinant and the
+    g-quadratic carry truncation error (the latter's tail decays like j^-4
+    and is left uncorrected).
     """
     spectrum = spectral_decompose(spec, allow_reversible=True)
-    if not spectrum.has_rotation:
+    if not spectrum.has_rotation or q.theta == 0.0:
         return 1.0
-    kspec = kernel_spectrum(spectrum, q.T, q.j_max)
-    if kspec.gamma_max > 0.0 and q.theta >= 1.0 / kspec.gamma_max:
+    terms = _series_terms(spectrum, q.T, q.j_max, q.theta)
+    if terms is None:
         return math.inf
-    theta = q.theta
-    if theta == 0.0:
-        return 1.0
-    terms = chaos_terms(q.x, spec, q.lam, q.T, q.j_max, kspec=kspec)
-    gammas = kspec.gammas
-    one_minus = 1.0 - theta * gammas
-    log_det = float(np.sum(np.log1p(-theta * gammas)))
-    for alpha, beta in spectrum.pairs:
-        if beta == 0.0:
-            continue
-        log_det += log_det_tail(alpha, beta, q.T, theta, q.j_max + 1)
-    quad = float(np.sum(terms.g_coeffs**2 / one_minus))
-    log_mgf = (
-        -0.5 * log_det
-        + theta * terms.s0
-        - 0.5 * theta * trace_closed_form(spec, q.T)
-        + 0.5 * theta * theta * quad
-    )
+    k, c, log_det = terms
+    ov = _overlaps_sq(_start_vector(q.x, spec.dim), spectrum)
+    log_mgf = float(np.sum(c * ov[k])) - 0.5 * log_det
     if log_mgf > _LOG_HUGE:
         return math.inf
     return math.exp(log_mgf)
@@ -378,26 +347,11 @@ def cramer_finite_T_series(
     spectrum = spectral_decompose(spec, allow_reversible=True)
     if not spectrum.has_rotation:
         return 0.0
-    kspec = kernel_spectrum(spectrum, T, j_max)
-    if kspec.gamma_max > 0.0 and theta >= 1.0 / kspec.gamma_max:
+    terms = _series_terms(spectrum, T, j_max, theta)
+    if terms is None:
         return math.inf
-
-    log_det = 0.0
-    i2_sum = 0.0
-    for k, (alpha, beta) in enumerate(spectrum.pairs):
-        if beta == 0.0:
-            continue
-        entries = kspec.channel_entries(k)
-        gam = np.array([e.gamma for e in entries])
-        log_det += float(np.sum(np.log1p(-theta * gam)))
-        log_det += log_det_tail(alpha, beta, T, theta, j_max + 1)
-        q_k = 2.0 * beta * beta / alpha * (math.exp(2.0 * alpha * T) - 1.0)
-        hat = np.array(
-            [_hat_g(alpha, e.omega, e.phase, T, beta) for e in entries]
-        )
-        w_k = float(np.sum(hat**2 / (1.0 - theta * gam)))
-        c_k = theta * q_k + 0.5 * theta * theta * w_k
-        if c_k >= -alpha:  # |alpha_k| for a stable drift
-            return math.inf
-        i2_sum += math.log1p(-c_k / (-alpha))
-    return -(i2_sum + log_det) / (2.0 * T)
+    k, c, log_det = terms
+    alpha = spectrum.alphas[k]
+    if np.any(c >= -alpha):  # |alpha_k| for a stable drift
+        return math.inf
+    return -(float(np.sum(np.log1p(c / alpha))) + log_det) / (2.0 * T)

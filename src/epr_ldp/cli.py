@@ -298,7 +298,7 @@ def cmd_curves(cfg: RunConfig, outdir: str) -> int:
 def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
     sp = spectral_decompose(cfg.system)
     ks = kernel_spectrum(sp, cfg.horizon, cfg.j_max)
-    rows = [(e.k, e.j, e.omega, e.gamma) for e in ks.entries]
+    rows = ks.records()[["k", "j", "omega", "gamma"]].tolist()
     nys = nystrom_spectrum(cfg.system, lam=0.0, T=cfg.horizon,
                            n_nodes=cfg.nystrom_nodes)
     top = min(20, len(nys))
@@ -334,7 +334,8 @@ def cmd_mgf(cfg: RunConfig, outdir: str) -> int:
     theta = 0.5 * lam * (1.0 + lam) if theta is None else float(theta)
     value = conditional_mgf(MgfQuery(x=x0, theta=theta, T=cfg.horizon), cfg.system)
     lam_T = cramer_finite_T(lam, cfg.system, cfg.horizon)
-    gamma_max = kernel_spectrum(spectral_decompose(cfg.system), cfg.horizon, 1).gamma_max
+    gamma_max = kernel_spectrum(spectral_decompose(cfg.system, allow_reversible=True),
+                                cfg.horizon, 1).gamma_max
     fp = cfg.fingerprint()
     header = "theta,lambda,T,conditional_mgf,cramer_finite_T"
     row = (theta, lam, cfg.horizon, value, lam_T)

@@ -22,7 +22,14 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
-from .model import Spectrum, SystemSpec, _sym_sqrt, derived_matrices, spectral_decompose
+from .model import (
+    Spectrum,
+    SystemSpec,
+    _sym_sqrt,
+    check_inputs,
+    derived_matrices,
+    spectral_decompose,
+)
 
 __all__ = [
     "SimConfig",
@@ -369,6 +376,7 @@ def empirical_mgf(ensemble: EprEnsemble, lam: float) -> MgfEstimate:
     jackknife spread to infinity, which is the honest diagnostic near the
     domain boundary.
     """
+    check_inputs(ensemble.T, lam=lam)
     s = np.asarray(ensemble.samples, dtype=float)
     n = s.size
     if n == 0:
@@ -393,6 +401,7 @@ def empirical_mgf(ensemble: EprEnsemble, lam: float) -> MgfEstimate:
 def tail_estimate(ensemble: EprEnsemble, x_threshold: float) -> TailEstimate:
     """Empirical tail probability of e_p(T) past x_threshold and its
     log-rate -(1/T) log p; the tail side is chosen by the sample mean."""
+    check_inputs(ensemble.T, x_threshold=x_threshold)
     s = np.asarray(ensemble.samples, dtype=float)
     if s.size == 0:
         raise DomainError("empty ensemble")

@@ -32,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -40,8 +39,6 @@ from .errors import ConfigError, DomainError, NumericError
 from .model import Spectrum, SystemSpec, check_inputs, spectral_decompose
 
 __all__ = [
-    "OmegaRoots",
-    "SpectrumEntry",
     "KernelSpectrum",
     "omega_roots",
     "kernel_spectrum",
@@ -67,38 +64,9 @@ def _g_prime(omega: np.ndarray, alpha: float, T: float) -> np.ndarray:
     )
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class OmegaRoots:
-    """Roots of omega/alpha = tan(omega T), one per bracket, ascending."""
-
-    alpha: float
-    T: float
-    roots: np.ndarray
-    channel: Optional[int] = None
-
-    @property
-    def j_max(self) -> int:
-        return len(self.roots)
-
-    def bracket(self, j: int) -> tuple[float, float]:
-        """Open bracket ((2j-1)pi/2T, (2j+1)pi/2T) for the 1-based index j."""
-        if not 1 <= j <= self.j_max:
-            raise DomainError(f"root index {j} outside 1..{self.j_max}")
-        return ((2 * j - 1) * math.pi / (2 * self.T), (2 * j + 1) * math.pi / (2 * self.T))
-
-    def residual_tan(self, j: int) -> float:
-        """|omega/alpha - tan(omega T)| at root j (ill-conditioned for large j)."""
-        om = self.roots[j - 1]
-        return abs(om / self.alpha - math.tan(om * self.T))
-
-    def residual_g(self, j: int) -> float:
-        """|omega cos(omega T) - alpha sin(omega T)| at root j (backward-stable form)."""
-        om = self.roots[j - 1]
-        return abs(float(_g(np.array(om), self.alpha, self.T)))
-
-
-def omega_roots(alpha: float, T: float, j_max: int) -> OmegaRoots:
-    """Solve omega/alpha = tan(omega T) on the first j_max brackets.
+def omega_roots(alpha: float, T: float, j_max: int) -> np.ndarray:
+    """Solve omega/alpha = tan(omega T) on the first j_max brackets
+    ((2j-1)pi/2T, (2j+1)pi/2T), returning the roots in ascending order.
 
     Bisection on g(omega) = omega cos(omega T) - alpha sin(omega T) (whose
     endpoint signs alternate deterministically, so each bracket holds exactly
@@ -142,91 +110,87 @@ def omega_roots(alpha: float, T: float, j_max: int) -> OmegaRoots:
         gpx = _g_prime(x, alpha, T)
         step = np.where(gpx != 0.0, gx / np.where(gpx != 0.0, gpx, 1.0), 0.0)
         x = np.clip(x - step, lo + eps, hi - eps)
-    return OmegaRoots(alpha=float(alpha), T=float(T), roots=x, channel=None)
-
-
-@dataclasses.dataclass(frozen=True)
-class SpectrumEntry:
-    """One kernel eigenvalue: channel k, branch index j, root omega,
-    eigenvalue gamma = 8 beta^2/(alpha^2+omega^2), phase theta in [0, pi/2)."""
-
-    k: int
-    j: int
-    omega: float
-    gamma: float
-    phase: float
+    return x
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class KernelSpectrum:
-    """Eigenvalues of K_{lambda,T} over all rotation channels.
+    """Eigenvalues of K_{lambda,T} over all rotation channels, as arrays.
 
-    Entries are stored channel-major ((k, j) ascending); ``descending()``
-    returns them sorted by gamma.  Channels with beta = 0 contribute nothing
-    (the restricted operator is zero).  gamma_max is the overall largest
-    eigenvalue (always attained at some j = 1 entry; 0.0 if no entries).
+    Row r of the (n_rot, j_max) blocks ``omega``, ``gamma`` and ``phase``
+    holds branches j = 1..j_max of channel ``k[r]``, with eigenvalue
+    gamma = 8 beta^2/(alpha^2+omega^2) and phase theta in [0, pi/2).  Rows
+    follow the channel order, so a flattened block is channel-major
+    ((k, j) ascending).  Channels with beta = 0 have no row (the restricted
+    operator is zero).
     """
 
-    entries: tuple[SpectrumEntry, ...]
-    gamma_max: float
-    T: float
-    j_max: int
+    k: np.ndarray
+    omega: np.ndarray
+    gamma: np.ndarray
+    phase: np.ndarray
 
-    def descending(self) -> tuple[SpectrumEntry, ...]:
-        return tuple(
-            sorted(self.entries, key=lambda e: (-e.gamma, e.k, e.j))
-        )
+    @property
+    def j_max(self) -> int:
+        return self.gamma.shape[1]
 
-    def channel_entries(self, k: int) -> tuple[SpectrumEntry, ...]:
-        return tuple(e for e in self.entries if e.k == k)
+    @property
+    def gamma_max(self) -> float:
+        """The overall largest eigenvalue; 0.0 without rotation channels."""
+        return float(self.gamma.max(initial=0.0))
 
     @property
     def gammas(self) -> np.ndarray:
-        return np.array([e.gamma for e in self.entries])
+        return self.gamma.ravel()
+
+    def records(self) -> np.recarray:
+        """Every entry as a (k, j, omega, gamma, phase) record, channel-major."""
+        k, j = np.broadcast_arrays(self.k[:, None], np.arange(1, self.j_max + 1))
+        return np.rec.fromarrays(
+            [a.ravel() for a in (k, j, self.omega, self.gamma, self.phase)],
+            names="k,j,omega,gamma,phase",
+        )
+
+    def descending(self) -> np.recarray:
+        """The records sorted by (-gamma, k, j)."""
+        r = self.records()
+        return r[np.lexsort((r.j, r.k, -r.gamma))]
 
 
 def kernel_spectrum(spectrum: Spectrum, T: float, j_max: int = 200) -> KernelSpectrum:
     """Analytic kernel-operator spectrum, truncated at j_max per channel.
 
     Both members of a conjugate channel pair appear (their eigenvalue
-    families coincide), matching the operator's multiplicities.
+    families coincide), matching the operator's multiplicities.  The roots
+    are solved once per distinct alpha.
     """
     check_inputs(T)
     if not j_max >= 1:
         raise DomainError("j_max must be >= 1")
-    entries: list[SpectrumEntry] = []
-    root_cache: dict[float, np.ndarray] = {}
-    for k, (alpha, beta) in enumerate(spectrum.pairs):
-        if beta == 0.0:
-            continue
-        roots = root_cache.get(alpha)
-        if roots is None:
-            roots = omega_roots(alpha, T, j_max).roots
-            root_cache[alpha] = roots
-        gammas = 8.0 * beta * beta / (alpha * alpha + roots * roots)
-        phases = np.arctan2(roots, -alpha)
-        entries.extend(
-            SpectrumEntry(k=k, j=jj + 1, omega=float(roots[jj]),
-                          gamma=float(gammas[jj]), phase=float(phases[jj]))
-            for jj in range(j_max)
-        )
-    gamma_max = max((e.gamma for e in entries if e.j == 1), default=0.0)
-    return KernelSpectrum(entries=tuple(entries), gamma_max=gamma_max,
-                          T=float(T), j_max=int(j_max))
+    k = np.flatnonzero(spectrum.betas != 0.0)
+    distinct, which = np.unique(spectrum.alphas[k], return_inverse=True)
+    roots = np.reshape([omega_roots(a, T, j_max) for a in distinct], (-1, j_max))[which]
+    alpha, beta = spectrum.alphas[k, None], spectrum.betas[k, None]
+    return KernelSpectrum(
+        k=k,
+        omega=roots,
+        gamma=8.0 * beta * beta / (alpha * alpha + roots * roots),
+        phase=np.arctan2(roots, -alpha),
+    )
 
 
-def eigenfunction_norm_sq(omega: float, phase: float, T: float) -> float:
-    """Closed-form squared norm int_0^T sin^2(omega u + phase) du.
+def eigenfunction_norm_sq(omega, phase, T: float):
+    """Closed-form squared norm int_0^T sin^2(omega u + phase) du, elementwise.
 
     Equals (1/2)(T - (sin 2(omega T + phase) - sin 2 phase)/(2 omega)); for
     (omega, phase) taken from a KernelSpectrum entry with drift alpha the
     value lies in [ (1/2)(1 - 1/pi) T, (1/2)((1 + 1/pi) T - 1/alpha) ].
     """
-    if not omega > 0:
+    if not np.all(omega > 0):
         raise DomainError("omega must be positive")
     check_inputs(T)
     return 0.5 * (
-        T - (math.sin(2.0 * (omega * T + phase)) - math.sin(2.0 * phase)) / (2.0 * omega)
+        T - (np.sin(2.0 * (omega * T + phase)) - np.sin(2.0 * phase)) / (2.0 * omega)
     )
 
 
@@ -253,7 +217,7 @@ def kernel_eval(
     which is real (conjugate channels pair up) and satisfies
     H(u1, u2) = H(u2, u1)'.
     """
-    check_inputs(T)
+    check_inputs(T, lam=lam)
     if not (0 <= u1 <= T and 0 <= u2 <= T):
         raise DomainError("u1, u2 must lie in [0, T]")
     sp = spectral_decompose(spec, allow_reversible=True)
@@ -312,7 +276,7 @@ def nystrom_spectrum(
     """
     if not n_nodes >= 8:
         raise DomainError("n_nodes must be >= 8")
-    check_inputs(T)
+    check_inputs(T, lam=lam)
     t, w = _quadrature(rule, n_nodes, T)
     sp = spectral_decompose(spec, allow_reversible=True)
     d = spec.dim
@@ -361,6 +325,8 @@ def _refined_tail_roots(alpha: float, T: float, j: np.ndarray) -> np.ndarray:
     """Roots for (large) indices j via the contraction
     omega = ((2j-1)pi/2 + arctan(|alpha|/omega)) / T, with bisection fallback
     for any index where the iteration has not converged."""
+    if not alpha < 0:
+        raise DomainError("alpha must be negative")
     base = (2.0 * j - 1.0) * (math.pi / 2.0)
     om = base / T
     prev = np.zeros_like(om)
@@ -371,10 +337,8 @@ def _refined_tail_roots(alpha: float, T: float, j: np.ndarray) -> np.ndarray:
             break
     bad = np.abs(om - prev) > 1e-12 * np.maximum(1.0, om)
     if np.any(bad):
-        max_bad = int(j[bad].max())
-        bisected = omega_roots(alpha, T, max_bad).roots
-        for idx in np.nonzero(bad)[0]:
-            om[idx] = bisected[int(j[idx]) - 1]
+        jb = j[bad].astype(int)
+        om[bad] = omega_roots(alpha, T, int(jb.max()))[jb - 1]
     return om
 
 
@@ -406,6 +370,7 @@ def gamma_tail(
     remainder's root-displacement error is O(|alpha| T^3 / J^3), far below
     the 1e-6 trace-identity tolerance for desk-scale (T, j_start).
     """
+    check_inputs(T)
     if beta == 0.0:
         return 0.0
     if not j_start >= 1:
@@ -419,10 +384,11 @@ def gamma_tail(
 
 
 def spectrum_gamma_tail(spectrum: Spectrum, T: float, j_start: int) -> float:
-    """Sum of gamma_tail over every channel of the spectrum."""
-    return float(
-        sum(gamma_tail(a, b, T, j_start) for a, b in spectrum.pairs if b != 0.0)
-    )
+    """Sum of gamma_tail over every channel of the spectrum; the two members
+    of a conjugate pair share their tail (only beta^2 enters), so each pair
+    is solved once and counted twice."""
+    check_inputs(T)
+    return 2.0 * sum(gamma_tail(a, b, T, j_start) for a, b in spectrum.pairs if b > 0.0)
 
 
 def log_det_tail(
@@ -439,6 +405,7 @@ def log_det_tail(
     log(1-x) ~ -x - x^2/2 closed over the nu_j approximants (third order is
     below double precision at these index ranges).
     """
+    check_inputs(T, theta=theta)
     if beta == 0.0 or theta == 0.0:
         return 0.0
     if not j_start >= 1:

@@ -70,7 +70,7 @@ def _nystrom() -> dict:
     spec = SystemSpec(np.array([[-1.0, 1.0], [-1.0, -1.0]]))
     sp = spectral_decompose(spec)
     ks = kernel_spectrum(sp, 1.0, 40)
-    analytic = np.array([e.gamma for e in ks.descending()[:5]])
+    analytic = ks.descending().gamma[:5]
     lam_vals = {}
     for lam in (0.0, 0.3):
         lam_vals[lam] = nystrom_spectrum(spec, lam, 1.0, n_nodes=200)[:5]

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from epr_ldp.chaos import (
     MgfQuery,
-    chaos_terms,
     conditional_mgf,
     conditional_mgf_series,
     cramer_finite_T,
@@ -19,7 +18,17 @@ from epr_ldp.chaos import (
 from epr_ldp.cramer import cramer
 from epr_ldp.errors import DimensionError, DomainError
 from epr_ldp.model import SystemSpec, magnetic_example, spectral_decompose
-from epr_ldp.spectral import eigenfunction_norm_sq, kernel_spectrum, trace_closed_form
+from epr_ldp.montecarlo import EprEnsemble, empirical_mgf, tail_estimate
+from epr_ldp.spectral import (
+    eigenfunction_norm_sq,
+    gamma_tail,
+    kernel_eval,
+    kernel_spectrum,
+    log_det_tail,
+    nystrom_spectrum,
+    spectrum_gamma_tail,
+    trace_closed_form,
+)
 from epr_ldp.testing import random_system
 
 X0 = np.array([1.0, 0.0])
@@ -81,7 +90,7 @@ class TestLinearCoefficients:
         T = 1.0
         sp = spectral_decompose(pi4_spec)
         ks = kernel_spectrum(spectral_decompose(pi4_spec), T)
-        g = g_coefficients(X0, pi4_spec, 0.0, T)
+        g = g_coefficients(X0, pi4_spec, T)
         (alpha, beta), U = sp.pairs[0], sp.channel_vectors[0]
         overlap = abs(np.vdot(U, X0))
         u = np.linspace(0.0, T, 400_001)
@@ -92,28 +101,19 @@ class TestLinearCoefficients:
             * (np.exp(2.0 * alpha * u) - math.exp(2.0 * alpha * T))
         )
         for i in (0, 1, 2, 5, 10, 19):
-            e = ks.channel_entries(0)[i]
-            phi = np.sin(e.omega * u + e.phase) / math.sqrt(
-                eigenfunction_norm_sq(e.omega, e.phase, T)
+            omega, phase = ks.omega[0, i], ks.phase[0, i]
+            phi = np.sin(omega * u + phase) / math.sqrt(
+                eigenfunction_norm_sq(omega, phase, T)
             )
             proj = float(np.trapezoid(G * phi, u))
             assert g[i] == pytest.approx(proj, rel=1e-8)
 
-    def test_tilt_leaves_coefficients_unchanged(self, pi4_spec):
-        g0 = g_coefficients(X0, pi4_spec, 0.0, 1.0)
-        g1 = g_coefficients(X0, pi4_spec, 0.35, 1.0)
-        assert np.array_equal(g0, g1)
-
     def test_zero_start_zero_coefficients(self, pi4_spec):
-        assert np.all(g_coefficients(np.zeros(2), pi4_spec, 0.0, 1.0) == 0.0)
-
-    def test_terms_bundle_consistent(self, pi4_spec):
-        terms = chaos_terms(X0, pi4_spec, 0.0, 1.0, j_max=50)
-        assert terms.g_coeffs.shape == (len(terms.spectrum_ref.entries),)
-        assert terms.s0 == pytest.approx(s0(X0, pi4_spec, 1.0), rel=1e-14)
+        assert np.all(g_coefficients(np.zeros(2), pi4_spec, 1.0) == 0.0)
 
     def test_conjugate_channels_match(self, pi4_spec):
-        g = g_coefficients(X0, pi4_spec, 0.0, 1.0, j_max=32)
+        g = g_coefficients(X0, pi4_spec, 1.0, j_max=32)
+        assert g.shape == (2 * 32,)  # aligned with KernelSpectrum.gammas
         assert np.allclose(np.abs(g[:32]), np.abs(g[32:]), rtol=1e-12)
 
 
@@ -169,7 +169,7 @@ class TestConditionalMgf:
         # d/dtheta log MGF at 0 is the mean; the second derivative is the
         # variance sum over the expansion, including the tail-free parts.
         ks = kernel_spectrum(pi4_spectrum, 1.0)
-        g = g_coefficients(X0, pi4_spec, 0.0, 1.0)
+        g = g_coefficients(X0, pi4_spec, 1.0)
         h = 1e-4
 
         def logm(theta):
@@ -220,6 +220,7 @@ class TestFiniteHorizon:
 
 
 _NAN, _INF = math.nan, math.inf
+_ENSEMBLE = EprEnsemble(np.array([0.5, 1.0, 2.0]), 1.0, "x")
 
 
 @pytest.mark.parametrize(
@@ -238,11 +239,23 @@ _NAN, _INF = math.nan, math.inf
         pytest.param(lambda sp, spec: MgfQuery(x=X0, theta=_NAN), id="MgfQuery-theta=nan"),
         pytest.param(lambda sp, spec: MgfQuery(x=X0, theta=0.1, lam=_NAN), id="MgfQuery-lam=nan"),
         pytest.param(lambda sp, spec: MgfQuery(x=[0.5, _NAN], theta=0.1), id="MgfQuery-x=nan"),
+        pytest.param(lambda sp, spec: gamma_tail(-1.0, 1.0, -1.0, 201), id="gamma_tail-T=-1"),
+        pytest.param(lambda sp, spec: gamma_tail(-1.0, 1.0, _INF, 201), id="gamma_tail-T=inf"),
+        pytest.param(lambda sp, spec: log_det_tail(-1.0, 1.0, _INF, 0.1, 201), id="log_det_tail-T=inf"),
+        pytest.param(lambda sp, spec: gamma_tail(0.0, 1.0, 1.0, 201), id="gamma_tail-alpha=0"),
+        pytest.param(lambda sp, spec: log_det_tail(1.0, 1.0, 1.0, 0.1, 201), id="log_det_tail-alpha=1"),
+        pytest.param(lambda sp, spec: log_det_tail(-1.0, 1.0, 1.0, _NAN, 201), id="log_det_tail-theta=nan"),
+        pytest.param(lambda sp, spec: spectrum_gamma_tail(sp, _NAN, 201), id="spectrum_gamma_tail-T=nan"),
+        pytest.param(lambda sp, spec: kernel_eval(spec, _NAN, 1.0, 0.2, 0.7), id="kernel_eval-lam=nan"),
+        pytest.param(lambda sp, spec: nystrom_spectrum(spec, _NAN, 1.0, n_nodes=16), id="nystrom_spectrum-lam=nan"),
+        pytest.param(lambda sp, spec: empirical_mgf(_ENSEMBLE, _NAN), id="empirical_mgf-lam=nan"),
+        pytest.param(lambda sp, spec: tail_estimate(_ENSEMBLE, _NAN), id="tail_estimate-x=nan"),
     ],
 )
 def test_entry_points_reject_bad_inputs(call, pi4_spec, pi4_spectrum):
-    # a non-finite horizon or a NaN tilt, theta or start has no meaningful
-    # value; each entry point raises DomainError instead of returning NaN
+    # a non-finite or negative horizon, a non-negative alpha or a NaN tilt,
+    # theta, start or threshold has no meaningful value; each entry point
+    # raises DomainError instead of returning nonsense or a raw exception
     with pytest.raises(DomainError):
         call(pi4_spectrum, pi4_spec)
 

@@ -232,6 +232,18 @@ class TestMgf:
         _, _, rows = read_csv(outdir / "mgf.csv")
         assert rows[0][3] == "inf"
 
+    def test_reversible_drift_is_trivial(self, tmp_path, capsys):
+        # no rotation: the functional vanishes, so MGF 1, Lambda_T 0, gamma_max 0
+        payload = {"system": {"matrix_A": [[-1.0, 0.0], [0.0, -2.0]]}, "horizon": 1.0,
+                   "mgf": {"x0": [1.0, 0.0], "lambda": 0.1}, "output": {"format": "json"}}
+        cfg = write_config(tmp_path, payload)
+        outdir = tmp_path / "mgf_rev"
+        assert main(["mgf", "--config", cfg, "--out", str(outdir)]) == 0
+        out = json.loads((outdir / "mgf.json").read_text())
+        assert out["gamma_max"] == 0.0
+        assert out["rows"][0]["conditional_mgf"] == 1.0
+        assert out["rows"][0]["cramer_finite_T"] == 0.0
+
     def test_requires_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MAGNETIC)
         assert main(["mgf", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

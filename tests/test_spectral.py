@@ -29,34 +29,39 @@ OMEGA_1 = 2.0287578381104343
 OMEGA_2 = 4.9131804394348836
 
 
+def bracket(j, T):
+    """Open bracket ((2j-1)pi/2T, (2j+1)pi/2T) of the 1-based root index j."""
+    return (2 * j - 1) * math.pi / (2 * T), (2 * j + 1) * math.pi / (2 * T)
+
+
+def residual_g(omega, alpha, T):
+    """|omega cos(omega T) - alpha sin(omega T)|, the backward-stable form."""
+    return abs(omega * math.cos(omega * T) - alpha * math.sin(omega * T))
+
+
 class TestOmegaRoots:
     def test_classic_first_roots(self):
         r = omega_roots(-1.0, 1.0, 5)
-        assert r.roots[0] == pytest.approx(OMEGA_1, rel=1e-12)
-        assert r.roots[1] == pytest.approx(OMEGA_2, rel=1e-12)
+        assert r[0] == pytest.approx(OMEGA_1, rel=1e-12)
+        assert r[1] == pytest.approx(OMEGA_2, rel=1e-12)
 
     def test_residuals_small(self):
-        r = omega_roots(-0.7, 2.5, 300)
+        alpha, T = -0.7, 2.5
+        r = omega_roots(alpha, T, 300)
         for j in (1, 2, 10, 50, 300):
-            om = r.roots[j - 1]
-            assert r.residual_g(j) <= 1e-11 * max(1.0, om)
+            om = r[j - 1]
+            assert residual_g(om, alpha, T) <= 1e-11 * max(1.0, om)
         # the tangent form is well-conditioned only for small j
         for j in (1, 2, 5):
-            assert r.residual_tan(j) <= 1e-8
+            om = r[j - 1]
+            assert abs(om / alpha - math.tan(om * T)) <= 1e-8
 
     def test_roots_increasing_and_bracketed(self):
         r = omega_roots(-2.0, 1.5, 100)
-        assert np.all(np.diff(r.roots) > 0)
+        assert np.all(np.diff(r) > 0)
         for j in range(1, 101):
-            lo, hi = r.bracket(j)
-            assert lo < r.roots[j - 1] < hi
-
-    def test_bracket_index_bounds(self):
-        r = omega_roots(-1.0, 1.0, 3)
-        with pytest.raises(DomainError):
-            r.bracket(0)
-        with pytest.raises(DomainError):
-            r.bracket(4)
+            lo, hi = bracket(j, 1.5)
+            assert lo < r[j - 1] < hi
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -74,10 +79,10 @@ class TestOmegaRoots:
     def test_property_bracketed_stable(self, alpha, T):
         r = omega_roots(alpha, T, 50)
         for j in (1, 7, 50):
-            lo, hi = r.bracket(j)
-            om = r.roots[j - 1]
+            lo, hi = bracket(j, T)
+            om = r[j - 1]
             assert lo < om < hi
-            assert r.residual_g(j) <= 1e-9 * max(1.0, om)
+            assert residual_g(om, alpha, T) <= 1e-9 * max(1.0, om)
 
 
 class TestKernelSpectrum:
@@ -93,36 +98,41 @@ class TestKernelSpectrum:
 
     def test_entry_layout(self, pi4_spectrum):
         ks = kernel_spectrum(pi4_spectrum, 1.0, j_max=64)
-        assert len(ks.entries) == 2 * 64
+        assert ks.omega.shape == ks.gamma.shape == ks.phase.shape == (2, 64)
         assert ks.j_max == 64
+        assert list(ks.k) == [0, 1]
+        records = ks.records()
+        assert list(records.k) == [0] * 64 + [1] * 64
+        assert list(records.j) == list(range(1, 65)) * 2
+        assert np.array_equal(records.gamma, ks.gammas)
         for k in (0, 1):
-            entries = ks.channel_entries(k)
-            assert [e.j for e in entries] == list(range(1, 65))
             alpha, beta = pi4_spectrum.pairs[k]
-            for e in entries:
-                assert e.gamma == pytest.approx(
-                    8.0 * beta**2 / (alpha**2 + e.omega**2), rel=1e-14
+            for omega, gamma, phase in zip(ks.omega[k], ks.gamma[k], ks.phase[k]):
+                assert gamma == pytest.approx(
+                    8.0 * beta**2 / (alpha**2 + omega**2), rel=1e-14
                 )
-                assert e.phase == pytest.approx(
-                    math.atan2(e.omega, -alpha), rel=1e-14
+                assert phase == pytest.approx(
+                    math.atan2(omega, -alpha), rel=1e-14
                 )
 
     def test_descending_sorted(self, pi4_spectrum):
-        gammas = [e.gamma for e in kernel_spectrum(pi4_spectrum, 2.0).descending()]
+        top = kernel_spectrum(pi4_spectrum, 2.0).descending()
+        gammas = [e.gamma for e in top]
         assert gammas == sorted(gammas, reverse=True)
+        # conjugate channels tie in gamma and are ordered by (k, j)
+        keys = list(zip(-top.gamma, top.k, top.j))
+        assert keys == sorted(keys)
 
     def test_conjugate_channels_share_gammas(self, pi4_spectrum):
         ks = kernel_spectrum(pi4_spectrum, 1.0, j_max=16)
-        g0 = [e.gamma for e in ks.channel_entries(0)]
-        g1 = [e.gamma for e in ks.channel_entries(1)]
-        assert g0 == g1
+        assert np.array_equal(ks.gamma[0], ks.gamma[1])
 
     def test_flat_channels_skipped(self):
         from epr_ldp.model import magnetic_example
 
         sp = spectral_decompose(magnetic_example(math.pi / 4, extended=True))
         ks = kernel_spectrum(sp, 1.0, j_max=8)
-        assert len(ks.entries) == 2 * 8  # the beta = 0 coordinate contributes nothing
+        assert ks.gammas.size == 2 * 8  # the beta = 0 coordinate contributes nothing
 
     def test_rejects_bad_horizon(self, pi4_spectrum):
         with pytest.raises(DomainError):
@@ -134,17 +144,18 @@ class TestEigenfunctions:
         T = 1.7
         ks = kernel_spectrum(pi4_spectrum, T, j_max=40)
         t = (np.arange(200_000) + 0.5) * (T / 200_000)
-        for e in [ks.channel_entries(0)[i] for i in (0, 4, 39)]:
-            quad = float(np.sum(np.sin(e.omega * t + e.phase) ** 2)) * (T / 200_000)
-            assert eigenfunction_norm_sq(e.omega, e.phase, T) == pytest.approx(
+        for i in (0, 4, 39):
+            omega, phase = ks.omega[0, i], ks.phase[0, i]
+            quad = float(np.sum(np.sin(omega * t + phase) ** 2)) * (T / 200_000)
+            assert eigenfunction_norm_sq(omega, phase, T) == pytest.approx(
                 quad, abs=1e-9
             )
 
     def test_modes_vanish_at_horizon(self, pi4_spectrum):
         T = 2.3
         ks = kernel_spectrum(pi4_spectrum, T, j_max=60)
-        for e in ks.channel_entries(0):
-            assert abs(math.sin(e.omega * T + e.phase)) <= 1e-10
+        for omega, phase in zip(ks.omega[0], ks.phase[0]):
+            assert abs(math.sin(omega * T + phase)) <= 1e-10
 
 
 class TestKernelEval:
@@ -261,7 +272,7 @@ class TestTraceIdentity:
         T = 1.0
         alpha, beta = classic_spectrum.pairs[0]
         ks = kernel_spectrum(classic_spectrum, T, j_max=400)
-        explicit = sum(e.gamma for e in ks.channel_entries(0)[200:400])
+        explicit = sum(ks.gamma[0, 200:400])
         diff = gamma_tail(alpha, beta, T, 201) - gamma_tail(alpha, beta, T, 401)
         assert diff == pytest.approx(explicit, rel=1e-10)
 
@@ -269,9 +280,7 @@ class TestTraceIdentity:
         T, theta = 1.0, 0.3
         alpha, beta = classic_spectrum.pairs[0]
         ks = kernel_spectrum(classic_spectrum, T, j_max=400)
-        explicit = sum(
-            math.log1p(-theta * e.gamma) for e in ks.channel_entries(0)[200:400]
-        )
+        explicit = sum(math.log1p(-theta * g) for g in ks.gamma[0, 200:400])
         diff = log_det_tail(alpha, beta, T, theta, 201) - log_det_tail(
             alpha, beta, T, theta, 401
         )
