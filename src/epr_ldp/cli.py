@@ -23,7 +23,7 @@ import numpy as np
 
 from .chaos import MgfQuery, conditional_mgf, cramer_finite_T
 from .cramer import cramer_curve, cramer_domain, rate
-from .errors import ConfigError, DomainError, EprLdpError
+from .errors import ConfigError, DomainError, EprLdpError, ReversibilityError
 from .model import (
     SystemSpec,
     magnetic_example,
@@ -257,7 +257,13 @@ def cmd_validate(cfg: RunConfig, outdir: str) -> int:
 
 
 def cmd_curves(cfg: RunConfig, outdir: str) -> int:
-    sp = spectral_decompose(cfg.system)
+    try:
+        sp = spectral_decompose(cfg.system)
+    except ReversibilityError:
+        raise ReversibilityError(
+            "the drift is reversible (A is symmetric), so the entropy "
+            "production rate is identically 0 and has no large-deviation curves"
+        ) from None
     dom = cramer_domain(sp)
     if cfg.lambda_grid is not None:
         lam_grid = cfg.lambda_grid.points()
@@ -296,7 +302,8 @@ def cmd_curves(cfg: RunConfig, outdir: str) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
-    sp = spectral_decompose(cfg.system)
+    # a reversible drift has a zero kernel: no analytic rows, gamma_max 0
+    sp = spectral_decompose(cfg.system, allow_reversible=True)
     ks = kernel_spectrum(sp, cfg.horizon, cfg.j_max)
     rows = ks.records()[["k", "j", "omega", "gamma"]].tolist()
     nys = nystrom_spectrum(cfg.system, lam=0.0, T=cfg.horizon,

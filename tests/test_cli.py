@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import epr_ldp.montecarlo as mc
 from epr_ldp.chaos import cramer_finite_T
 from epr_ldp.cli import format_value, load_config, main
 from epr_ldp.cramer import cramer, cramer_domain
@@ -19,6 +20,7 @@ from epr_ldp.model import magnetic_example, mean_epr, spectral_decompose
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 MAGNETIC = {"system": {"example": "magnetic", "theta": math.pi / 4}}
+REVERSIBLE = {"system": {"matrix_A": [[-1.0, 0.0], [0.0, -2.0]]}}
 # every section a gated subcommand reads, so only the system can fail
 RUNNABLE = {"horizon": 2.0, "mc": {"dt": 0.01, "n_traj": 8, "seed": 1},
             "mgf": {"x0": [1.0, 0.0], "lambda": 0.1}}
@@ -157,6 +159,13 @@ class TestCurves:
         for r in rows[::10]:
             assert float(r[1]) == cramer(float(r[0]), sp)
 
+    def test_reversible_drift_refused_with_reason(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, REVERSIBLE)
+        assert main(["curves", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "reversible" in err and "identically 0" in err
+        assert "True" not in err and "allow_reversible" not in err
+
     def test_out_of_domain_rows(self, tmp_path, capsys):
         sp = spectral_decompose(magnetic_example(math.pi / 4))
         dom = cramer_domain(sp)
@@ -207,6 +216,15 @@ class TestSpectrum:
         assert nheader == ["rank", "gamma_nystrom"]
         top_discrete = float(nrows[0][1])
         assert abs(top_gamma - top_discrete) <= 1e-4 * top_gamma
+
+
+    def test_reversible_drift_has_empty_spectrum(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(REVERSIBLE, output={"format": "json"}))
+        outdir = tmp_path / "spec_rev"
+        assert main(["spectrum", "--config", cfg, "--out", str(outdir)]) == 0
+        out = json.loads((outdir / "spectrum.json").read_text())
+        assert out["analytic"] == []
+        assert out["gamma_max"] == 0.0
 
 
 class TestMgf:
@@ -315,16 +333,43 @@ class TestSimulate:
         assert math.isfinite(est["value"])
         assert est["stderr"] > 0.0
 
+    def test_worker_split_writes_identical_bytes(self, tmp_path, capsys, monkeypatch):
+        # the fingerprint and metadata do not record how many processes ran
+        cfg = write_config(tmp_path, dict(MAGNETIC, horizon=2.0, mc=self.MC))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+        monkeypatch.setattr(mc, "_MIN_TRAJ_PER_WORKER", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert mc._worker_count(self.MC["n_traj"]) == 2
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "split")]) == 0
+        for name in ("simulate_samples.csv", "simulate_stats.json"):
+            assert (tmp_path / "serial" / name).read_bytes() == (
+                tmp_path / "split" / name
+            ).read_bytes()
+        stats = json.loads((tmp_path / "split" / "simulate_stats.json").read_text())
+        assert stats["config"] == mc.SimConfig(T=2.0, **self.MC).fingerprint()
+        assert sorted(stats["metadata"]) == ["dt", "n_steps", "scheme", "warnings"]
+
+
+def _imported_by(module, prefixes):
+    code = (f"import sys, {module}; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {prefixes!r}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    return out.stdout.strip()
+
 
 def test_cli_import_skips_scipy_stats():
     # scipy is most of the start-up cost: the library needs only numpy, and
     # `verify` imports scipy.stats when it runs
     for module in ("epr_ldp", "epr_ldp.cli"):
-        code = (f"import sys, {module}; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": SRC})
-        assert out.stdout.strip() == "[]", module
+        assert _imported_by(module, ("scipy",)) == "[]", module
+
+
+def test_cli_import_skips_process_pools():
+    # the process-pool modules cost 20-30 ms of start-up; they are imported
+    # only when an ensemble is split over workers
+    for module in ("epr_ldp", "epr_ldp.cli"):
+        assert _imported_by(module, ("multiprocessing", "concurrent")) == "[]", module
 
 
 class TestVerify:

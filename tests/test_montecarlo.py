@@ -1,6 +1,10 @@
 """Ensemble simulation: exactness, determinism, estimators, cross-scheme bias."""
 
+import contextlib
 import math
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from scipy.stats import ks_2samp
 import epr_ldp.montecarlo as mc
 from epr_ldp.chaos import s0
 from epr_ldp.cramer import cramer_domain
-from epr_ldp.errors import ConfigError, NumericError
+from epr_ldp.errors import ConfigError, DomainError, NumericError
 from epr_ldp.model import (
     SystemSpec,
     _sym_sqrt,
@@ -44,12 +48,10 @@ def _reference_windows(gens, n_steps, d):
 def reference_epr(spec, config):
     """simulate_epr's samples from the trajectory-major (n_traj, d) stepper
     the library used before its component-major layout: the oracle for it."""
-    h = mc._resolve_dt(spec, config)
-    n_steps = max(1, int(round(config.T / h)))
-    h = config.T / n_steps
+    h, n_steps = mc._step_grid(spec, config)
     d, A = spec.dim, spec.A
     N = A - A.T
-    gens = mc._trajectory_generators(config.seed, config.n_traj)
+    gens = mc._trajectory_generators(config.seed, 0, config.n_traj)
     if config.start == "stationary":
         z = np.array([g.standard_normal(d) for g in gens])
         X = z @ _sym_sqrt(derived_matrices(spec).Gamma)
@@ -84,11 +86,9 @@ def reference_epr(spec, config):
 
 def reference_z_integral(spec, lam, x, config):
     """simulate_z_integral from the trajectory-major stepper."""
-    h = mc._resolve_dt(spec, config)
-    n_steps = max(1, int(round(config.T / h)))
-    h = config.T / n_steps
+    h, n_steps = mc._step_grid(spec, config)
     N = spec.A - spec.A.T
-    gens = mc._trajectory_generators(config.seed, config.n_traj)
+    gens = mc._trajectory_generators(config.seed, 0, config.n_traj)
     E, root = mc._exact_step_matrices(tilted_system(spec, lam), h)
     Y = np.tile(np.asarray(x, dtype=float), (config.n_traj, 1))
     w_cur = np.sum((Y @ N.T) ** 2, axis=1)
@@ -118,6 +118,23 @@ class TestSimConfig:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [({"T": math.inf, "dt": 0.1}, DomainError),
+         ({"T": 1.0, "start": (0.0, math.nan)}, DomainError),
+         ({"T": 1.0, "dt": 0.1, "start": (math.inf, 0.0)}, DomainError),
+         ({"T": 1.0, "n_traj": 2.5}, ConfigError),
+         ({"T": 1.0, "n_traj": math.inf}, ConfigError),
+         ({"T": 1.0, "seed": 2.5}, ConfigError)],
+        ids=["infinite_T", "nan_start", "infinite_start", "fractional_n_traj",
+             "infinite_n_traj", "fractional_seed"],
+    )
+    def test_rejects_unsimulable_requests(self, pi4_spec, kwargs, error):
+        # each once escaped as a raw error, as an unstable-step NumericError
+        # or as a silent truncation
+        with pytest.raises(error):
+            simulate_epr(pi4_spec, SimConfig(**kwargs))
 
     def test_start_vector_coerced(self):
         cfg = SimConfig(T=1.0, start=np.array([1.0, 2.0]))
@@ -331,6 +348,117 @@ class TestSimulateEpr:
         assert 1.4 <= ratio <= 3.0
 
 
+_GENERATORS = mc._trajectory_generators
+
+
+def _raise_in_workers(seed, lo, hi):
+    if lo > 0:
+        raise DomainError(f"raised for trajectories [{lo}, {hi})")
+    return _GENERATORS(seed, lo, hi)
+
+
+def _die_in_workers(seed, lo, hi):
+    if lo > 0:
+        os._exit(3)
+    return _GENERATORS(seed, lo, hi)
+
+
+def _send_samples(conn, spec, config):
+    conn.send(simulate_epr(spec, config).samples)
+    conn.close()
+
+
+def _split_into(monkeypatch, w):
+    """Make every ensemble of at least w trajectories run as w ranges."""
+    monkeypatch.setattr(mc, "_MIN_TRAJ_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)), raising=False)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail a test that blocks longer than ``seconds`` instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestWorkerRanges:
+    """Ensembles split over forked workers: same bits for any worker count."""
+
+    @pytest.mark.parametrize("kind", ["exact_ou", "euler_maruyama", "z"])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_samples_identical_for_any_worker_count(self, monkeypatch, d, kind):
+        # 37 trajectories (odd, so the ranges differ in length) over 9 steps,
+        # drawn in windows of 2 steps.
+        rng = np.random.default_rng(8100 + d)
+        spec = random_system(rng, d, ("identity", "scalar", "poly")[d % 3])
+        x0 = tuple(rng.standard_normal(d))
+        monkeypatch.setattr(mc, "_WINDOW_VALUES", 2 * 37 * d)
+        if kind == "z":
+            cfg = SimConfig(T=0.09, dt=0.01, n_traj=37, seed=d)
+            run = lambda: [simulate_z_integral(spec, 0.3, x0, cfg)]
+        else:
+            cfgs = [SimConfig(T=0.09, dt=0.01, n_traj=37, seed=d, scheme=kind, start=start)
+                    for start in ("stationary", x0)]
+            run = lambda: [simulate_epr(spec, cfg).samples for cfg in cfgs]
+        samples = {}
+        for w in (1, 2, 3):
+            _split_into(monkeypatch, w)
+            assert mc._worker_count(37) == w
+            samples[w] = run()
+        for w in (2, 3):
+            for got, want in zip(samples[w], samples[1]):
+                assert np.array_equal(got, want)
+
+    def test_worker_count_rule(self, monkeypatch):
+        cpus = os.cpu_count()
+        assert 1 <= mc._worker_count(10**9) <= cpus
+        assert mc._worker_count(2 * mc._MIN_TRAJ_PER_WORKER - 1) == 1
+        _split_into(monkeypatch, 2)
+        assert mc._worker_count(2) == 2
+        assert mc._worker_count(1) == 1
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert mc._worker_count(2) == 1
+
+    def test_worker_error_keeps_its_class(self, pi4_spec, monkeypatch):
+        _split_into(monkeypatch, 2)
+        monkeypatch.setattr(mc, "_trajectory_generators", _raise_in_workers)
+        with _deadline(60), pytest.raises(DomainError, match=r"\[10, 20\)"):
+            simulate_epr(pi4_spec, SimConfig(T=0.1, dt=0.01, n_traj=20, seed=3))
+
+    def test_dead_worker_raises_numeric_error(self, pi4_spec, monkeypatch):
+        _split_into(monkeypatch, 2)
+        monkeypatch.setattr(mc, "_trajectory_generators", _die_in_workers)
+        with _deadline(60), pytest.raises(NumericError, match="worker"):
+            simulate_epr(pi4_spec, SimConfig(T=0.1, dt=0.01, n_traj=20, seed=3))
+
+    def test_daemonic_caller_runs_serially(self, pi4_spec, monkeypatch):
+        # a daemonic process may not fork workers; it must step every range itself
+        cfg = SimConfig(T=0.1, dt=0.01, n_traj=20, seed=3)
+        serial = simulate_epr(pi4_spec, cfg).samples
+        _split_into(monkeypatch, 2)
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_send_samples, args=(sender, pi4_spec, cfg), daemon=True)
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(60)
+            got = receiver.recv()
+        finally:
+            child.join(60)
+        assert not child.is_alive()
+        assert child.exitcode == 0
+        assert np.array_equal(got, serial)
+
+
 class TestEmpiricalMgf:
     def test_zero_tilt_exact(self, pi4_spec):
         ens = simulate_epr(pi4_spec, SimConfig(T=1.0, dt=0.05, n_traj=32, seed=4))
@@ -372,6 +500,14 @@ class TestZIntegral:
         z0 = simulate_z_integral(pi4_spec, 0.0, x, cfg)
         z1 = simulate_z_integral(pi4_spec, 0.1, x, cfg)
         assert ks_2samp(z0, z1).pvalue > 0.01
+
+    @pytest.mark.parametrize(
+        "lam, x", [(math.nan, (0.0, 1.0)), (0.1, (math.nan, 1.0)), (0.1, (math.inf, 1.0))]
+    )
+    def test_rejects_nan_tilt_or_start(self, pi4_spec, lam, x):
+        # each once gave all-NaN samples
+        with pytest.raises(DomainError):
+            simulate_z_integral(pi4_spec, lam, x, SimConfig(T=0.1, dt=0.01, n_traj=4))
 
     def test_nonnegative(self, pi4_spec):
         zs = simulate_z_integral(
