@@ -26,7 +26,6 @@ from .cramer import (
     cramer_curve,
     cramer_derivative,
     cramer_domain,
-    ell0_solve,
     legendre_oracle,
     rate,
     symmetry_residuals,
@@ -49,7 +48,6 @@ from .model import (
     derived_matrices,
     magnetic_example,
     mean_epr,
-    reduce_to_identity_noise,
     spectral_decompose,
     validate_system,
 )
@@ -60,7 +58,6 @@ from .montecarlo import (
     TailEstimate,
     TiltedSystem,
     empirical_mgf,
-    ou_step_exact,
     sample_stationary,
     simulate_epr,
     simulate_z_integral,

@@ -30,13 +30,14 @@ from .model import Spectrum
 
 __all__ = [
     "CramerDomain", "CramerCurve", "RatePoint", "cramer_domain", "cramer",
-    "cramer_curve", "cramer_derivative", "F_of_ell", "lambda_of_ell",
-    "ell0_solve", "rate", "legendre_oracle", "symmetry_residuals",
+    "cramer_curve", "cramer_derivative", "rate", "legendre_oracle",
+    "symmetry_residuals",
 ]
 
 _RADICAND_CLAMP = 1e-14
 _ELL_SHIFT = 1e-15
 _NEWTON_TOL = 1e-8  # a logit step this small lands within rounding of the root
+_RESIDUAL_TOL = 1e-12  # absolute floor of the accepted |x|(ell0) - |x|
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,6 +132,7 @@ def _radicands(ch: _Channels, ell) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _F(ch: _Channels, radicands) -> np.ndarray:
+    """F(ell) = 1/2 sum_k (sqrt(r_k) + alpha_k) = -Lambda(lambda) from the radicands r_k."""
     return 0.5 * (np.sqrt(radicands).sum(axis=-1) + ch.alpha_sum)
 
 
@@ -175,28 +177,6 @@ def cramer_derivative(lam: float, spectrum: Spectrum) -> float:
     return float(cramer_curve(spectrum, [lam], with_derivative=True).derivative[0])
 
 
-def F_of_ell(ell: float, spectrum: Spectrum) -> float:
-    """F(ell) = 1/2 sum_k ( sqrt(alpha_k^2 - ell beta_k^2) + alpha_k ), the
-    Cramer function expressed in the variable ell; equals -Lambda(lambda(ell))."""
-    ch = _channels(spectrum)
-    r, inside = _radicands(ch, ell)
-    if not inside:
-        raise DomainError(f"ell={ell} is NaN or exceeds m={ch.dom.m}")
-    return float(_F(ch, r))
-
-
-def lambda_of_ell(ell: float, branch: int = +1) -> float:
-    """Invert ell = 4 lambda (1+lambda): lambda = (sqrt(1+ell) - 1)/2 on the
-    branch for x >= 0 (branch=+1), (-sqrt(1+ell) - 1)/2 for x < 0
-    (branch=-1)."""
-    if branch not in (+1, -1):
-        raise DomainError("branch must be +1 or -1")
-    if ell < -1.0:
-        raise DomainError(f"ell={ell} below -1")
-    root = math.sqrt(1.0 + ell)
-    return (root - 1.0) / 2.0 if branch == +1 else (-root - 1.0) / 2.0
-
-
 def _level(ch: _Channels, w, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|x| = sqrt(w) S at 1 + ell = w, m - ell = v, S = sum_k beta_k^2 / sqrt(r_k)
     and D = 2 dS/dell, with r_k = (alpha_k^2 - m beta_k^2) + beta_k^2 v exact
@@ -207,7 +187,7 @@ def _level(ch: _Channels, w, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.sqrt(w) * S, S, (q * ch.beta2 / r).sum(axis=-1)
 
 
-def _solve(ch: _Channels, xs: np.ndarray, tol: float):
+def _solve(ch: _Channels, xs: np.ndarray):
     """ell0, I and the residual |x|(ell0) - |x| for every level in xs."""
     t = np.abs(xs)
     if np.isnan(t).any():
@@ -216,7 +196,7 @@ def _solve(ch: _Channels, xs: np.ndarray, tol: float):
     todo = t > 1e-12
     if todo.any():
         ell[todo], v[todo], resid[todo] = _newton(ch, t[todo])
-    bad = ~(np.abs(resid) <= np.maximum(tol, 1e-9 * np.maximum(1.0, t)))
+    bad = ~(np.abs(resid) <= np.maximum(_RESIDUAL_TOL, 1e-9 * np.maximum(1.0, t)))
     if bad.any():
         i = int(np.argmax(bad))
         raise NumericError(f"ell0 solve residual {resid[i]:.3e} above tolerance at x={xs[i]}")
@@ -279,20 +259,16 @@ def _newton(ch: _Channels, t: np.ndarray):
     return ell, v, _level(ch, w, v)[0] - t
 
 
-def ell0_solve(x: float, spectrum: Spectrum, tol: float = 1e-12) -> RatePoint:
-    """Solve for ell0(x) and evaluate the closed-form rate at x.
+def rate(x: float, spectrum: Spectrum) -> RatePoint:
+    """Closed-form rate function I(x) = lambda(ell0) x + F(ell0).
 
     x = 0 (within 1e-12) short-circuits to ell0 = -1 exactly; otherwise the
-    safeguarded Newton iteration of ``_newton`` runs.  A residual above
-    max(tol, 1e-9 max(1, |x|)) or a negative rate raises :class:`NumericError`.
+    safeguarded Newton iteration of ``_newton`` solves for ell0(x).  A
+    residual above max(1e-12, 1e-9 max(1, |x|)) or a negative rate raises
+    :class:`NumericError`.
     """
-    ell, I, resid = _solve(_channels(spectrum), np.array([x], dtype=float), tol)
+    ell, I, resid = _solve(_channels(spectrum), np.array([x], dtype=float))
     return RatePoint(float(x), float(ell[0]), float(I[0]), float(resid[0]))
-
-
-def rate(x: float, spectrum: Spectrum) -> RatePoint:
-    """Closed-form rate function I(x) = lambda(ell0) x + F(ell0)."""
-    return ell0_solve(x, spectrum, tol=1e-12)
 
 
 def legendre_oracle(x: float, spectrum: Spectrum, n_grid: int = 2001) -> float:
@@ -350,6 +326,6 @@ def symmetry_residuals(spectrum: Spectrum, lambda_grid: Sequence[float],
         v2 = _cramer_values(_channels(spectrum), -1.0 - lam)
         res1 = float(np.max(np.where(np.isinf(v1) & np.isinf(v2), 0.0, np.abs(v1 - v2))))
     if xs.size:
-        _, I, _ = _solve(_channels(spectrum), np.concatenate([xs, -xs]), 1e-12)
+        _, I, _ = _solve(_channels(spectrum), np.concatenate([xs, -xs]))
         res2 = float(np.max(np.abs(I[: xs.size] - I[xs.size:] + xs)))
     return res1, res2

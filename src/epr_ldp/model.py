@@ -47,10 +47,12 @@ __all__ = [
     "validate_system",
     "spectral_decompose",
     "derived_matrices",
-    "reduce_to_identity_noise",
     "magnetic_example",
     "mean_epr",
 ]
+
+# Relative (Frobenius-scaled) tolerance of validate_system's matrix identities.
+_VALIDATE_TOL = 1e-10
 
 
 def _as_square_matrix(value, name: str) -> np.ndarray:
@@ -77,14 +79,10 @@ class SystemSpec:
     Q : array_like, shape (d, d), optional
         Diffusion matrix, symmetric positive definite and commuting with A.
         Defaults to the identity.
-    tol_validate : float
-        Relative (Frobenius-scaled) tolerance for the matrix-identity checks
-        of :func:`validate_system`.
     """
 
     A: np.ndarray
     Q: Optional[np.ndarray] = None
-    tol_validate: float = 1e-10
     dim: int = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
@@ -98,8 +96,6 @@ class SystemSpec:
                 raise DimensionError(
                     f"Q has shape {Q.shape}, expected {(d, d)} to match A"
                 )
-        if not (self.tol_validate >= 0):
-            raise DomainError("tol_validate must be nonnegative")
         A.setflags(write=False)
         Q.setflags(write=False)
         object.__setattr__(self, "A", A)
@@ -217,9 +213,10 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
     plus commuting-family spot checks for the pairs (N, Q), (M, Q^{1/2})
     and (A, M).  Failures are reported, never thrown; the reversible case
     (A symmetric) is a warning rather than an error because only the
-    large-deviation objects are undefined there.
+    large-deviation objects are undefined there.  Matrix identities hold
+    when their residual is within 1e-10 of the Frobenius scale.
     """
-    A, Q, tol = spec.A, spec.Q, spec.tol_validate
+    A, Q, tol = spec.A, spec.Q, _VALIDATE_TOL
     norm_A = np.linalg.norm(A)
     norm_Q = np.linalg.norm(Q)
     M = A + A.T
@@ -266,13 +263,25 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
 
 def check_inputs(T: float, **values) -> None:
     """The shared entry-point check of the finite-horizon layers: raise
-    :class:`DomainError` unless the horizon T is positive and finite and no
-    named value (a tilt, a theta, a start vector) contains NaN."""
+    :class:`DomainError` unless the horizon T is positive and finite and
+    every named value (a tilt, a theta, a start vector) is finite."""
     if not 0.0 < T < math.inf:
         raise DomainError(f"T must be positive and finite, got {T!r}")
     for name, value in values.items():
-        if np.isnan(np.asarray(value, dtype=float)).any():
-            raise DomainError(f"{name} contains NaN")
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def check_integer(name: str, value, error: type = DomainError) -> int:
+    """``value`` as an int; raise ``error`` unless it is integral (2.0
+    passes; 2.5, inf, NaN and "2" do not)."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise error(f"{name} must be an integer, got {value!r}")
+    return n
 
 
 def _cluster_by_gap(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -409,17 +418,6 @@ def _derive(spec: SystemSpec) -> DerivedMatrices:
     for arr in (M, N, Gamma):
         arr.setflags(write=False)
     return DerivedMatrices(M=M, N=N, Gamma=Gamma, log_norm=log_norm)
-
-
-def reduce_to_identity_noise(spec: SystemSpec) -> SystemSpec:
-    """Same drift, Q replaced by the identity.
-
-    The EPR path functional of (A, Q) has the same law as that of (A, Id)
-    in this commuting class, and every Cramer/rate computation downstream
-    consumes only the Spectrum of A; this reduction makes the Q-invariance
-    explicit.
-    """
-    return SystemSpec(A=spec.A, Q=None, tol_validate=spec.tol_validate)
 
 
 def magnetic_example(theta: float, extended: bool = False) -> SystemSpec:

@@ -38,6 +38,7 @@ from .model import (
     SystemSpec,
     _sym_sqrt,
     check_inputs,
+    check_integer,
     derived_matrices,
     spectral_decompose,
 )
@@ -50,7 +51,6 @@ __all__ = [
     "MgfEstimate",
     "TailEstimate",
     "sample_stationary",
-    "ou_step_exact",
     "simulate_epr",
     "simulate_z_integral",
     "empirical_mgf",
@@ -71,16 +71,6 @@ _DRAW_VALUES = 131_072
 _MIN_TRAJ_PER_WORKER = 1000
 
 _SCHEMES = ("exact_ou", "euler_maruyama")
-
-
-def _integer(name: str, value) -> int:
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != value:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return n
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,7 +96,7 @@ class SimConfig:
             if not 0 < self.dt <= self.T:
                 raise ConfigError("dt must satisfy 0 < dt <= T")
             object.__setattr__(self, "dt", float(self.dt))
-        n_traj = _integer("n_traj", self.n_traj)
+        n_traj = check_integer("n_traj", self.n_traj, ConfigError)
         if not n_traj >= 1:
             raise ConfigError("n_traj must be >= 1")
         if self.scheme not in _SCHEMES:
@@ -120,7 +110,7 @@ class SimConfig:
             object.__setattr__(self, "start", vec)
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "n_traj", n_traj)
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, ConfigError))
 
     def fingerprint(self) -> str:
         """sha256[:16] of the canonical JSON of the fields."""
@@ -270,26 +260,10 @@ def _exact_step_matrices(
     return E, root
 
 
-def ou_step_exact(
-    system: Union[SystemSpec, TiltedSystem],
-    x,
-    h: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Advance the state by one exact-in-law OU transition of length h."""
-    if not h > 0:
-        raise DomainError("h must be positive")
-    E, root = _exact_step_matrices(system, h)
-    vec = np.asarray(x, dtype=float).reshape(-1)
-    return E @ vec + root @ rng.standard_normal(vec.shape[0])
-
-
 def _fixed_start(x, d: int) -> np.ndarray:
     vec = np.asarray(x, dtype=float).reshape(-1)
     if vec.shape != (d,):
         raise ConfigError(f"start has shape {vec.shape}, expected ({d},)")
-    if not np.all(np.isfinite(vec)):
-        raise DomainError(f"start must be finite, got {vec}")
     return vec
 
 
@@ -460,7 +434,7 @@ def simulate_z_integral(
     """Samples of int_0^T |N Y_s|^2 ds for the tilted unit-noise process
     started at x, exact state steps and trapezoid time integration."""
     start = _fixed_start(x, spec.dim)
-    check_inputs(config.T, lam=lam)
+    check_inputs(config.T, lam=lam, x=start)
     ts = tilted_system(spec, lam)
     h, n_steps = _step_grid(spec, config)
     E, root = _exact_step_matrices(ts, h)

@@ -35,8 +35,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError
-from .model import Spectrum, SystemSpec, check_inputs, spectral_decompose
+from .errors import DomainError, NumericError
+from .model import Spectrum, SystemSpec, check_inputs, check_integer, spectral_decompose
 
 __all__ = [
     "KernelSpectrum",
@@ -50,6 +50,9 @@ __all__ = [
     "spectrum_gamma_tail",
     "log_det_tail",
 ]
+
+# Roots summed explicitly by the tail sums before their closed-form remainder.
+_N_EXPLICIT = 20000
 
 
 def _g(omega: np.ndarray, alpha: float, T: float) -> np.ndarray:
@@ -76,6 +79,7 @@ def omega_roots(alpha: float, T: float, j_max: int) -> np.ndarray:
     if not alpha < 0:
         raise DomainError("alpha must be negative")
     check_inputs(T)
+    j_max = check_integer("j_max", j_max)
     if not j_max >= 1:
         raise DomainError("j_max must be >= 1")
 
@@ -165,6 +169,7 @@ def kernel_spectrum(spectrum: Spectrum, T: float, j_max: int = 200) -> KernelSpe
     are solved once per distinct alpha.
     """
     check_inputs(T)
+    j_max = check_integer("j_max", j_max)
     if not j_max >= 1:
         raise DomainError("j_max must be >= 1")
     k = np.flatnonzero(spectrum.betas != 0.0)
@@ -242,30 +247,17 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _quadrature(rule: str, n_nodes: int, T: float) -> tuple[np.ndarray, np.ndarray]:
-    if rule == "gauss":
-        x, w = _gauss_legendre(n_nodes)
-        return (x + 1.0) * (T / 2.0), w * (T / 2.0)
-    if rule == "trapezoid":
-        t = np.linspace(0.0, T, n_nodes)
-        h = T / (n_nodes - 1)
-        w = np.full(n_nodes, h)
-        w[0] = w[-1] = h / 2.0
-        return t, w
-    raise ConfigError(f"unknown quadrature rule {rule!r}; use 'gauss' or 'trapezoid'")
-
-
 def nystrom_spectrum(
     spec: SystemSpec,
     lam: float,
     T: float,
     n_nodes: int = 400,
-    rule: str = "gauss",
 ) -> np.ndarray:
     """Discretized kernel-operator eigenvalues, sorted descending.
 
     Builds the (n_nodes * d) symmetric matrix with blocks
-    sqrt(w_i w_j) H(t_i, t_j) and diagonalizes it.  This is the independent
+    sqrt(w_i w_j) H(t_i, t_j) at the Gauss-Legendre nodes t_i and weights
+    w_i on [0, T] and diagonalizes it.  This is the independent
     oracle for the analytic spectrum: it never touches the Sturm-Liouville
     roots.  The kernel's kink along u1 = u2 limits the quadrature order;
     tolerances of ~1e-4 at n=400 (Gauss-Legendre) account for that.
@@ -274,10 +266,12 @@ def nystrom_spectrum(
     so accuracy needs enough nodes per unit of |alpha| T: at 400 nodes the
     pi/4 magnetic example gives 8.44 at T = 300 against the analytic 7.998.
     """
+    n_nodes = check_integer("n_nodes", n_nodes)
     if not n_nodes >= 8:
         raise DomainError("n_nodes must be >= 8")
     check_inputs(T, lam=lam)
-    t, w = _quadrature(rule, n_nodes, T)
+    x, w = _gauss_legendre(n_nodes)
+    t, w = (x + 1.0) * (T / 2.0), w * (T / 2.0)
     sp = spectral_decompose(spec, allow_reversible=True)
     d = spec.dim
     n = n_nodes
@@ -360,9 +354,7 @@ def _nu_partial_sums(alpha: float, T: float, J1: int) -> tuple[float, float]:
     return total1 - part1, total2 - part2
 
 
-def gamma_tail(
-    alpha: float, beta: float, T: float, j_start: int, n_explicit: int = 20000
-) -> float:
+def gamma_tail(alpha: float, beta: float, T: float, j_start: int) -> float:
     """Analytic tail sum_{j >= j_start} gamma_j for one channel.
 
     A long explicit stretch of asymptotically refined roots plus a
@@ -375,7 +367,7 @@ def gamma_tail(
         return 0.0
     if not j_start >= 1:
         raise DomainError("j_start must be >= 1")
-    J1 = j_start + n_explicit - 1
+    J1 = j_start + _N_EXPLICIT - 1
     j = np.arange(j_start, J1 + 1, dtype=float)
     om = _refined_tail_roots(alpha, T, j)
     explicit = float(np.sum(8.0 * beta * beta / (alpha * alpha + om * om)))
@@ -397,7 +389,6 @@ def log_det_tail(
     T: float,
     theta: float,
     j_start: int,
-    n_explicit: int = 20000,
 ) -> float:
     """Analytic tail sum_{j >= j_start} log(1 - theta gamma_j) for one channel.
 
@@ -410,7 +401,7 @@ def log_det_tail(
         return 0.0
     if not j_start >= 1:
         raise DomainError("j_start must be >= 1")
-    J1 = j_start + n_explicit - 1
+    J1 = j_start + _N_EXPLICIT - 1
     j = np.arange(j_start, J1 + 1, dtype=float)
     om = _refined_tail_roots(alpha, T, j)
     gam = 8.0 * beta * beta / (alpha * alpha + om * om)

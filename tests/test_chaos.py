@@ -18,7 +18,13 @@ from epr_ldp.chaos import (
 from epr_ldp.cramer import cramer
 from epr_ldp.errors import DimensionError, DomainError
 from epr_ldp.model import SystemSpec, magnetic_example, spectral_decompose
-from epr_ldp.montecarlo import EprEnsemble, empirical_mgf, tail_estimate
+from epr_ldp.montecarlo import (
+    EprEnsemble,
+    SimConfig,
+    empirical_mgf,
+    simulate_z_integral,
+    tail_estimate,
+)
 from epr_ldp.spectral import (
     eigenfunction_norm_sq,
     gamma_tail,
@@ -26,6 +32,7 @@ from epr_ldp.spectral import (
     kernel_spectrum,
     log_det_tail,
     nystrom_spectrum,
+    omega_roots,
     spectrum_gamma_tail,
     trace_closed_form,
 )
@@ -228,10 +235,13 @@ _ENSEMBLE = EprEnsemble(np.array([0.5, 1.0, 2.0]), 1.0, "x")
     [
         pytest.param(lambda sp, spec: kernel_spectrum(sp, _INF), id="kernel_spectrum-T=inf"),
         pytest.param(lambda sp, spec: kernel_spectrum(sp, _NAN), id="kernel_spectrum-T=nan"),
+        pytest.param(lambda sp, spec: kernel_spectrum(sp, 1.0, 2.5), id="kernel_spectrum-j_max=2.5"),
+        pytest.param(lambda sp, spec: omega_roots(-1.0, 1.0, 2.5), id="omega_roots-j_max=2.5"),
         pytest.param(lambda sp, spec: trace_closed_form(spec, _INF), id="trace_closed_form-T=inf"),
         pytest.param(lambda sp, spec: trace_closed_form(spec, _NAN), id="trace_closed_form-T=nan"),
         pytest.param(lambda sp, spec: s0(X0, spec, _INF), id="s0-T=inf"),
         pytest.param(lambda sp, spec: s0([_NAN, 0.0], spec, 1.0), id="s0-x=nan"),
+        pytest.param(lambda sp, spec: s0([_INF, 0.0], spec, 1.0), id="s0-x=inf"),
         pytest.param(lambda sp, spec: cramer_finite_T(0.1, spec, _INF), id="cramer_finite_T-T=inf"),
         pytest.param(lambda sp, spec: cramer_finite_T(0.1, spec, -_INF), id="cramer_finite_T-T=-inf"),
         pytest.param(lambda sp, spec: cramer_finite_T(_NAN, spec, 1.0), id="cramer_finite_T-lam=nan"),
@@ -239,6 +249,10 @@ _ENSEMBLE = EprEnsemble(np.array([0.5, 1.0, 2.0]), 1.0, "x")
         pytest.param(lambda sp, spec: MgfQuery(x=X0, theta=_NAN), id="MgfQuery-theta=nan"),
         pytest.param(lambda sp, spec: MgfQuery(x=X0, theta=0.1, lam=_NAN), id="MgfQuery-lam=nan"),
         pytest.param(lambda sp, spec: MgfQuery(x=[0.5, _NAN], theta=0.1), id="MgfQuery-x=nan"),
+        pytest.param(lambda sp, spec: conditional_mgf(MgfQuery(x=[_INF, 0.0], theta=0.1), spec),
+                     id="conditional_mgf-x=inf"),
+        pytest.param(lambda sp, spec: conditional_mgf(MgfQuery(x=X0, theta=-_INF), spec),
+                     id="conditional_mgf-theta=-inf"),
         pytest.param(lambda sp, spec: gamma_tail(-1.0, 1.0, -1.0, 201), id="gamma_tail-T=-1"),
         pytest.param(lambda sp, spec: gamma_tail(-1.0, 1.0, _INF, 201), id="gamma_tail-T=inf"),
         pytest.param(lambda sp, spec: log_det_tail(-1.0, 1.0, _INF, 0.1, 201), id="log_det_tail-T=inf"),
@@ -248,14 +262,19 @@ _ENSEMBLE = EprEnsemble(np.array([0.5, 1.0, 2.0]), 1.0, "x")
         pytest.param(lambda sp, spec: spectrum_gamma_tail(sp, _NAN, 201), id="spectrum_gamma_tail-T=nan"),
         pytest.param(lambda sp, spec: kernel_eval(spec, _NAN, 1.0, 0.2, 0.7), id="kernel_eval-lam=nan"),
         pytest.param(lambda sp, spec: nystrom_spectrum(spec, _NAN, 1.0, n_nodes=16), id="nystrom_spectrum-lam=nan"),
+        pytest.param(lambda sp, spec: nystrom_spectrum(spec, 0.0, 1.0, n_nodes=8.5), id="nystrom_spectrum-n_nodes=8.5"),
         pytest.param(lambda sp, spec: empirical_mgf(_ENSEMBLE, _NAN), id="empirical_mgf-lam=nan"),
+        pytest.param(lambda sp, spec: empirical_mgf(_ENSEMBLE, _INF), id="empirical_mgf-lam=inf"),
+        pytest.param(lambda sp, spec: simulate_z_integral(spec, _INF, X0, SimConfig(T=0.1, dt=0.01, n_traj=4)),
+                     id="simulate_z_integral-lam=inf"),
         pytest.param(lambda sp, spec: tail_estimate(_ENSEMBLE, _NAN), id="tail_estimate-x=nan"),
     ],
 )
 def test_entry_points_reject_bad_inputs(call, pi4_spec, pi4_spectrum):
-    # a non-finite or negative horizon, a non-negative alpha or a NaN tilt,
-    # theta, start or threshold has no meaningful value; each entry point
-    # raises DomainError instead of returning nonsense or a raw exception
+    # a non-finite or negative horizon, a non-negative alpha, a non-finite
+    # tilt, theta, start or threshold or a non-integral size has no
+    # meaningful value; each entry point raises DomainError instead of
+    # returning nonsense or a raw exception
     with pytest.raises(DomainError):
         call(pi4_spectrum, pi4_spec)
 

@@ -361,7 +361,7 @@ def _imported_by(module, prefixes):
 def test_cli_import_skips_scipy_stats():
     # scipy is most of the start-up cost: the library needs only numpy, and
     # `verify` imports scipy.stats when it runs
-    for module in ("epr_ldp", "epr_ldp.cli"):
+    for module in ("epr_ldp", "epr_ldp.cli", "epr_ldp.verify"):
         assert _imported_by(module, ("scipy",)) == "[]", module
 
 

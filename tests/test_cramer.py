@@ -8,13 +8,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from epr_ldp.cramer import (
-    F_of_ell,
     cramer,
     cramer_curve,
     cramer_derivative,
     cramer_domain,
-    ell0_solve,
-    lambda_of_ell,
     legendre_oracle,
     rate,
     symmetry_residuals,
@@ -138,28 +135,15 @@ class TestCramerCurve:
 
 class TestParametricForms:
     def test_f_anchors(self, pi4_spectrum):
-        assert F_of_ell(0.0, pi4_spectrum) == 0.0
-        assert F_of_ell(-1.0, pi4_spectrum) == pytest.approx(1.0 - SQRT2 / 2.0, rel=1e-13)
+        # F(ell) = -Lambda(lambda) at ell = 4 lambda (1 + lambda): ell = 0, -1
+        # and m are lambda = 0, -1/2 and b
+        assert cramer(0.0, pi4_spectrum) == 0.0
+        assert cramer(-0.5, pi4_spectrum) == pytest.approx(SQRT2 / 2.0 - 1.0, rel=1e-13)
         dom = cramer_domain(pi4_spectrum)
         # at the right edge the radicands clamp to zero, leaving the alpha sum
-        assert F_of_ell(dom.m, pi4_spectrum) == pytest.approx(-SQRT2 / 2.0, rel=1e-14)
-        with pytest.raises(DomainError):
-            F_of_ell(dom.m + 1e-6, pi4_spectrum)
-
-    def test_lambda_branches(self):
-        assert lambda_of_ell(0.0, +1) == 0.0
-        assert lambda_of_ell(0.0, -1) == -1.0
-        assert lambda_of_ell(3.0, +1) == 0.5
-        with pytest.raises(DomainError):
-            lambda_of_ell(-1.5)
-        with pytest.raises(DomainError):
-            lambda_of_ell(0.0, branch=2)
-
-    @settings(max_examples=60, deadline=None)
-    @given(ell=st.floats(-1.0, 10.0), branch=st.sampled_from([+1, -1]))
-    def test_property_round_trip(self, ell, branch):
-        lam = lambda_of_ell(ell, branch)
-        assert 4.0 * lam * (1.0 + lam) == pytest.approx(ell, abs=1e-13 * (1.0 + abs(ell)))
+        assert cramer(dom.b, pi4_spectrum) == pytest.approx(SQRT2 / 2.0, rel=1e-14)
+        # ell = m + 1e-6 lies past b, where Lambda is infinite
+        assert cramer(-0.5 + 0.5 * math.sqrt(1.0 + dom.m + 1e-6), pi4_spectrum) == math.inf
 
 
 class TestRate:
@@ -174,9 +158,11 @@ class TestRate:
         assert pt.I <= 1e-12
 
     def test_known_parameter_root(self, pi4_spectrum):
-        pt = ell0_solve(2.0 * SQRT2, pi4_spectrum)
+        pt = rate(2.0 * SQRT2, pi4_spectrum)
         assert pt.ell0 == pytest.approx(0.6, abs=1e-9)
-        expected = lambda_of_ell(0.6) * 2.0 * SQRT2 + F_of_ell(0.6, pi4_spectrum)
+        # lambda(0.6) x + F(0.6), with alpha_k^2 = beta_k^2 = 1/2 on both channels
+        lam = (math.sqrt(1.6) - 1.0) / 2.0
+        expected = lam * 2.0 * SQRT2 + math.sqrt(0.5 - 0.6 * 0.5) - SQRT2 / 2.0
         assert pt.I == pytest.approx(expected, rel=1e-9)
         assert pt.residual <= 1e-9
 
@@ -317,10 +303,6 @@ class TestSolverAgainstReference:
     def test_nan_level_rejected_by_legendre_oracle(self, pi4_spectrum):
         with pytest.raises(DomainError):
             legendre_oracle(math.nan, pi4_spectrum)
-
-    def test_nan_ell_rejected(self, pi4_spectrum):
-        with pytest.raises(DomainError):
-            F_of_ell(math.nan, pi4_spectrum)
 
 
 class TestLegendreAgreement:

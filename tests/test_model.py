@@ -21,7 +21,6 @@ from epr_ldp.model import (
     derived_matrices,
     magnetic_example,
     mean_epr,
-    reduce_to_identity_noise,
     spectral_decompose,
     validate_system,
 )
@@ -258,20 +257,14 @@ class TestDerivedMatrices:
         )
         assert dm.log_norm == pytest.approx(expected, rel=1e-12)
 
-    def test_reduce_to_identity_noise_scalar_q(self):
-        A = magnetic_example(math.pi / 3).A
-        spec = SystemSpec(A, 0.25 * np.eye(2))
-        reduced = reduce_to_identity_noise(spec)
-        assert np.array_equal(reduced.Q, np.eye(2))
-        # scalar Q commutes through the similarity, leaving the drift alone
-        assert np.max(np.abs(reduced.A - A)) <= 1e-14
-
     def test_reduce_preserves_channels(self):
+        # the channels depend on the drift alone, so a commuting Q and the
+        # identity give the same ones
         A = magnetic_example(math.pi / 3).A
         M = A + A.T
         spec = SystemSpec(A, 1.5 * np.eye(2) - 0.4 * M + 0.1 * M @ M)
         sp0 = spectral_decompose(SystemSpec(A))
-        sp1 = spectral_decompose(reduce_to_identity_noise(spec))
+        sp1 = spectral_decompose(spec)
         assert np.allclose(sp0.alphas, sp1.alphas, rtol=1e-12)
         assert np.allclose(sp0.betas, sp1.betas, rtol=1e-12)
 

@@ -27,7 +27,6 @@ from epr_ldp.montecarlo import (
     EprEnsemble,
     SimConfig,
     empirical_mgf,
-    ou_step_exact,
     sample_stationary,
     simulate_epr,
     simulate_z_integral,
@@ -178,14 +177,16 @@ class TestStationarySampling:
 class TestExactStep:
     def test_short_step_stays_close(self, pi4_spec):
         x0 = np.array([1.0, -1.0])
-        x1 = ou_step_exact(pi4_spec, x0, 1e-8, np.random.default_rng(5))
+        E, root = mc._exact_step_matrices(pi4_spec, 1e-8)
+        x1 = E @ x0 + root @ np.random.default_rng(5).standard_normal(2)
         assert np.max(np.abs(x1 - x0)) <= 1e-2
 
     def test_preserves_stationary_law(self, pi4_spec):
         rng = np.random.default_rng(12)
         n = 4000
         starts = sample_stationary(pi4_spec, rng, size=n)
-        stepped = np.array([ou_step_exact(pi4_spec, s, 0.7, rng) for s in starts])
+        E, root = mc._exact_step_matrices(pi4_spec, 0.7)
+        stepped = starts @ E.T + rng.standard_normal((n, 2)) @ root.T
         Gamma = derived_matrices(pi4_spec).Gamma
         emp = stepped.T @ stepped / n
         assert np.max(np.abs(emp - Gamma)) <= 8.0 * math.sqrt(2.0 / n) * 0.5
@@ -210,12 +211,6 @@ class TestExactStep:
                 for got, want in ((E, E_ref), (root @ root.T, sigma_ref)):
                     scale = max(1.0, float(np.linalg.norm(want)))
                     assert np.linalg.norm(got - want) <= 1e-12 * scale
-
-    def test_rejects_bad_step(self, pi4_spec):
-        from epr_ldp.errors import DomainError
-
-        with pytest.raises(DomainError):
-            ou_step_exact(pi4_spec, [0.0, 0.0], 0.0, np.random.default_rng(0))
 
 
 class TestSimulateEpr:

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from epr_ldp.errors import ConfigError, DomainError
+from epr_ldp.errors import DomainError
 from epr_ldp.model import spectral_decompose
 from epr_ldp.spectral import (
     eigenfunction_norm_sq,
@@ -226,11 +226,6 @@ class TestNystrom:
         vals = nystrom_spectrum(classic_spec, 0.0, 1.0, n_nodes=150)
         assert vals[-1] >= -1e-8 * vals[0]
 
-    def test_trapezoid_agrees_coarsely(self, classic_spec):
-        g = nystrom_spectrum(classic_spec, 0.0, 1.0, n_nodes=200, rule="gauss")
-        t = nystrom_spectrum(classic_spec, 0.0, 1.0, n_nodes=201, rule="trapezoid")
-        assert t[0] == pytest.approx(g[0], rel=1e-2)
-
     def test_gauss_rule_cached_read_only(self, classic_spec):
         x, w = _gauss_legendre(64)
         assert _gauss_legendre(64)[0] is x
@@ -238,10 +233,6 @@ class TestNystrom:
         first = nystrom_spectrum(classic_spec, 0.0, 1.0, n_nodes=64)
         second = nystrom_spectrum(classic_spec, 0.0, 1.0, n_nodes=64)
         assert np.array_equal(first[:5], second[:5])
-
-    def test_rejects_unknown_rule(self, classic_spec):
-        with pytest.raises(ConfigError):
-            nystrom_spectrum(classic_spec, 0.0, 1.0, n_nodes=50, rule="simpson")
 
     @pytest.mark.parametrize("T", [600.0, 1e4])
     def test_long_horizon_finite(self, pi4_spec, T):
