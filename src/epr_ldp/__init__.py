@@ -41,11 +41,9 @@ from .errors import (
 )
 from .model import (
     CheckResult,
-    DerivedMatrices,
     Spectrum,
     SystemSpec,
     ValidationReport,
-    derived_matrices,
     magnetic_example,
     mean_epr,
     spectral_decompose,
@@ -56,13 +54,10 @@ from .montecarlo import (
     MgfEstimate,
     SimConfig,
     TailEstimate,
-    TiltedSystem,
     empirical_mgf,
-    sample_stationary,
     simulate_epr,
     simulate_z_integral,
     tail_estimate,
-    tilted_system,
 )
 from .spectral import (
     KernelSpectrum,

@@ -98,8 +98,8 @@ def _start_vector(x, dim: int) -> np.ndarray:
 
 
 def _overlaps_sq(x: np.ndarray, spectrum: Spectrum) -> np.ndarray:
-    """|<x, U_k>|^2 per channel entry (Hermitian inner product)."""
-    return np.array([abs(np.vdot(U, x)) ** 2 for U in spectrum.channel_vectors])
+    """|<x, U_k>|^2 per channel entry; for a real x it equals |x' U_k|^2."""
+    return np.abs(x @ spectrum.vectors) ** 2
 
 
 def s0(x, spec: SystemSpec, T: float) -> float:

@@ -26,6 +26,7 @@ from .cramer import cramer_curve, cramer_domain, rate
 from .errors import ConfigError, DomainError, EprLdpError, ReversibilityError
 from .model import (
     SystemSpec,
+    check_integer,
     magnetic_example,
     mean_epr,
     spectral_decompose,
@@ -113,13 +114,27 @@ class GridSpec:
         return np.linspace(self.lo, self.hi, self.count)
 
 
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _section(data: dict, name: str) -> Optional[dict]:
+    value = data.get(name)
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError(f"{name} section must be an object")
+    return value
+
+
 def _grid_from(d: Optional[dict], what: str) -> Optional[GridSpec]:
     if d is None:
         return None
-    try:
-        g = GridSpec(lo=float(d["min"]), hi=float(d["max"]), count=int(d["count"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must provide numeric min/max/count") from exc
+    if not isinstance(d, dict) or not {"min", "max", "count"} <= d.keys():
+        raise ConfigError(f"{what} must provide numeric min/max/count")
+    g = GridSpec(lo=_number(d["min"], f"{what}.min"), hi=_number(d["max"], f"{what}.max"),
+                 count=check_integer(f"{what}.count", d["count"], ConfigError))
     if g.count < 1:
         raise ConfigError(f"{what}.count must be >= 1")
     return g
@@ -155,9 +170,10 @@ def _build_system(section) -> SystemSpec:
             raise ConfigError(f"unknown example {name!r}")
         if "theta" not in section:
             raise ConfigError("magnetic example requires 'theta'")
-        return magnetic_example(
-            float(section["theta"]), extended=bool(section.get("extended", False))
-        )
+        extended = section.get("extended", False)
+        if not isinstance(extended, bool):
+            raise ConfigError(f"system.extended must be true or false, got {extended!r}")
+        return magnetic_example(float(section["theta"]), extended=extended)
     if "matrix_A" not in section:
         raise ConfigError("system needs either 'matrix_A' or 'example'")
     A = np.asarray(section["matrix_A"], dtype=float)
@@ -165,35 +181,52 @@ def _build_system(section) -> SystemSpec:
     return SystemSpec(A, None if Q is None else np.asarray(Q, dtype=float))
 
 
+def _mgf_from(section: Optional[dict]) -> Optional[dict]:
+    """The mgf section with ``x0`` as a tuple of floats and ``lambda`` and
+    ``theta`` as floats, each only where given."""
+    if section is None:
+        return None
+    out = {key: _number(section[key], f"mgf.{key}")
+           for key in ("lambda", "theta") if section.get(key) is not None}
+    if "x0" in section:
+        try:
+            out["x0"] = tuple(float(v) for v in section["x0"])
+        except (TypeError, ValueError):
+            raise ConfigError(f"mgf.x0 must be a list of numbers, got {section['x0']!r}") from None
+    return out
+
+
 def _resolve(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     overrides = overrides or {}
     data = dict(raw)
-    mc_raw = dict(data.get("mc") or {})
+    mc_raw = dict(_section(data, "mc") or {})
     if overrides.get("seed") is not None:
         mc_raw["seed"] = int(overrides["seed"])
-    spectral_raw = dict(data.get("spectral") or {})
-    output_raw = dict(data.get("output") or {})
+    spectral_raw = _section(data, "spectral") or {}
+    output_raw = _section(data, "output") or {}
     out_format = output_raw.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError("output.format must be 'csv' or 'json'")
+    out_path = output_raw.get("path")
+    if out_path is not None and not isinstance(out_path, str):
+        raise ConfigError(f"output.path must be a string, got {out_path!r}")
     try:
         system = _build_system(data.get("system"))
     except EprLdpError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad system section: {exc}") from exc
-    horizon = float(data.get("horizon", 1.0))
+    horizon = _number(data.get("horizon", 1.0), "horizon")
     if not horizon > 0:
         raise ConfigError("horizon must be positive")
-    j_max = int(spectral_raw.get("j_max", 200))
-    n_nodes = int(spectral_raw.get("nystrom_nodes", 400))
+    j_max = check_integer("spectral.j_max", spectral_raw.get("j_max", 200), ConfigError)
+    n_nodes = check_integer("spectral.nystrom_nodes",
+                            spectral_raw.get("nystrom_nodes", 400), ConfigError)
     if j_max < 1 or n_nodes < 8:
         raise ConfigError("spectral.j_max must be >= 1 and nystrom_nodes >= 8")
-    mgf_raw = data.get("mgf")
-    if mgf_raw is not None and not isinstance(mgf_raw, dict):
-        raise ConfigError("mgf section must be an object")
+    mgf_raw = _section(data, "mgf")
     resolved = {
         "system": {"matrix_A": system.A.tolist(), "matrix_Q": system.Q.tolist()},
         "horizon": horizon,
@@ -212,9 +245,9 @@ def _resolve(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
         j_max=j_max,
         nystrom_nodes=n_nodes,
         mc=mc_raw,
-        mgf=None if mgf_raw is None else dict(mgf_raw),
+        mgf=_mgf_from(mgf_raw),
         out_format=out_format,
-        out_path=output_raw.get("path"),
+        out_path=out_path,
         resolved=resolved,
     )
 
@@ -235,7 +268,10 @@ def _sim_config(cfg: RunConfig) -> SimConfig:
     extra = set(cfg.mc) - known
     if extra:
         raise ConfigError(f"unknown mc fields: {sorted(extra)}")
-    return SimConfig(T=cfg.horizon, **cfg.mc)
+    try:
+        return SimConfig(T=cfg.horizon, **cfg.mc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad mc section: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +371,9 @@ def cmd_mgf(cfg: RunConfig, outdir: str) -> int:
     section = cfg.mgf
     if "x0" not in section:
         raise ConfigError("mgf section requires 'x0'")
-    x0 = [float(v) for v in section["x0"]]
-    lam = float(section.get("lambda", 0.0))
-    theta = section.get("theta")
-    theta = 0.5 * lam * (1.0 + lam) if theta is None else float(theta)
-    value = conditional_mgf(MgfQuery(x=x0, theta=theta, T=cfg.horizon), cfg.system)
+    lam = section.get("lambda", 0.0)
+    theta = section.get("theta", 0.5 * lam * (1.0 + lam))
+    value = conditional_mgf(MgfQuery(x=section["x0"], theta=theta, T=cfg.horizon), cfg.system)
     lam_T = cramer_finite_T(lam, cfg.system, cfg.horizon)
     gamma_max = kernel_spectrum(spectral_decompose(cfg.system, allow_reversible=True),
                                 cfg.horizon, 1).gamma_max
@@ -374,7 +408,7 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
         "metadata": ens.metadata,
     }
     if cfg.mgf is not None and "lambda" in cfg.mgf:
-        lam = float(cfg.mgf["lambda"])
+        lam = cfg.mgf["lambda"]
         est = empirical_mgf(ens, lam)
         stats["empirical_mgf"] = {"lambda": lam, "value": est.value,
                                   "stderr": est.stderr}

@@ -38,6 +38,7 @@ _RADICAND_CLAMP = 1e-14
 _ELL_SHIFT = 1e-15
 _NEWTON_TOL = 1e-8  # a logit step this small lands within rounding of the root
 _RESIDUAL_TOL = 1e-12  # absolute floor of the accepted |x|(ell0) - |x|
+_LEGENDRE_GRID = 2001  # legendre_oracle's coarse grid: >= 1000 points keep it within ~1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -271,16 +272,14 @@ def rate(x: float, spectrum: Spectrum) -> RatePoint:
     return RatePoint(float(x), float(ell[0]), float(I[0]), float(resid[0]))
 
 
-def legendre_oracle(x: float, spectrum: Spectrum, n_grid: int = 2001) -> float:
+def legendre_oracle(x: float, spectrum: Spectrum) -> float:
     """Independent Legendre-transform search sup_{lambda in [a,b]}
-    (lambda x - Lambda(lambda)): coarse grid then golden-section polish.
+    (lambda x - Lambda(lambda)): a coarse grid of _LEGENDRE_GRID points,
+    then golden-section polish.
 
     Evaluates only grid/golden points, so the result never exceeds the true
-    supremum; with n_grid >= 1000 it is within ~1e-6 of it.  It never calls
-    the ell0 solver.
+    supremum; it is within ~1e-6 of it.  It never calls the ell0 solver.
     """
-    if n_grid < 3:
-        raise DomainError("n_grid must be >= 3")
     if math.isnan(x):
         raise DomainError("EPR level x is NaN")
     ch = _channels(spectrum)
@@ -291,12 +290,12 @@ def legendre_oracle(x: float, spectrum: Spectrum, n_grid: int = 2001) -> float:
         v = 4.0 * (ch.dom.b - lam) * (lam - ch.dom.a)
         return lam * x + _F(ch, ch.gap + np.multiply.outer(v, ch.beta2))
 
-    grid = np.linspace(ch.dom.a, ch.dom.b, n_grid)
+    grid = np.linspace(ch.dom.a, ch.dom.b, _LEGENDRE_GRID)
     vals = f(grid)
     i = int(np.argmax(vals))
     best = float(vals[i])
     lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, n_grid - 1)]
+    hi = grid[min(i + 1, _LEGENDRE_GRID - 1)]
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)

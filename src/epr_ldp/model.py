@@ -41,12 +41,10 @@ from .errors import (
 __all__ = [
     "SystemSpec",
     "Spectrum",
-    "DerivedMatrices",
     "CheckResult",
     "ValidationReport",
     "validate_system",
     "spectral_decompose",
-    "derived_matrices",
     "magnetic_example",
     "mean_epr",
 ]
@@ -109,13 +107,14 @@ class Spectrum:
 
     ``pairs[k] = (alpha_k, beta_k)`` with a_k = alpha_k + i beta_k an
     eigenvalue of A; both members of a conjugate pair are stored (+beta
-    before -beta) and real eigenvalues carry beta = 0.  ``channel_vectors``
-    holds the matching orthonormal complex eigenvectors.  ``alphas`` and
-    ``betas`` are built once, as read-only arrays.
+    before -beta) and real eigenvalues carry beta = 0.  Column k of the
+    read-only (d, d) complex matrix ``vectors`` is the matching orthonormal
+    eigenvector U_k.  ``alphas`` and ``betas`` are built once, as read-only
+    arrays.
     """
 
     pairs: tuple[tuple[float, float], ...]
-    channel_vectors: tuple[np.ndarray, ...]
+    vectors: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -139,22 +138,6 @@ class Spectrum:
         return any(b != 0.0 for _, b in self.pairs)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class DerivedMatrices:
-    """Symmetric/skew split and stationary-law data.
-
-    M = A + A' (symmetric negative definite), N = A - A' (skew),
-    Gamma = -Q M^{-1} (stationary covariance, solving the Lyapunov identity
-    A Gamma + Gamma A' + Q = 0), and ``log_norm`` the log normalization
-    constant of the stationary Gaussian density.
-    """
-
-    M: np.ndarray
-    N: np.ndarray
-    Gamma: np.ndarray
-    log_norm: float
-
-
 @dataclasses.dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -168,8 +151,7 @@ class CheckResult:
 class ValidationReport:
     """Named residual checks with an overall verdict.
 
-    ``passed`` ignores warning-severity entries (the reversible-drift check);
-    ``strict_passed`` requires every entry to pass.
+    ``passed`` ignores warning-severity entries (the reversible-drift check).
     """
 
     checks: tuple[CheckResult, ...]
@@ -178,23 +160,12 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks if c.severity == "error")
 
-    @property
-    def strict_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def failing(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
     def as_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "strict_passed": self.strict_passed,
             "checks": [dataclasses.asdict(c) for c in self.checks],
         }
 
@@ -226,15 +197,8 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
     def comm(F: np.ndarray, G: np.ndarray) -> float:
         return float(np.linalg.norm(F @ G - G @ F))
 
-    checks = []
-    checks.append(
-        CheckResult(
-            "normality",
-            (res := comm(A, A.T)) <= (thr := tol * max(1.0, norm_A**2)),
-            res,
-            thr,
-        )
-    )
+    res, thr = comm(A, A.T), tol * max(1.0, norm_A**2)
+    checks = [CheckResult("normality", res <= thr, res, thr)]
     res = float(np.linalg.norm(Q - Q.T))
     thr = tol * max(1.0, norm_Q)
     checks.append(CheckResult("q_symmetric", res <= thr, res, thr))
@@ -274,12 +238,12 @@ def check_inputs(T: float, **values) -> None:
 
 def check_integer(name: str, value, error: type = DomainError) -> int:
     """``value`` as an int; raise ``error`` unless it is integral (2.0
-    passes; 2.5, inf, NaN and "2" do not)."""
+    passes; 2.5, inf, NaN, "2" and True do not)."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or n != value:
+    if n is None or n != value or isinstance(value, bool):
         raise error(f"{name} must be an integer, got {value!r}")
     return n
 
@@ -368,18 +332,16 @@ def _decompose(spec: SystemSpec) -> tuple[Spectrum, bool]:
 
     channels.sort(key=lambda c: (c[0], -abs(c[1]), -c[1]))
     pairs = tuple((a, b) for a, b, _ in channels)
-    vectors = tuple(U for _, _, U in channels)
-    for U in vectors:
-        U.setflags(write=False)
-    Umat = np.column_stack(vectors)
-    recon = (Umat * np.array([a + 1j * b for a, b in pairs])) @ Umat.conj().T
+    vectors = np.column_stack([U for _, _, U in channels])
+    vectors.setflags(write=False)
+    recon = (vectors * np.array([a + 1j * b for a, b in pairs])) @ vectors.conj().T
     residual = float(np.linalg.norm(recon - A))
     if residual > 1e-10 * scale:
         raise NumericError(
             f"channel reconstruction residual exceeds tolerance ({residual:.3e}); is A normal?"
         )
     reversible = all(abs(b) <= beta_tol for a, b in pairs)
-    return Spectrum(pairs=pairs, channel_vectors=vectors), reversible
+    return Spectrum(pairs=pairs, vectors=vectors), reversible
 
 
 def _split_by_m(A: np.ndarray, W: np.ndarray) -> tuple[list[complex], list[np.ndarray]]:
@@ -390,34 +352,6 @@ def _split_by_m(A: np.ndarray, W: np.ndarray) -> tuple[list[complex], list[np.nd
         W = W @ np.linalg.eigh(W.conj().T @ (A + A.T) @ W)[1]
     a = np.sum(W.conj() * (A @ W), axis=0)
     return a.astype(complex).tolist(), [np.array(u, dtype=complex) for u in W.T]
-
-
-def derived_matrices(spec: SystemSpec) -> DerivedMatrices:
-    """M/N split, stationary covariance Gamma = -Q M^{-1}, and the log
-    normalization constant of the stationary Gaussian density; computed
-    once per spec and cached on it (a failure is not cached)."""
-    if "_derived" not in vars(spec):
-        object.__setattr__(spec, "_derived", _derive(spec))
-    return spec._derived
-
-
-def _derive(spec: SystemSpec) -> DerivedMatrices:
-    """Uncached body of :func:`derived_matrices`."""
-    A, Q = spec.A, spec.Q
-    M = A + A.T
-    N = A - A.T
-    try:
-        Gamma = np.linalg.solve(M, -Q)  # = -M^{-1} Q = -Q M^{-1} (commuting)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("symmetric part M is singular") from exc
-    Gamma = (Gamma + Gamma.T) / 2.0
-    sign, logdet = np.linalg.slogdet(Gamma)
-    if sign <= 0:
-        raise NumericError("stationary covariance is not positive definite")
-    log_norm = -0.5 * spec.dim * math.log(2.0 * math.pi) - 0.5 * logdet
-    for arr in (M, N, Gamma):
-        arr.setflags(write=False)
-    return DerivedMatrices(M=M, N=N, Gamma=Gamma, log_norm=log_norm)
 
 
 def magnetic_example(theta: float, extended: bool = False) -> SystemSpec:

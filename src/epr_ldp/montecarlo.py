@@ -28,29 +28,24 @@ import hashlib
 import json
 import math
 import os
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
 from .model import (
-    Spectrum,
     SystemSpec,
     _sym_sqrt,
     check_inputs,
     check_integer,
-    derived_matrices,
     spectral_decompose,
 )
 
 __all__ = [
     "SimConfig",
-    "TiltedSystem",
-    "tilted_system",
     "EprEnsemble",
     "MgfEstimate",
     "TailEstimate",
-    "sample_stationary",
     "simulate_epr",
     "simulate_z_integral",
     "empirical_mgf",
@@ -124,25 +119,6 @@ class SimConfig:
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class TiltedSystem:
-    """Drift tilt D = A + lam N driving the unit-noise process Y.  D keeps
-    the symmetric part M and the channel vectors U_k of A (``spectrum``);
-    its eigenvalues are alpha_k + i (1 + 2 lam) beta_k."""
-
-    lam: float
-    D: np.ndarray
-    spectrum: Spectrum
-
-
-def tilted_system(spec: SystemSpec, lam: float) -> TiltedSystem:
-    A = spec.A
-    D = A + lam * (A - A.T)
-    D.setflags(write=False)
-    return TiltedSystem(lam=float(lam), D=D,
-                        spectrum=spectral_decompose(spec, allow_reversible=True))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -225,28 +201,33 @@ def _noise(gens: list, n_steps: int, dim: int, n_traj: int) -> Iterator[np.ndarr
         yield from block[:take]
 
 
-def sample_stationary(spec: SystemSpec, rng: np.random.Generator, size=None):
-    """Draw from Gaussian(0, Gamma) via the symmetric square root of Gamma."""
-    root = _sym_sqrt(derived_matrices(spec).Gamma)
-    if size is None:
-        return root @ rng.standard_normal(spec.dim)
-    return rng.standard_normal((int(size), spec.dim)) @ root
+def _stationary_root(spec: SystemSpec) -> np.ndarray:
+    """Symmetric square root of the stationary covariance Gamma = -Q M^{-1},
+    which solves the Lyapunov identity A Gamma + Gamma A' + Q = 0."""
+    A = spec.A
+    try:
+        gamma = np.linalg.solve(A + A.T, -spec.Q)  # = -M^{-1} Q (commuting)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("symmetric part M is singular") from exc
+    w, V = np.linalg.eigh((gamma + gamma.T) / 2.0)
+    if not w[0] > 0.0:
+        raise NumericError("stationary covariance is not positive definite")
+    return (V * np.sqrt(w)) @ V.T
 
 
 def _exact_step_matrices(
-    system: Union[SystemSpec, TiltedSystem], h: float
+    spec: SystemSpec, lam: float, Q: np.ndarray, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-step mean map e^{Dh} = Re sum_k e^{(alpha_k + i(1+2 lam) beta_k) h} U_k U_k*
-    over the channels, and a square root of the step covariance
-    Sigma_h = M^{-1}(e^{Mh} - I) Q = V diag(expm1(w h)/w) V' Q from
-    M = V diag(w) V' (Q = identity for a tilted system)."""
-    if isinstance(system, TiltedSystem):
-        sp, lam, D, Q = system.spectrum, system.lam, system.D, np.eye(system.D.shape[0])
-    else:
-        sp, lam, D, Q = spectral_decompose(system, allow_reversible=True), 0.0, system.A, system.Q
-    U = np.column_stack(sp.channel_vectors)
+    """Exact steps of h for the drift D = A + lam N driven by noise Q.
+
+    The mean map is e^{Dh} = Re sum_k e^{(alpha_k + i(1+2 lam) beta_k) h} U_k U_k*
+    over the channels of A, and the root is a square root of the step
+    covariance Sigma_h = M^{-1}(e^{Mh} - I) Q = V diag(expm1(w h)/w) V' Q
+    from M = V diag(w) V' (the tilt keeps M = A + A')."""
+    sp = spectral_decompose(spec, allow_reversible=True)
+    U = sp.vectors
     E = ((U * np.exp((sp.alphas + 1j * (1.0 + 2.0 * lam) * sp.betas) * h)) @ U.conj().T).real
-    w, V = np.linalg.eigh(D + D.T)
+    w, V = np.linalg.eigh(spec.A + spec.A.T)
     x = w * h
     sigma = (V * (h * np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0))) @ V.T @ Q
     sigma = (sigma + sigma.T) / 2.0
@@ -404,12 +385,12 @@ def simulate_epr(spec: SystemSpec, config: SimConfig) -> EprEnsemble:
             "discretization bias may dominate"
         )
     if config.start == "stationary":
-        start = _sym_sqrt(derived_matrices(spec).Gamma)
+        start = _stationary_root(spec)
     else:
         start = _fixed_start(config.start, spec.dim)
 
     if config.scheme == "exact_ou":
-        E, root = _exact_step_matrices(spec, h)
+        E, root = _exact_step_matrices(spec, 0.0, spec.Q, h)
         K = np.linalg.solve(spec.Q, N)
         acc = _over_ranges(_exact_ou_steps, config, n_steps, start, E, root, K)
     else:
@@ -435,9 +416,8 @@ def simulate_z_integral(
     started at x, exact state steps and trapezoid time integration."""
     start = _fixed_start(x, spec.dim)
     check_inputs(config.T, lam=lam, x=start)
-    ts = tilted_system(spec, lam)
     h, n_steps = _step_grid(spec, config)
-    E, root = _exact_step_matrices(ts, h)
+    E, root = _exact_step_matrices(spec, lam, np.eye(spec.dim), h)
     acc = _over_ranges(_z_steps, config, n_steps, start, h, E, root, spec.A - spec.A.T)
     acc.setflags(write=False)
     return acc

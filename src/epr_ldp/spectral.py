@@ -226,12 +226,9 @@ def kernel_eval(
     if not (0 <= u1 <= T and 0 <= u2 <= T):
         raise DomainError("u1, u2 must lie in [0, T]")
     sp = spectral_decompose(spec, allow_reversible=True)
-    H = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for (alpha, beta), U in zip(sp.pairs, sp.channel_vectors):
-        if beta == 0.0:
-            continue
-        c = _channel_kernel_factors(alpha, beta, lam, T, u1, u2)
-        H += c * np.outer(U, np.conj(U))
+    k = np.flatnonzero(sp.betas != 0.0)
+    U = sp.vectors[:, k]
+    H = (U * _channel_kernel_factors(sp.alphas[k], sp.betas[k], lam, T, u1, u2)) @ U.conj().T
     if np.max(np.abs(H.imag)) > 1e-10 * (1.0 + np.max(np.abs(H.real))):
         raise NumericError("kernel evaluation produced a non-real matrix")
     return H.real
@@ -273,21 +270,19 @@ def nystrom_spectrum(
     x, w = _gauss_legendre(n_nodes)
     t, w = (x + 1.0) * (T / 2.0), w * (T / 2.0)
     sp = spectral_decompose(spec, allow_reversible=True)
-    d = spec.dim
-    n = n_nodes
-    G = np.zeros((n, d, n, d))
-    U1 = t[:, None]
-    U2 = t[None, :]
-    for (alpha, beta), U in zip(sp.pairs, sp.channel_vectors):
-        if beta == 0.0:
-            continue
-        C = _channel_kernel_factors(alpha, beta, lam, T, U1, U2)
-        P = np.outer(U, np.conj(U))
-        G += np.real(C[:, None, :, None] * P[None, :, None, :])
+    k = np.flatnonzero(sp.betas != 0.0)
+    U = sp.vectors[:, k].T
+    # C[r, i, j] = c_k(t_i, t_j) of rotation channel k[r] and P[r] = U_k U_k*;
+    # block (i, j) of the kernel, Re sum_r C[r, i, j] P[r], is one real product
+    C = _channel_kernel_factors(sp.alphas[k, None, None], sp.betas[k, None, None],
+                                lam, T, t[:, None], t[None, :])
+    P = U[:, :, None] * U[:, None, :].conj()
+    B = np.tensordot(np.concatenate([C.real, C.imag]),
+                     np.concatenate([P.real, -P.imag]), axes=(0, 0))  # (i, j, a, b)
     sw = np.sqrt(w)
-    G *= sw[:, None, None, None]
-    G *= sw[None, None, :, None]
-    B = G.reshape(n * d, n * d)
+    B *= sw[:, None, None, None] * sw[None, :, None, None]
+    n, d = n_nodes, spec.dim
+    B = B.transpose(0, 2, 1, 3).reshape(n * d, n * d)
     B = (B + B.T) / 2.0
     try:
         vals = np.linalg.eigvalsh(B)

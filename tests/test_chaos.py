@@ -98,7 +98,7 @@ class TestLinearCoefficients:
         sp = spectral_decompose(pi4_spec)
         ks = kernel_spectrum(spectral_decompose(pi4_spec), T)
         g = g_coefficients(X0, pi4_spec, T)
-        (alpha, beta), U = sp.pairs[0], sp.channel_vectors[0]
+        (alpha, beta), U = sp.pairs[0], sp.vectors[:, 0]
         overlap = abs(np.vdot(U, X0))
         u = np.linspace(0.0, T, 400_001)
         G = (

@@ -124,6 +124,34 @@ class TestExitCodes:
         cfg = write_config(tmp_path, payload)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, patch",
+        [("validate", {"horizon": "abc"}),
+         ("spectrum", {"spectral": {"j_max": "x"}}),
+         ("spectrum", {"spectral": {"j_max": 2.5}}),
+         ("spectrum", {"spectral": {"j_max": True}}),
+         ("curves", {"x_grid": {"min": -1.0, "max": 1.0, "count": 2.7}}),
+         ("mgf", {"mgf": {"x0": ["a", 0]}}),
+         ("mgf", {"mgf": {"x0": [1.0, 0.0], "lambda": "q"}}),
+         ("validate", {"output": {"path": 123}}),
+         ("validate", {"system": {"example": "magnetic", "theta": 0.5, "extended": "false"}}),
+         ("simulate", {"mc": {"dt": "abc", "n_traj": 4}})],
+        ids=["horizon", "j_max_text", "j_max_fraction", "j_max_bool", "count_fraction",
+             "x0", "lambda", "path", "extended", "dt"],
+    )
+    def test_bad_config_value_is_exit_two(self, tmp_path, command, patch):
+        # each once escaped as a raw traceback (exit 1) or was silently
+        # truncated or coerced (exit 0)
+        cfg = write_config(tmp_path, {**RUNNABLE, **MAGNETIC, **patch})
+        proc = subprocess.run(
+            [sys.executable, "-m", "epr_ldp.cli", command, "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "config error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unwritable_out_is_exit_three(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

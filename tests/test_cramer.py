@@ -38,7 +38,7 @@ class TestDomain:
 
     def test_reversible_spectrum_rejected(self):
         sp = spectral_decompose(random_system(np.random.default_rng(3), 2, "identity"))
-        flat = type(sp)(pairs=((-1.0, 0.0), (-2.0, 0.0)), channel_vectors=())
+        flat = type(sp)(pairs=((-1.0, 0.0), (-2.0, 0.0)), vectors=np.eye(2, dtype=complex))
         with pytest.raises(ReversibilityError):
             cramer_domain(flat)
         with pytest.raises(ReversibilityError):

@@ -1,4 +1,4 @@
-"""System validation, spectral decomposition, and stationary-law data."""
+"""System validation and spectral decomposition."""
 
 import math
 
@@ -18,12 +18,12 @@ from epr_ldp.errors import (
 )
 from epr_ldp.model import (
     SystemSpec,
-    derived_matrices,
     magnetic_example,
     mean_epr,
     spectral_decompose,
     validate_system,
 )
+from epr_ldp.montecarlo import _stationary_root
 from epr_ldp.spectral import kernel_eval, nystrom_spectrum
 from epr_ldp.testing import random_system
 
@@ -67,7 +67,6 @@ class TestValidation:
     def test_magnetic_passes_all_checks(self, pi4_spec):
         report = validate_system(pi4_spec)
         assert report.passed
-        assert report.strict_passed
         assert all(c.passed for c in report.checks)
         assert len(report.checks) == 9
 
@@ -84,7 +83,7 @@ class TestValidation:
     def test_symmetric_drift_is_warning_only(self):
         report = validate_system(SystemSpec(np.diag([-1.0, -2.0])))
         assert report.passed  # errors only
-        assert not report.strict_passed
+        assert [c.name for c in report.failing()] == ["not_symmetric"]
         c = check(report, "not_symmetric")
         assert not c.passed
         assert c.severity == "warning"
@@ -130,16 +129,17 @@ class TestSpectralDecompose:
         assert sp.betas[0] == -sp.betas[1]
         assert sp.alphas[0] == sp.alphas[1]
 
-    def test_channel_vectors_are_drift_eigenvectors(self, pi4_spec):
+    def test_vectors_are_drift_eigenvectors(self, pi4_spec):
         sp = spectral_decompose(pi4_spec)
-        for (alpha, beta), U in zip(sp.pairs, sp.channel_vectors):
+        for k, (alpha, beta) in enumerate(sp.pairs):
+            U = sp.vectors[:, k]
             resid = np.linalg.norm(pi4_spec.A @ U - (alpha + 1j * beta) * U)
             assert resid <= 1e-12
             assert abs(np.vdot(U, U) - 1.0) <= 1e-12
 
-    def test_channel_vectors_complete(self, pi4_spec):
+    def test_vectors_complete(self, pi4_spec):
         sp = spectral_decompose(pi4_spec)
-        P = sum(np.outer(U, np.conj(U)) for U in sp.channel_vectors)
+        P = sp.vectors @ sp.vectors.conj().T
         assert np.max(np.abs(P - np.eye(2))) <= 1e-12
 
     def test_reversible_raises_unless_allowed(self):
@@ -177,7 +177,8 @@ class TestSpectralDecompose:
         assert not pi4_spectrum.betas.flags.writeable
 
     def test_vectors_always_present(self, pi4_spectrum):
-        assert len(pi4_spectrum.channel_vectors) == pi4_spectrum.dim
+        assert pi4_spectrum.vectors.shape == (2, 2)
+        assert pi4_spectrum.vectors.dtype == complex
         assert pi4_spectrum.alphas.shape == (2,)
 
     def test_non_normal_drift_raises_numeric_error(self):
@@ -187,18 +188,25 @@ class TestSpectralDecompose:
             with pytest.raises(NumericError, match="is A normal"):
                 spectral_decompose(spec, allow_reversible=allow)
 
+    def test_reduce_preserves_channels(self):
+        # the channels depend on the drift alone, so a commuting Q and the
+        # identity give the same ones
+        A = magnetic_example(math.pi / 3).A
+        M = A + A.T
+        spec = SystemSpec(A, 1.5 * np.eye(2) - 0.4 * M + 0.1 * M @ M)
+        sp0 = spectral_decompose(SystemSpec(A))
+        sp1 = spectral_decompose(spec)
+        assert np.allclose(sp0.alphas, sp1.alphas, rtol=1e-12)
+        assert np.allclose(sp0.betas, sp1.betas, rtol=1e-12)
+
 
 class TestAnalysisCache:
     def test_one_object_per_spec(self, pi4_spec):
         assert spectral_decompose(pi4_spec) is spectral_decompose(pi4_spec)
-        assert derived_matrices(pi4_spec) is derived_matrices(pi4_spec)
         # a shared result must not be writable by any one caller
-        vectors = spectral_decompose(pi4_spec).channel_vectors
-        assert not any(U.flags.writeable for U in vectors)
-        assert not derived_matrices(pi4_spec).Gamma.flags.writeable
+        assert not spectral_decompose(pi4_spec).vectors.flags.writeable
         twin = SystemSpec(pi4_spec.A, pi4_spec.Q)
         assert spectral_decompose(twin) is not spectral_decompose(pi4_spec)
-        assert derived_matrices(twin) is not derived_matrices(pi4_spec)
         assert spectral_decompose(twin).pairs == spectral_decompose(pi4_spec).pairs
 
     def test_reversibility_checked_on_every_call(self):
@@ -210,12 +218,12 @@ class TestAnalysisCache:
 
     def test_failure_not_cached(self, monkeypatch):
         calls = []
-        derive = model._derive
-        monkeypatch.setattr(model, "_derive", lambda s: calls.append(s) or derive(s))
-        spec = SystemSpec(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # M = 0
+        decompose = model._decompose
+        monkeypatch.setattr(model, "_decompose", lambda s: calls.append(s) or decompose(s))
+        spec = SystemSpec(np.array([[-1.0, 2.0], [0.0, -1.0]]))  # not normal
         for _ in range(2):
             with pytest.raises(NumericError):
-                derived_matrices(spec)
+                spectral_decompose(spec, allow_reversible=True)
         assert len(calls) == 2
 
     def test_one_decomposition_per_spec_across_layers(self, monkeypatch):
@@ -234,39 +242,6 @@ class TestAnalysisCache:
             nystrom_spectrum(spec, 0.1, 2.0, n_nodes=16)
             assert len(calls) == n
             assert calls[-1] is spec
-
-
-class TestDerivedMatrices:
-    def test_magnetic_stationary_covariance(self, pi4_spec):
-        dm = derived_matrices(pi4_spec)
-        assert np.max(np.abs(dm.Gamma - 0.5 * np.eye(2))) <= 1e-14
-
-    def test_split_and_lyapunov(self, pi4_spec):
-        A, Q = pi4_spec.A, pi4_spec.Q
-        dm = derived_matrices(pi4_spec)
-        assert np.array_equal(dm.M, A + A.T)
-        assert np.array_equal(dm.N, A - A.T)
-        resid = A @ dm.Gamma + dm.Gamma @ A.T + Q
-        assert np.max(np.abs(resid)) <= 1e-13
-
-    def test_log_norm_matches_gaussian_constant(self, pi4_spec):
-        dm = derived_matrices(pi4_spec)
-        d = pi4_spec.dim
-        expected = -0.5 * d * math.log(2.0 * math.pi) - 0.5 * math.log(
-            np.linalg.det(dm.Gamma)
-        )
-        assert dm.log_norm == pytest.approx(expected, rel=1e-12)
-
-    def test_reduce_preserves_channels(self):
-        # the channels depend on the drift alone, so a commuting Q and the
-        # identity give the same ones
-        A = magnetic_example(math.pi / 3).A
-        M = A + A.T
-        spec = SystemSpec(A, 1.5 * np.eye(2) - 0.4 * M + 0.1 * M @ M)
-        sp0 = spectral_decompose(SystemSpec(A))
-        sp1 = spectral_decompose(spec)
-        assert np.allclose(sp0.alphas, sp1.alphas, rtol=1e-12)
-        assert np.allclose(sp0.betas, sp1.betas, rtol=1e-12)
 
 
 class TestMagneticExample:
@@ -318,20 +293,21 @@ def test_random_systems_satisfy_contract(seed, d, q_style):
     if sp.has_rotation:
         assert mean_epr(sp) > 0
 
-    dm = derived_matrices(spec)
-    resid = spec.A @ dm.Gamma + dm.Gamma @ spec.A.T + spec.Q
-    scale = max(1.0, float(np.max(np.abs(dm.Gamma))))
+    root = _stationary_root(spec)
+    gamma = root @ root
+    resid = spec.A @ gamma + gamma @ spec.A.T + spec.Q
+    scale = max(1.0, float(np.max(np.abs(gamma))))
     assert np.max(np.abs(resid)) <= 1e-9 * scale
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5))
-def test_channel_vectors_reconstruct_drift(seed, d):
+def test_vectors_reconstruct_drift(seed, d):
     spec = random_system(np.random.default_rng(seed), d, "identity")
     sp = spectral_decompose(spec, allow_reversible=True)
     A_rebuilt = sum(
         (alpha + 1j * beta) * np.outer(U, np.conj(U))
-        for (alpha, beta), U in zip(sp.pairs, sp.channel_vectors)
+        for (alpha, beta), U in zip(sp.pairs, sp.vectors.T)
     )
     assert np.max(np.abs(A_rebuilt.imag)) <= 1e-10
     assert np.max(np.abs(A_rebuilt.real - spec.A)) <= 1e-10

@@ -19,7 +19,6 @@ from epr_ldp.errors import ConfigError, DomainError, NumericError
 from epr_ldp.model import (
     SystemSpec,
     _sym_sqrt,
-    derived_matrices,
     magnetic_example,
     spectral_decompose,
 )
@@ -27,11 +26,9 @@ from epr_ldp.montecarlo import (
     EprEnsemble,
     SimConfig,
     empirical_mgf,
-    sample_stationary,
     simulate_epr,
     simulate_z_integral,
     tail_estimate,
-    tilted_system,
 )
 from epr_ldp.testing import random_system
 
@@ -53,12 +50,12 @@ def reference_epr(spec, config):
     gens = mc._trajectory_generators(config.seed, 0, config.n_traj)
     if config.start == "stationary":
         z = np.array([g.standard_normal(d) for g in gens])
-        X = z @ _sym_sqrt(derived_matrices(spec).Gamma)
+        X = z @ mc._stationary_root(spec)
     else:
         X = np.tile(np.asarray(config.start), (config.n_traj, 1))
     acc = np.zeros(config.n_traj)
     if config.scheme == "exact_ou":
-        E, root = mc._exact_step_matrices(spec, h)
+        E, root = mc._exact_step_matrices(spec, 0.0, spec.Q, h)
         K = np.linalg.solve(spec.Q, N)
         for Z in _reference_windows(gens, n_steps, d):
             for s in range(Z.shape[1]):
@@ -88,7 +85,7 @@ def reference_z_integral(spec, lam, x, config):
     h, n_steps = mc._step_grid(spec, config)
     N = spec.A - spec.A.T
     gens = mc._trajectory_generators(config.seed, 0, config.n_traj)
-    E, root = mc._exact_step_matrices(tilted_system(spec, lam), h)
+    E, root = mc._exact_step_matrices(spec, lam, np.eye(spec.dim), h)
     Y = np.tile(np.asarray(x, dtype=float), (config.n_traj, 1))
     w_cur = np.sum((Y @ N.T) ** 2, axis=1)
     acc = np.zeros(config.n_traj)
@@ -149,62 +146,64 @@ class TestSimConfig:
         assert all(ch in "0123456789abcdef" for ch in a.fingerprint())
 
 
-class TestTilt:
-    def test_zero_tilt_returns_drift(self, pi4_spec):
-        assert np.array_equal(tilted_system(pi4_spec, 0.0).D, pi4_spec.A)
-
-    def test_symmetric_part_preserved(self, pi4_spec):
-        A = pi4_spec.A
-        for lam in (-0.7, 0.3):
-            D = tilted_system(pi4_spec, lam).D
-            assert np.allclose(D, A + lam * (A - A.T), rtol=0, atol=0)
-            assert np.max(np.abs((D + D.T) - (A + A.T))) == 0.0
-
-
 class TestStationarySampling:
-    def test_moments_match_covariance(self, pi4_spec):
-        n = 100_000
-        draws = sample_stationary(pi4_spec, np.random.default_rng(41), size=n)
-        Gamma = derived_matrices(pi4_spec).Gamma
-        emp = draws.T @ draws / n
-        bound = 5.0 * math.sqrt(2.0 / n) * float(np.max(np.abs(Gamma)))
-        assert np.max(np.abs(emp - Gamma)) <= bound
+    def test_magnetic_stationary_covariance(self, pi4_spec):
+        root = mc._stationary_root(pi4_spec)
+        assert np.max(np.abs(root @ root - 0.5 * np.eye(2))) <= 1e-14
 
-    def test_single_draw_shape(self, pi4_spec):
-        assert sample_stationary(pi4_spec, np.random.default_rng(0)).shape == (2,)
+    def test_moments_match_covariance(self, pi4_spec):
+        # the first deviates of each trajectory's stream, mapped by the root,
+        # are the ensemble's stationary starting states
+        n = 100_000
+        gens = mc._trajectory_generators(41, 0, n)
+        draws = mc._start_states(gens, mc._stationary_root(pi4_spec))
+        emp = draws @ draws.T / n
+        bound = 5.0 * math.sqrt(2.0 / n) * 0.5
+        assert np.max(np.abs(emp - 0.5 * np.eye(2))) <= bound
+
+    @pytest.mark.parametrize(
+        "A, match",
+        [([[0.0, 1.0], [-1.0, 0.0]], "singular"),
+         ([[0.5, 1.0], [-1.0, 0.5]], "not positive definite")],
+        ids=["singular_m", "unstable_drift"],
+    )
+    def test_stationary_start_needs_stable_drift(self, A, match):
+        # the unstable drift's -Q M^{-1} = -I has a positive determinant
+        config = SimConfig(T=1.0, dt=0.1, n_traj=4)
+        with pytest.raises(NumericError, match=match):
+            simulate_epr(SystemSpec(np.array(A)), config)
 
 
 class TestExactStep:
     def test_short_step_stays_close(self, pi4_spec):
         x0 = np.array([1.0, -1.0])
-        E, root = mc._exact_step_matrices(pi4_spec, 1e-8)
+        E, root = mc._exact_step_matrices(pi4_spec, 0.0, pi4_spec.Q, 1e-8)
         x1 = E @ x0 + root @ np.random.default_rng(5).standard_normal(2)
         assert np.max(np.abs(x1 - x0)) <= 1e-2
 
     def test_preserves_stationary_law(self, pi4_spec):
         rng = np.random.default_rng(12)
         n = 4000
-        starts = sample_stationary(pi4_spec, rng, size=n)
-        E, root = mc._exact_step_matrices(pi4_spec, 0.7)
+        starts = rng.standard_normal((n, 2)) @ mc._stationary_root(pi4_spec)
+        E, root = mc._exact_step_matrices(pi4_spec, 0.0, pi4_spec.Q, 0.7)
         stepped = starts @ E.T + rng.standard_normal((n, 2)) @ root.T
-        Gamma = derived_matrices(pi4_spec).Gamma
         emp = stepped.T @ stepped / n
-        assert np.max(np.abs(emp - Gamma)) <= 8.0 * math.sqrt(2.0 / n) * 0.5
+        assert np.max(np.abs(emp - 0.5 * np.eye(2))) <= 8.0 * math.sqrt(2.0 / n) * 0.5
 
     @pytest.mark.parametrize("q_style", ["identity", "scalar", "poly"])
     @pytest.mark.parametrize("d", range(2, 9))
     def test_step_matrices_match_expm(self, d, q_style):
-        # e^{Dh} comes from the channels and Sigma_h from eigh(M); scipy's
-        # expm of D h and M h is the reference for both
+        # e^{Dh} of the tilted drift D = A + lam N comes from the channels and
+        # Sigma_h from eigh(M); scipy's expm of D h and M h is the reference
+        # for both
         spec = random_system(np.random.default_rng(7000 + d), d, q_style)
+        A = spec.A
         b = cramer_domain(spectral_decompose(spec)).b
-        cases = [(spec, spec.A, spec.Q)] + [
-            (ts, ts.D, np.eye(d))
-            for ts in (tilted_system(spec, lam) for lam in (0.0, 0.3 * b, -0.3 * b))
-        ]
+        cases = [(0.0, spec.Q)] + [(lam, np.eye(d)) for lam in (0.0, 0.3 * b, -0.3 * b)]
         for h in (1e-3, 0.1, 2.0):
-            for system, D, Q in cases:
-                E, root = mc._exact_step_matrices(system, h)
+            for lam, Q in cases:
+                D = A + lam * (A - A.T)
+                E, root = mc._exact_step_matrices(spec, lam, Q, h)
                 M = D + D.T
                 E_ref = scipy.linalg.expm(D * h)
                 sigma_ref = np.linalg.solve(M, (scipy.linalg.expm(M * h) - np.eye(d)) @ Q)
