@@ -270,7 +270,7 @@ def _sim_config(cfg: RunConfig) -> SimConfig:
         raise ConfigError(f"unknown mc fields: {sorted(extra)}")
     try:
         return SimConfig(T=cfg.horizon, **cfg.mc)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad mc section: {exc}") from exc
 
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericError, ReversibilityError
-from .model import Spectrum
+from .model import Spectrum, check_real
 
 __all__ = [
     "CramerDomain", "CramerCurve", "RatePoint", "cramer_domain", "cramer",
@@ -191,8 +191,8 @@ def _level(ch: _Channels, w, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _solve(ch: _Channels, xs: np.ndarray):
     """ell0, I and the residual |x|(ell0) - |x| for every level in xs."""
     t = np.abs(xs)
-    if np.isnan(t).any():
-        raise DomainError("EPR level x is NaN")
+    if not np.isfinite(t).all():
+        raise DomainError("EPR level x must be finite")
     ell, v, resid = np.full(xs.shape, -1.0), np.full(xs.shape, 1.0 + ch.dom.m), np.zeros(xs.shape)
     todo = t > 1e-12
     if todo.any():
@@ -266,10 +266,12 @@ def rate(x: float, spectrum: Spectrum) -> RatePoint:
     x = 0 (within 1e-12) short-circuits to ell0 = -1 exactly; otherwise the
     safeguarded Newton iteration of ``_newton`` solves for ell0(x).  A
     residual above max(1e-12, 1e-9 max(1, |x|)) or a negative rate raises
-    :class:`NumericError`.
+    :class:`NumericError`; a level that is not a finite real number raises
+    :class:`DomainError`.
     """
-    ell, I, resid = _solve(_channels(spectrum), np.array([x], dtype=float))
-    return RatePoint(float(x), float(ell[0]), float(I[0]), float(resid[0]))
+    x = check_real("EPR level x", x)
+    ell, I, resid = _solve(_channels(spectrum), np.array([x]))
+    return RatePoint(x, float(ell[0]), float(I[0]), float(resid[0]))
 
 
 def legendre_oracle(x: float, spectrum: Spectrum) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -234,6 +235,14 @@ def check_inputs(T: float, **values) -> None:
     for name, value in values.items():
         if not np.isfinite(np.asarray(value, dtype=float)).all():
             raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def check_real(name: str, value, error: type = DomainError) -> float:
+    """``value`` as a float; raise ``error`` unless it is a real number
+    (2, 2.5, inf and numpy scalars pass; "2", True and arrays do not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_integer(name: str, value, error: type = DomainError) -> int:

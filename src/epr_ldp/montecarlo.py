@@ -38,6 +38,7 @@ from .model import (
     _sym_sqrt,
     check_inputs,
     check_integer,
+    check_real,
     spectral_decompose,
 )
 
@@ -84,13 +85,15 @@ class SimConfig:
     start: Union[str, tuple] = "stationary"
 
     def __post_init__(self) -> None:
-        if not self.T > 0:
+        T = check_real("T", self.T, ConfigError)
+        if not T > 0:
             raise ConfigError("T must be positive")
-        check_inputs(self.T)
+        check_inputs(T)
         if self.dt is not None:
-            if not 0 < self.dt <= self.T:
+            dt = check_real("dt", self.dt, ConfigError)
+            if not 0 < dt <= T:
                 raise ConfigError("dt must satisfy 0 < dt <= T")
-            object.__setattr__(self, "dt", float(self.dt))
+            object.__setattr__(self, "dt", dt)
         n_traj = check_integer("n_traj", self.n_traj, ConfigError)
         if not n_traj >= 1:
             raise ConfigError("n_traj must be >= 1")
@@ -100,10 +103,11 @@ class SimConfig:
             if self.start != "stationary":
                 raise ConfigError("start must be 'stationary' or a state vector")
         else:
-            vec = tuple(float(v) for v in np.asarray(self.start).reshape(-1))
-            check_inputs(self.T, start=vec)
+            vec = tuple(check_real("start", v, ConfigError)
+                        for v in np.asarray(self.start, dtype=object).reshape(-1))
+            check_inputs(T, start=vec)
             object.__setattr__(self, "start", vec)
-        object.__setattr__(self, "T", float(self.T))
+        object.__setattr__(self, "T", T)
         object.__setattr__(self, "n_traj", n_traj)
         object.__setattr__(self, "seed", check_integer("seed", self.seed, ConfigError))
 

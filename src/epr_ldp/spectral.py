@@ -220,7 +220,9 @@ def kernel_eval(
                 (e^{2 alpha_k (u1 v u2)} - e^{2 alpha_k T}) P_{U_k},
 
     which is real (conjugate channels pair up) and satisfies
-    H(u1, u2) = H(u2, u1)'.
+    H(u1, u2) = H(u2, u1)'.  ``nystrom_spectrum`` works channel by channel
+    and never assembles this matrix; it stays as the paper's H_{lambda,T},
+    the independent route to the full Nystrom matrix.
     """
     check_inputs(T, lam=lam)
     if not (0 <= u1 <= T and 0 <= u2 <= T):
@@ -250,14 +252,19 @@ def nystrom_spectrum(
     T: float,
     n_nodes: int = 400,
 ) -> np.ndarray:
-    """Discretized kernel-operator eigenvalues, sorted descending.
+    """The n_nodes * d eigenvalues, sorted descending, of the Nystrom matrix
+    with blocks sqrt(w_i w_j) H(t_i, t_j) at the Gauss-Legendre nodes t_i
+    and weights w_i on [0, T].
 
-    Builds the (n_nodes * d) symmetric matrix with blocks
-    sqrt(w_i w_j) H(t_i, t_j) at the Gauss-Legendre nodes t_i and weights
-    w_i on [0, T] and diagonalizes it.  This is the independent
-    oracle for the analytic spectrum: it never touches the Sturm-Liouville
-    roots.  The kernel's kink along u1 = u2 limits the quadrature order;
-    tolerances of ~1e-4 at n=400 (Gauss-Legendre) account for that.
+    As H = Re sum_k c_k U_k U_k* with orthonormal U_k, they are those of the
+    n_nodes x n_nodes Hermitian blocks sqrt(w_i w_j) c_k(t_i, t_j), one
+    eigensolve per beta > 0 channel counted twice (for its conjugate), plus
+    n_nodes zeros per beta = 0 channel.  The blocks keep the phases
+    e^{i(1+2 lambda) beta (u1-u2)}, so lambda-independence is tested, not
+    assumed.  This is the independent oracle for the analytic spectrum: it
+    never touches the Sturm-Liouville roots.  The kernel's kink along
+    u1 = u2 limits the quadrature order; tolerances of ~1e-4 at n=400
+    account for that.
 
     No horizon overflows, but the kernel decays like e^{alpha |u1 - u2|},
     so accuracy needs enough nodes per unit of |alpha| T: at 400 nodes the
@@ -268,27 +275,18 @@ def nystrom_spectrum(
         raise DomainError("n_nodes must be >= 8")
     check_inputs(T, lam=lam)
     x, w = _gauss_legendre(n_nodes)
-    t, w = (x + 1.0) * (T / 2.0), w * (T / 2.0)
+    t, sw = (x + 1.0) * (T / 2.0), np.sqrt(w * (T / 2.0))
     sp = spectral_decompose(spec, allow_reversible=True)
-    k = np.flatnonzero(sp.betas != 0.0)
-    U = sp.vectors[:, k].T
-    # C[r, i, j] = c_k(t_i, t_j) of rotation channel k[r] and P[r] = U_k U_k*;
-    # block (i, j) of the kernel, Re sum_r C[r, i, j] P[r], is one real product
-    C = _channel_kernel_factors(sp.alphas[k, None, None], sp.betas[k, None, None],
-                                lam, T, t[:, None], t[None, :])
-    P = U[:, :, None] * U[:, None, :].conj()
-    B = np.tensordot(np.concatenate([C.real, C.imag]),
-                     np.concatenate([P.real, -P.imag]), axes=(0, 0))  # (i, j, a, b)
-    sw = np.sqrt(w)
-    B *= sw[:, None, None, None] * sw[None, :, None, None]
-    n, d = n_nodes, spec.dim
-    B = B.transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    B = (B + B.T) / 2.0
-    try:
-        vals = np.linalg.eigvalsh(B)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Nystrom eigensolve failed at T={T!r}") from exc
-    return vals[::-1]
+    vals = [np.zeros(n_nodes * np.count_nonzero(sp.betas == 0.0))]
+    for alpha, beta in sp.pairs:
+        if beta > 0.0:
+            C = _channel_kernel_factors(alpha, beta, lam, T, t[:, None], t[None, :])
+            C *= sw[:, None] * sw[None, :]
+            try:
+                vals += [np.linalg.eigvalsh(C)] * 2
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"Nystrom eigensolve failed at T={T!r}") from exc
+    return np.sort(np.concatenate(vals))[::-1]
 
 
 def trace_closed_form(spec: SystemSpec, T: float) -> float:
@@ -357,7 +355,7 @@ def gamma_tail(alpha: float, beta: float, T: float, j_start: int) -> float:
     remainder's root-displacement error is O(|alpha| T^3 / J^3), far below
     the 1e-6 trace-identity tolerance for desk-scale (T, j_start).
     """
-    check_inputs(T)
+    check_inputs(T, alpha=alpha, beta=beta)
     if beta == 0.0:
         return 0.0
     if not j_start >= 1:
@@ -391,7 +389,7 @@ def log_det_tail(
     log(1-x) ~ -x - x^2/2 closed over the nu_j approximants (third order is
     below double precision at these index ranges).
     """
-    check_inputs(T, theta=theta)
+    check_inputs(T, alpha=alpha, beta=beta, theta=theta)
     if beta == 0.0 or theta == 0.0:
         return 0.0
     if not j_start >= 1:

@@ -259,6 +259,9 @@ _ENSEMBLE = EprEnsemble(np.array([0.5, 1.0, 2.0]), 1.0, "x")
         pytest.param(lambda sp, spec: gamma_tail(0.0, 1.0, 1.0, 201), id="gamma_tail-alpha=0"),
         pytest.param(lambda sp, spec: log_det_tail(1.0, 1.0, 1.0, 0.1, 201), id="log_det_tail-alpha=1"),
         pytest.param(lambda sp, spec: log_det_tail(-1.0, 1.0, 1.0, _NAN, 201), id="log_det_tail-theta=nan"),
+        pytest.param(lambda sp, spec: gamma_tail(-1.0, _NAN, 1.0, 10), id="gamma_tail-beta=nan"),
+        pytest.param(lambda sp, spec: log_det_tail(-1.0, _NAN, 1.0, 0.1, 10), id="log_det_tail-beta=nan"),
+        pytest.param(lambda sp, spec: gamma_tail(-_INF, 1.0, 1.0, 10), id="gamma_tail-alpha=-inf"),
         pytest.param(lambda sp, spec: spectrum_gamma_tail(sp, _NAN, 201), id="spectrum_gamma_tail-T=nan"),
         pytest.param(lambda sp, spec: kernel_eval(spec, _NAN, 1.0, 0.2, 0.7), id="kernel_eval-lam=nan"),
         pytest.param(lambda sp, spec: nystrom_spectrum(spec, _NAN, 1.0, n_nodes=16), id="nystrom_spectrum-lam=nan"),

@@ -292,6 +292,17 @@ class TestSolverAgainstReference:
         with pytest.raises(DomainError):
             rate(math.nan, pi4_spectrum)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, "a", "1.0", None, [1.0]])
+    def test_bad_level_rejected_without_warning(self, pi4_spectrum, x):
+        # inf once reached the Newton solve (divide-by-zero warning, then a
+        # NumericError on a nan residual); a string escaped as a raw ValueError
+        with pytest.raises(DomainError):
+            rate(x, pi4_spectrum)
+        if isinstance(x, float):  # the batch path shares the finiteness check
+            with pytest.raises(DomainError):
+                symmetry_residuals(pi4_spectrum, [], [1.0, x])
+
     def test_nan_lambda_rejected_by_cramer(self, pi4_spectrum):
         with pytest.raises(DomainError):
             cramer(math.nan, pi4_spectrum)

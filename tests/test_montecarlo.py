@@ -109,6 +109,11 @@ class TestSimConfig:
             {"T": 1.0, "n_traj": 0},
             {"T": 1.0, "scheme": "milstein"},
             {"T": 1.0, "start": "origin"},
+            {"T": "1.0"},
+            {"T": 1.0, "dt": "abc"},
+            {"T": 1.0, "dt": True},
+            {"T": 1.0, "start": [1, "a"]},
+            {"T": 1.0, "start": [[1.0], [2.0, 3.0]]},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from epr_ldp.errors import DomainError
-from epr_ldp.model import spectral_decompose
+from epr_ldp.model import SystemSpec, spectral_decompose
 from epr_ldp.spectral import (
     eigenfunction_norm_sq,
     gamma_tail,
@@ -22,6 +22,7 @@ from epr_ldp.spectral import (
     trace_closed_form,
 )
 from epr_ldp.spectral import _channel_kernel_factors, _gauss_legendre, _nu_partial_sums
+from epr_ldp.testing import random_system
 
 # First two roots of omega cos(omega) = -sin(omega) on the positive axis,
 # i.e. the alpha = -1, T = 1 frequency equation.
@@ -233,6 +234,33 @@ class TestNystrom:
         first = nystrom_spectrum(classic_spec, 0.0, 1.0, n_nodes=64)
         second = nystrom_spectrum(classic_spec, 0.0, 1.0, n_nodes=64)
         assert np.array_equal(first[:5], second[:5])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [random_system(np.random.default_rng(5), 5),
+         SystemSpec(np.array([[-2.0, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, -3.0]]))],
+        ids=["d5_one_real_channel", "reversible"],
+    )
+    def test_whole_spectrum_matches_dense_kernel_matrix(self, spec):
+        # the (n d) x (n d) real matrix with blocks sqrt(w_i w_j) H(t_i, t_j),
+        # assembled from the paper's d x d kernel H_{lambda,T} node by node
+        n, lam, T = 24, 0.3, 1.7
+        x, w = _gauss_legendre(n)
+        t, sw = (x + 1.0) * (T / 2.0), np.sqrt(w * (T / 2.0))
+        d = spec.dim
+        B = np.zeros((n * d, n * d))
+        for i in range(n):
+            for j in range(n):
+                B[i * d:(i + 1) * d, j * d:(j + 1) * d] = (
+                    sw[i] * sw[j] * kernel_eval(spec, lam, T, t[i], t[j]))
+        dense = np.linalg.eigvalsh((B + B.T) / 2.0)[::-1]
+        vals = nystrom_spectrum(spec, lam, T, n_nodes=n)
+        assert vals.shape == (n * d,)
+        assert np.max(np.abs(vals - dense)) <= 1e-12 * np.max(np.abs(dense))
+        # one beta = 0 channel (d = 5) or none rotating (reversible): n zeros each
+        betas = spectral_decompose(spec, allow_reversible=True).betas
+        zeros = n * np.count_nonzero(betas == 0.0)
+        assert zeros in (n, n * d) and np.count_nonzero(vals == 0.0) == zeros
 
     @pytest.mark.parametrize("T", [600.0, 1e4])
     def test_long_horizon_finite(self, pi4_spec, T):
