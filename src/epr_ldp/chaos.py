@@ -98,8 +98,10 @@ def _start_vector(x, dim: int) -> np.ndarray:
 
 
 def _overlaps_sq(x: np.ndarray, spectrum: Spectrum) -> np.ndarray:
-    """|<x, U_k>|^2 per channel entry; for a real x it equals |x' U_k|^2."""
-    return np.abs(x @ spectrum.vectors) ** 2
+    """|<x, U_k>|^2 per channel entry; for a real x it equals |x' U_k|^2.
+    An overlap beyond the double range (|x| past ~1e154) is +inf."""
+    with np.errstate(over="ignore"):
+        return np.abs(x @ spectrum.vectors) ** 2
 
 
 def s0(x, spec: SystemSpec, T: float) -> float:
@@ -108,7 +110,8 @@ def s0(x, spec: SystemSpec, T: float) -> float:
     Splits as a start-dependent quadratic part, per channel
     (2 beta^2/alpha)(e^{2 alpha T} - 1)|<x, U_k>|^2, plus the
     start-independent trace integral int_0^T tr[N' e^{uM} N](T - u) du,
-    which is half the kernel trace ``trace_closed_form``.
+    which is half the kernel trace ``trace_closed_form``.  A start whose
+    overlaps with the rotation channels overflow gives +inf.
     """
     check_inputs(T, x=x)
     vec = _start_vector(x, spec.dim)
@@ -116,10 +119,9 @@ def s0(x, spec: SystemSpec, T: float) -> float:
     if not spectrum.has_rotation:
         return 0.0
     alphas, betas = spectrum.alphas, spectrum.betas
-    ov = _overlaps_sq(vec, spectrum)
-    quad = float(
-        np.sum(2.0 * betas**2 / alphas * (np.exp(2.0 * alphas * T) - 1.0) * ov)
-    )
+    coef = 2.0 * betas**2 / alphas * (np.exp(2.0 * alphas * T) - 1.0)
+    # beta = 0 channels add nothing, even where their overlap overflows
+    quad = float(np.sum(coef * np.where(coef != 0.0, _overlaps_sq(vec, spectrum), 0.0)))
     return quad + 0.5 * trace_closed_form(spec, T)
 
 
@@ -243,6 +245,8 @@ def conditional_mgf(q: MgfQuery, spec: SystemSpec) -> float:
 
     Closed form per channel, exp(sum_k [-log w_k + p_k |<x, U_k>|^2] / 2);
     ``q.lam`` and ``q.j_max`` are not used (see ``conditional_mgf_series``).
+    p_k has the sign of theta, so a start whose overlaps overflow (|x| past
+    ~1e154) gives +inf for theta > 0 and 0.0 for theta < 0.
     """
     spectrum = spectral_decompose(spec, allow_reversible=True)
     if not spectrum.has_rotation:
@@ -261,7 +265,8 @@ def conditional_mgf(q: MgfQuery, spec: SystemSpec) -> float:
         if terms is None:
             return math.inf
         log_w, p = terms
-        log_mgf += 0.5 * (p * ov[k] - log_w)
+        # p is 0 only where theta beta^2 underflows; 0 * inf would be NaN
+        log_mgf += 0.5 * ((p * ov[k] if p else 0.0) - log_w)
     if log_mgf > _LOG_HUGE:
         return math.inf
     return math.exp(log_mgf)

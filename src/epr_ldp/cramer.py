@@ -147,6 +147,7 @@ def _cramer_values(ch: _Channels, lambdas) -> np.ndarray:
 
 def cramer(lam: float, spectrum: Spectrum) -> float:
     """Cramer function Lambda(lambda); +inf outside [a, b]."""
+    lam = check_real("lambda", lam)
     return float(_cramer_values(_channels(spectrum), lam)[0])
 
 
@@ -281,9 +282,12 @@ def legendre_oracle(x: float, spectrum: Spectrum) -> float:
 
     Evaluates only grid/golden points, so the result never exceeds the true
     supremum; it is within ~1e-6 of it.  It never calls the ell0 solver.
+    A level that is not a finite real number raises :class:`DomainError`,
+    as in :func:`rate`.
     """
-    if math.isnan(x):
-        raise DomainError("EPR level x is NaN")
+    x = check_real("EPR level x", x)
+    if not math.isfinite(x):
+        raise DomainError(f"EPR level x must be finite, got {x!r}")
     ch = _channels(spectrum)
 
     def f(lam):  # lambda x - Lambda(lambda) = lambda x + F(ell)

@@ -52,6 +52,10 @@ __all__ = [
 
 # Relative (Frobenius-scaled) tolerance of validate_system's matrix identities.
 _VALIDATE_TOL = 1e-10
+# Largest Frobenius norm of A that spectral_decompose accepts.  The norm is
+# formed through its square, and alpha^2 and beta^2 enter every downstream
+# object, so both must stay inside the double range (~1.8e308).
+_MAX_NORM = 1e150
 
 
 def _as_square_matrix(value, name: str) -> np.ndarray:
@@ -228,21 +232,36 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
 
 def check_inputs(T: float, **values) -> None:
     """The shared entry-point check of the finite-horizon layers: raise
-    :class:`DomainError` unless the horizon T is positive and finite and
-    every named value (a tilt, a theta, a start vector) is finite."""
-    if not 0.0 < T < math.inf:
+    :class:`DomainError` unless the horizon T is a positive, finite real
+    number and every named value (a tilt, a theta, a start vector) is a
+    finite real number or an array of them.  Scalars and the entries of
+    lists, tuples and non-numeric arrays pass :func:`check_real`'s rule."""
+    if not 0.0 < check_real("T", T) < math.inf:
         raise DomainError(f"T must be positive and finite, got {T!r}")
     for name, value in values.items():
-        if not np.isfinite(np.asarray(value, dtype=float)).all():
+        if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+            finite = np.isfinite(value).all()
+        elif isinstance(value, (list, tuple, np.ndarray)):
+            finite = all(math.isfinite(check_real(name, v))
+                         for v in np.asarray(value, dtype=object).flat)
+        else:
+            finite = math.isfinite(check_real(name, value))
+        if not finite:
             raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def check_real(name: str, value, error: type = DomainError) -> float:
     """``value`` as a float; raise ``error`` unless it is a real number
-    (2, 2.5, inf and numpy scalars pass; "2", True and arrays do not)."""
+    (2, 2.5, inf and numpy scalars pass; "2", True and arrays do not).
+    An integer beyond the float range becomes +-inf."""
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if value > 0 else -math.inf
 
 
 def check_integer(name: str, value, error: type = DomainError) -> int:
@@ -278,7 +297,8 @@ def spectral_decompose(spec: SystemSpec, *, allow_reversible: bool = False) -> S
     descending), which keeps conjugate pairs adjacent with +beta first and
     makes the output deterministic.  The reconstruction
     ``A = sum_k a_k U_k U_k*`` is verified to relative tolerance 1e-10, so a
-    non-normal A raises :class:`NumericError`.  Computed once per spec and
+    non-normal A raises :class:`NumericError`, and an A whose Frobenius norm
+    exceeds 1e150 raises :class:`DomainError`.  Computed once per spec and
     cached on it (the spec is frozen and A is read-only, so the cache cannot
     go stale); every call returns the same :class:`Spectrum`.
 
@@ -304,7 +324,11 @@ def spectral_decompose(spec: SystemSpec, *, allow_reversible: bool = False) -> S
 def _decompose(spec: SystemSpec) -> tuple[Spectrum, bool]:
     """Uncached :func:`spectral_decompose`: the spectrum and whether A is symmetric."""
     A = spec.A
-    scale = 1.0 + float(np.linalg.norm(A))
+    with np.errstate(over="ignore"):
+        norm_a = float(np.linalg.norm(A))
+    if not norm_a <= _MAX_NORM:
+        raise DomainError(f"|A| = {norm_a:.3g} exceeds {_MAX_NORM:g}; rescale time to shrink A")
+    scale = 1.0 + norm_a
     beta_tol = 1e-12 * scale
     M, N = A + A.T, A - A.T
     try:

@@ -15,7 +15,7 @@ from epr_ldp.chaos import (
     g_coefficients,
     s0,
 )
-from epr_ldp.cramer import cramer
+from epr_ldp.cramer import cramer, legendre_oracle, rate
 from epr_ldp.errors import DimensionError, DomainError
 from epr_ldp.model import SystemSpec, magnetic_example, spectral_decompose
 from epr_ldp.montecarlo import (
@@ -280,6 +280,57 @@ def test_entry_points_reject_bad_inputs(call, pi4_spec, pi4_spectrum):
     # returning nonsense or a raw exception
     with pytest.raises(DomainError):
         call(pi4_spectrum, pi4_spec)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda sp, spec: nystrom_spectrum(spec, 0.0, "1", n_nodes=8),
+                     id="nystrom_spectrum-T=str"),
+        pytest.param(lambda sp, spec: nystrom_spectrum(spec, "a", 1.0, n_nodes=8),
+                     id="nystrom_spectrum-lam=str"),
+        pytest.param(lambda sp, spec: gamma_tail(-1.0, 1.0, "1", 5), id="gamma_tail-T=str"),
+        pytest.param(lambda sp, spec: gamma_tail(-1.0, 1.0, 10**400, 5), id="gamma_tail-T=huge-int"),
+        pytest.param(lambda sp, spec: log_det_tail(-1.0, 1.0, 1.0, "0.1", 5), id="log_det_tail-theta=str"),
+        pytest.param(lambda sp, spec: kernel_spectrum(sp, None), id="kernel_spectrum-T=None"),
+        pytest.param(lambda sp, spec: kernel_spectrum(sp, True), id="kernel_spectrum-T=True"),
+        pytest.param(lambda sp, spec: cramer_finite_T("a", spec, 1.0), id="cramer_finite_T-lam=str"),
+        pytest.param(lambda sp, spec: cramer_finite_T(0.1j, spec, 1.0), id="cramer_finite_T-lam=complex"),
+        pytest.param(lambda sp, spec: MgfQuery(x=[0.5, "a"], theta=0.1), id="MgfQuery-x=str-entry"),
+        pytest.param(lambda sp, spec: MgfQuery(x=[0.5, [1.0]], theta=0.1), id="MgfQuery-x=ragged"),
+        pytest.param(lambda sp, spec: MgfQuery(x=X0, theta="0.1"), id="MgfQuery-theta=str"),
+        pytest.param(lambda sp, spec: s0(np.array(["a", "b"]), spec, 1.0), id="s0-x=str-array"),
+        pytest.param(lambda sp, spec: cramer("a", sp), id="cramer-lam=str"),
+        pytest.param(lambda sp, spec: legendre_oracle("a", sp), id="legendre_oracle-x=str"),
+        pytest.param(lambda sp, spec: legendre_oracle(_INF, sp), id="legendre_oracle-x=inf"),
+        pytest.param(lambda sp, spec: legendre_oracle(-_INF, sp), id="legendre_oracle-x=-inf"),
+        pytest.param(lambda sp, spec: rate(10**400, sp), id="rate-x=huge-int"),
+    ],
+)
+def test_entry_points_reject_mistyped_inputs(call, pi4_spec, pi4_spectrum):
+    # a horizon, tilt, theta, start or level that is not a (finite) real
+    # number raises DomainError, never a raw TypeError, ValueError or
+    # OverflowError, and no warning escapes on the way
+    with pytest.raises(DomainError):
+        call(pi4_spectrum, pi4_spec)
+
+
+@pytest.mark.filterwarnings("error")
+class TestHugeStart:
+    """A start whose channel overlaps overflow: documented values, no warning."""
+
+    def test_conditional_mgf(self, pi4_spec):
+        up = MgfQuery(x=(1e200, 0.0), theta=0.1, lam=0.0, T=1.0)
+        down = MgfQuery(x=(1e200, 0.0), theta=-0.1, lam=0.0, T=1.0)
+        assert conditional_mgf(up, pi4_spec) == math.inf
+        assert conditional_mgf(down, pi4_spec) == 0.0
+
+    def test_s0(self):
+        spec = magnetic_example(math.pi / 4, extended=True)
+        assert s0((1e200, 0.0, 0.0), spec, 1.0) == math.inf
+        # the beta = 0 channel carries no weight, however large its overlap
+        assert s0((0.0, 0.0, 1e200), spec, 1.0) == s0((0.0, 0.0, 0.0), spec, 1.0)
 
 
 class TestClosedFormVsSeries:

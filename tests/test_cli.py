@@ -400,6 +400,15 @@ def test_cli_import_skips_process_pools():
         assert _imported_by(module, ("multiprocessing", "concurrent")) == "[]", module
 
 
+def test_cli_import_skips_numpy_random():
+    # numpy.random costs 12-17 ms of start-up; the Monte Carlo layer loads
+    # it when it first builds generators
+    code = "import sys, epr_ldp.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"
+
+
 class TestVerify:
     def test_default_suite_passes(self, tmp_path, capsys):
         outdir = tmp_path / "verify"

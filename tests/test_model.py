@@ -188,6 +188,21 @@ class TestSpectralDecompose:
             with pytest.raises(NumericError, match="is A normal"):
                 spectral_decompose(spec, allow_reversible=allow)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [1e151, 1e200, 1e308])
+    def test_huge_drift_raises_domain_error(self, s):
+        # |A| beyond 1e150 once overflowed inside np.linalg.norm with a warning
+        spec = SystemSpec(np.array([[-s, s], [-s, -s]]))
+        with pytest.raises(DomainError, match="exceeds 1e"):
+            spectral_decompose(spec)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_drift_below_the_limit_decomposes(self):
+        s = 1e149
+        sp = spectral_decompose(SystemSpec(np.array([[-s, s], [-s, -s]])))
+        assert sp.alphas == pytest.approx([-s, -s], rel=1e-14)
+        assert sp.betas == pytest.approx([s, -s], rel=1e-14)
+
     def test_reduce_preserves_channels(self):
         # the channels depend on the drift alone, so a commuting Q and the
         # identity give the same ones
