@@ -12,9 +12,9 @@ outside.  Only the rotating channels enter, through constants computed once
 per spectrum.  The rate function is evaluated in closed form through the
 substitution ell: I(x) = lambda(ell0(x)) x + F(ell0(x)) where ell0(x) is the
 unique root in [-1, m) of |x| = sqrt(1+ell) sum_k beta_k^2 / sqrt(alpha_k^2 -
-ell beta_k^2), found by one safeguarded Newton iteration over an array of
-levels; an independent Legendre-search oracle (grid + golden section on
-lambda x - Lambda(lambda)) cross-checks it.
+ell beta_k^2), found per level by one safeguarded scalar Newton iteration
+on Python floats; an independent Legendre-search oracle (grid + golden
+section on lambda x - Lambda(lambda)) cross-checks it.
 """
 
 from __future__ import annotations
@@ -97,10 +97,14 @@ class _Channels:
         self.clamp = _RADICAND_CLAMP * self.alpha2 + _ELL_SHIFT * self.beta2
         # alpha_k^2 - m beta_k^2, exactly 0 on the channels that set m.
         self.gap = np.where(ratio == m, 0.0, np.maximum(self.alpha2 - m * self.beta2, 0.0))
-        # ell0's first upper bracket, and |x| there and at ell = (m - 1)/2.
-        self.top = m * (1.0 - 1e-15) if m > 0 else m - 1e-15
-        ells = np.array([self.top, 0.5 * (m - 1.0)])
-        self.top_level, self.level_mid = _level(self, 1.0 + ells, m - ells)[0].tolist()
+        # (gap_k, beta_k^2) as Python floats: _level's and _F_at's sums over d/2
+        # channels cost less in Python arithmetic than in numpy dispatch.
+        self.pairs = tuple(zip(self.gap.tolist(), self.beta2.tolist()))
+        # ell0's first upper bracket, as m - ell, and |x| there and at ell = (m - 1)/2.
+        top, mid = (m * (1.0 - 1e-15) if m > 0 else m - 1e-15), 0.5 * (m - 1.0)
+        self.v_top = m - top
+        self.top_level = _level(self, 1.0 + top, self.v_top)[0]
+        self.level_mid = _level(self, 1.0 + mid, m - mid)[0]
 
 
 def _channels(spectrum: Spectrum) -> _Channels:
@@ -179,100 +183,98 @@ def cramer_derivative(lam: float, spectrum: Spectrum) -> float:
     return float(cramer_curve(spectrum, [lam], with_derivative=True).derivative[0])
 
 
-def _level(ch: _Channels, w, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _level(ch: _Channels, w: float, v: float) -> tuple[float, float, float]:
     """|x| = sqrt(w) S at 1 + ell = w, m - ell = v, S = sum_k beta_k^2 / sqrt(r_k)
-    and D = 2 dS/dell, with r_k = (alpha_k^2 - m beta_k^2) + beta_k^2 v exact
-    up to the pole at ell = m."""
-    r = ch.gap + np.multiply.outer(v, ch.beta2)
-    q = ch.beta2 / np.sqrt(r)
-    S = q.sum(axis=-1)
-    return np.sqrt(w) * S, S, (q * ch.beta2 / r).sum(axis=-1)
+    and D = 2 v dS/dell, with r_k = (alpha_k^2 - m beta_k^2) + beta_k^2 v exact
+    and D finite up to the pole at ell = m."""
+    S = D = 0.0
+    for gap, b2 in ch.pairs:
+        r = gap + v * b2
+        q = b2 / math.sqrt(r)
+        S += q
+        D += q * (v * b2 / r)
+    return math.sqrt(w) * S, S, D
 
 
-def _solve(ch: _Channels, xs: np.ndarray):
-    """ell0, I and the residual |x|(ell0) - |x| for every level in xs."""
-    t = np.abs(xs)
-    if not np.isfinite(t).all():
-        raise DomainError("EPR level x must be finite")
-    ell, v, resid = np.full(xs.shape, -1.0), np.full(xs.shape, 1.0 + ch.dom.m), np.zeros(xs.shape)
-    todo = t > 1e-12
-    if todo.any():
-        ell[todo], v[todo], resid[todo] = _newton(ch, t[todo])
-    bad = ~(np.abs(resid) <= np.maximum(_RESIDUAL_TOL, 1e-9 * np.maximum(1.0, t)))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NumericError(f"ell0 solve residual {resid[i]:.3e} above tolerance at x={xs[i]}")
-    # lambda's + branch as ell0 / (2 (1 + sqrt(1+ell0))) and F from the unclamped
-    # radicands at v = m - ell0 stay exact when alpha^2 and ell0 are far below 1.
-    root = np.sqrt(1.0 + ch.dom.m - v)
-    lam = np.where(xs >= 0, ell / (2.0 * (1.0 + root)), -0.5 * (1.0 + root))
-    I = np.where(todo, lam * xs, 0.0) + _F(ch, ch.gap + np.multiply.outer(v, ch.beta2))
-    if (I < -1e-10).any():
-        i = int(np.argmax(I < -1e-10))
-        raise NumericError(f"rate evaluated negative ({I[i]:.3e}) at x={xs[i]}")
-    return ell, np.maximum(I, 0.0), resid
+def _F_at(ch: _Channels, v: float) -> float:
+    """F = 1/2 sum_k (sqrt(r_k) + alpha_k) = -Lambda at m - ell = v, with the
+    radicands r_k = (alpha_k^2 - m beta_k^2) + beta_k^2 v of :func:`_level`."""
+    return 0.5 * (sum(math.sqrt(gap + v * b2) for gap, b2 in ch.pairs) + ch.alpha_sum)
 
 
-def _newton(ch: _Channels, t: np.ndarray):
-    """Roots ell0 of |x|(ell) = t > 0, with m - ell0 and the residuals.
+def _solve(ch: _Channels, x: float) -> tuple[float, float, float]:
+    """ell0, I and the residual |x|(ell0) - |x| at one level x.
 
-    The bracket [-1, hi] has hi = m (1 - 1e-15), moved toward m geometrically
-    while |x|(hi) < t (the right side diverges at m, so a bracket always
-    exists).  Newton steps are taken on log |x| in the logit coordinate
-    z = log((1+ell)/(m-ell)), in which it is nearly linear with slope 1/2
-    at both ends (exactly so for a single rotation pair); the start is that
-    line through the midpoint ell = (m-1)/2.  A step that leaves [lo, hi] is
-    replaced by bisection.  The iterate is carried as 1 + ell and m - ell,
-    which resolve ell0 near -1 and near m far below one ulp of ell.
+    x = 0 (within 1e-12) short-circuits to ell0 = -1 exactly.  Otherwise the
+    bracket [-1, hi] starts at m - hi = 1e-15 m, divided by 16 while
+    |x|(hi) < |x| (|x| diverges at m; once beta_k^2 (m - hi) underflows, the
+    level raises :class:`DomainError`).  Newton steps are taken on log |x| in
+    the logit coordinate z = log((1+ell)/(m-ell)), nearly linear with slope
+    1/2 at both ends (exactly so for a single rotation pair); the start is
+    that line through ell = (m-1)/2, or hi if it lies past hi or underflows
+    to ell = -1.  A step that leaves the bracket is replaced by bisection.
+    The iterate and both ends are carried as 1 + ell and m - ell, which
+    resolve ell0 near -1 and near m far below one ulp of ell.
     """
-    m = ch.dom.m
-    tops, top_levels = [ch.top], [ch.top_level]
-    while top_levels[-1] < t.max():
-        new_hi = m - (m - tops[-1]) / 16.0
-        if new_hi <= tops[-1] or len(tops) > 80:
-            raise NumericError("could not bracket ell0 below m")
-        tops.append(new_hi)
-        top_levels.append(float(_level(ch, 1.0 + new_hi, m - new_hi)[0]))
-    hi = np.array(tops)[np.searchsorted(top_levels, t)]
-    lo = np.full(t.shape, -1.0)
-    s = (t / ch.level_mid) ** 2  # e^z at the start
+    t, m = abs(x), ch.dom.m
+    if not math.isfinite(t):
+        raise DomainError("EPR level x must be finite")
+    if t <= 1e-12:
+        return -1.0, _F_at(ch, 1.0 + m), 0.0
+    v_hi, g = ch.v_top, ch.top_level
+    while g < t:
+        if v_hi / 16.0 * min(b2 for _, b2 in ch.pairs) == 0.0:
+            raise DomainError(f"EPR level |x| = {t:.3e} exceeds {g:.3e}, the largest resolved")
+        v_hi /= 16.0
+        g = _level(ch, 1.0 + (m - v_hi), v_hi)[0]
+    w_lo, v_lo, w_hi = 0.0, 1.0 + m, 1.0 + (m - v_hi)
+    s = (t / ch.level_mid) * (t / ch.level_mid)  # e^z at the start (** raises on overflow)
     v = (1.0 + m) / (1.0 + s)
     w = s * v
-    ell = np.where(w < v, w - 1.0, m - v)
-    with np.errstate(all="ignore"):
-        for _ in range(100):
-            g, S, D = _level(ch, w, v)
-            below = g < t
-            lo = np.where(below, ell, lo)
-            hi = np.where(below, hi, ell)
-            # d log|x| / dz = (1 + w D / S) v / (2 (1 + m)); the logit step
-            # dz maps (w, v) to (p, v) / (v + p) (1 + m) with p = w e^-dz.
-            dz = np.log(g / t) * (2.0 * (1.0 + m)) / ((1.0 + w * D / S) * v)
-            p = w * np.exp(-dz)
-            w_new, v_new = (1.0 + m) * p / (v + p), (1.0 + m) * v / (v + p)
-            ell_new = np.where(w_new < v_new, w_new - 1.0, m - v_new)
-            out = ~((ell_new >= lo) & (ell_new <= hi))
-            if out.any():  # bisect where the step leaves the bracket
-                ell_new[out] = mid = 0.5 * (lo[out] + hi[out])
-                w_new[out], v_new[out] = 1.0 + mid, m - mid
-            ell, w, v = ell_new, w_new, v_new
-            if not out.any() and (np.abs(dz) <= _NEWTON_TOL).all():
-                break
-    return ell, v, _level(ch, w, v)[0] - t
+    if not (v >= v_hi and w > 0.0):
+        w, v = w_hi, v_hi
+    for _ in range(100):
+        g, S, D = _level(ch, w, v)
+        if g < t:
+            w_lo, v_lo = w, v
+        else:
+            w_hi, v_hi = w, v
+        # d log|x| / dz = (v + w D / S) / (2 (1 + m)); the logit step dz maps (w, v)
+        # to (p, v) / (v + p) (1 + m) with p = w e^-dz, capped below overflow
+        dz = math.log(g / t) * (2.0 * (1.0 + m)) / (v + w * D / S)
+        p = w * math.exp(min(-dz, 700.0))
+        w_new, v_new = (1.0 + m) * p / (v + p), (1.0 + m) * v / (v + p)
+        if abs(dz) <= _NEWTON_TOL:  # a rounding-sized step may leave a collapsed bracket
+            w, v = w_new, v_new
+            break
+        # compared in the coordinate that resolves ell: 1 + ell below the middle, m - ell above
+        if (0.0 < w_new and w_lo <= w_new <= w_hi) if w_new < v_new else v_hi <= v_new <= v_lo:
+            w, v = w_new, v_new
+        else:  # bisect where the step leaves the bracket (or is NaN)
+            w, v = 0.5 * (w_lo + w_hi), 0.5 * (v_lo + v_hi)
+    resid = _level(ch, w, v)[0] - t
+    if not abs(resid) <= max(_RESIDUAL_TOL, 1e-9 * max(1.0, t)):
+        raise NumericError(f"ell0 solve residual {resid:.3e} above tolerance at x={x}")
+    # lambda's + branch as ell0 / (2 (1 + sqrt(1+ell0))) and F from the unclamped
+    # radicands at v = m - ell0 stay exact when alpha^2 and ell0 are far below 1.
+    ell, root = (w - 1.0 if w < v else m - v), math.sqrt(1.0 + m - v)
+    I = (ell / (2.0 * (1.0 + root)) if x >= 0 else -0.5 * (1.0 + root)) * x + _F_at(ch, v)
+    if I < -1e-10:
+        raise NumericError(f"rate evaluated negative ({I:.3e}) at x={x}")
+    return ell, max(I, 0.0), resid
 
 
 def rate(x: float, spectrum: Spectrum) -> RatePoint:
     """Closed-form rate function I(x) = lambda(ell0) x + F(ell0).
 
-    x = 0 (within 1e-12) short-circuits to ell0 = -1 exactly; otherwise the
-    safeguarded Newton iteration of ``_newton`` solves for ell0(x).  A
+    x = 0 (within 1e-12) short-circuits to ell0 = -1 exactly; otherwise one
+    scalar safeguarded Newton iteration (``_solve``) solves for ell0(x).  A
     residual above max(1e-12, 1e-9 max(1, |x|)) or a negative rate raises
-    :class:`NumericError`; a level that is not a finite real number raises
-    :class:`DomainError`.
+    :class:`NumericError`; a level that is not a finite real number, or too
+    large to resolve ell0 below m, raises :class:`DomainError`.
     """
     x = check_real("EPR level x", x)
-    ell, I, resid = _solve(_channels(spectrum), np.array([x]))
-    return RatePoint(x, float(ell[0]), float(I[0]), float(resid[0]))
+    return RatePoint(x, *_solve(_channels(spectrum), x))
 
 
 def legendre_oracle(x: float, spectrum: Spectrum) -> float:
@@ -289,24 +291,21 @@ def legendre_oracle(x: float, spectrum: Spectrum) -> float:
     if not math.isfinite(x):
         raise DomainError(f"EPR level x must be finite, got {x!r}")
     ch = _channels(spectrum)
-
-    def f(lam):  # lambda x - Lambda(lambda) = lambda x + F(ell)
-        # radicands from m - ell = 4 (b - lambda)(lambda - a) >= 0, as in
-        # _level: exact near both endpoints, so no clamp is needed
-        v = 4.0 * (ch.dom.b - lam) * (lam - ch.dom.a)
-        return lam * x + _F(ch, ch.gap + np.multiply.outer(v, ch.beta2))
-
-    grid = np.linspace(ch.dom.a, ch.dom.b, _LEGENDRE_GRID)
-    vals = f(grid)
+    a, b = ch.dom.a, ch.dom.b
+    # lambda x - Lambda(lambda) = lambda x + F at m - ell = 4 (b - lambda)(lambda - a)
+    # >= 0: exact near both endpoints, as in _level, so no clamp is needed
+    grid = np.linspace(a, b, _LEGENDRE_GRID)
+    vals = grid * x + _F(ch, ch.gap + np.multiply.outer(4.0 * (b - grid) * (grid - a), ch.beta2))
     i = int(np.argmax(vals))
     best = float(vals[i])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, _LEGENDRE_GRID - 1)]
+    lo, hi = grid[[max(i - 1, 0), min(i + 1, _LEGENDRE_GRID - 1)]].tolist()
+
+    def f(lam: float) -> float:
+        return lam * x + _F_at(ch, 4.0 * (b - lam) * (lam - a))
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    fc, fd, width = f(c), f(d), hi - lo
     for _ in range(100):
         if fc > fd:
             hi, d, fd, c = d, c, fc, d - invphi * (d - lo)
@@ -314,9 +313,11 @@ def legendre_oracle(x: float, spectrum: Spectrum) -> float:
         else:
             lo, c, fc, d = c, d, fd, c + invphi * (hi - c)
             fd = f(d)
-        # Lambda bends on the scale of b ~ m/4 next to b, far below 1 as m -> 0
-        if hi - lo <= 1e-14 * max(1.0, abs(hi)) * min(1.0, ch.dom.m):
+        # Lambda bends on the scale of b ~ m/4 next to b, far below 1 as m -> 0;
+        # a bracket that no longer shrinks has reached the float spacing
+        if hi - lo <= 1e-14 * max(1.0, abs(hi)) * min(1.0, ch.dom.m) or hi - lo >= width:
             break
+        width = hi - lo
     return max(best, fc, fd)
 
 
@@ -325,12 +326,11 @@ def symmetry_residuals(spectrum: Spectrum, lambda_grid: Sequence[float],
     """Fluctuation-symmetry residuals (max |Lambda(l) - Lambda(-1-l)|,
     max |I(x) - I(-x) + x|) over the given grids; empty grids give 0."""
     lam, xs = (np.asarray(grid, dtype=float) for grid in (lambda_grid, x_grid))
+    ch = _channels(spectrum)
     res1 = res2 = 0.0
     if lam.size:
-        v1 = _cramer_values(_channels(spectrum), lam)
-        v2 = _cramer_values(_channels(spectrum), -1.0 - lam)
+        v1, v2 = _cramer_values(ch, lam), _cramer_values(ch, -1.0 - lam)
         res1 = float(np.max(np.where(np.isinf(v1) & np.isinf(v2), 0.0, np.abs(v1 - v2))))
-    if xs.size:
-        _, I, _ = _solve(_channels(spectrum), np.concatenate([xs, -xs]))
-        res2 = float(np.max(np.abs(I[: xs.size] - I[xs.size:] + xs)))
+    for x in xs.tolist():
+        res2 = max(res2, abs(_solve(ch, x)[1] - _solve(ch, -x)[1] + x))
     return res1, res2

@@ -190,10 +190,16 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
     and (A, M).  Failures are reported, never thrown; the reversible case
     (A symmetric) is a warning rather than an error because only the
     large-deviation objects are undefined there.  Matrix identities hold
-    when their residual is within 1e-10 of the Frobenius scale.
+    when their residual is within 1e-10 of the Frobenius scale.  An A whose
+    Frobenius norm exceeds 1e150 (which :func:`spectral_decompose` refuses)
+    is reported by a failing ``scale`` check alone, before any product of
+    matrices can overflow.
     """
     A, Q, tol = spec.A, spec.Q, _VALIDATE_TOL
-    norm_A = np.linalg.norm(A)
+    with np.errstate(over="ignore"):
+        norm_A = np.linalg.norm(A)
+    if not norm_A <= _MAX_NORM:
+        return ValidationReport((CheckResult("scale", False, float(norm_A), _MAX_NORM),))
     norm_Q = np.linalg.norm(Q)
     M = A + A.T
     N = A - A.T

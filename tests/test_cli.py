@@ -86,13 +86,15 @@ class TestExitCodes:
         failing = {c["name"] for c in payload["checks"] if not c["passed"]}
         assert "normality" in failing
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["curves", "spectrum", "mgf", "simulate"])
     @pytest.mark.parametrize(
         "system, failing",
         [({"matrix_A": magnetic_example(math.pi / 4).A.tolist(),
            "matrix_Q": [[1.0, 0.0], [0.0, 2.0]]}, "aq_commute"),
-         ({"matrix_A": [[-1.0, 2.0], [0.0, -1.0]]}, "normality")],
-        ids=["non_commuting_q", "non_normal_a"],
+         ({"matrix_A": [[-1.0, 2.0], [0.0, -1.0]]}, "normality")]
+        + [({"matrix_A": [[-s, s], [-s, -s]]}, "scale") for s in (1e150, 1e200, 1e308)],
+        ids=["non_commuting_q", "non_normal_a", "huge_a_1e150", "huge_a_1e200", "huge_a_1e308"],
     )
     def test_invalid_system_refused(self, tmp_path, capsys, command, system, failing):
         cfg = write_config(tmp_path, dict(RUNNABLE, system=system))
@@ -100,6 +102,14 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert failing in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [1e150, 1e200, 1e308])
+    def test_validate_huge_drift_is_exit_one(self, tmp_path, capsys, s):
+        cfg = write_config(tmp_path, {"system": {"matrix_A": [[-s, s], [-s, -s]]}})
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in payload["checks"] if not c["passed"]] == ["scale"]
 
     def test_missing_system_is_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"horizon": 1.0})

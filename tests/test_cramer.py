@@ -1,5 +1,6 @@
 """Scaled cumulant-generating function, rate function, and their symmetries."""
 
+import importlib
 import math
 
 import numpy as np
@@ -16,11 +17,13 @@ from epr_ldp.cramer import (
     rate,
     symmetry_residuals,
 )
-from epr_ldp.errors import DomainError, ReversibilityError
+from epr_ldp.errors import DomainError, EprLdpError, ReversibilityError
 from epr_ldp.model import SystemSpec, magnetic_example, mean_epr, spectral_decompose
 from epr_ldp.testing import random_system
 
 SQRT2 = math.sqrt(2.0)
+# the module itself: the package's `cramer` attribute is the function
+cramer_module = importlib.import_module("epr_ldp.cramer")
 
 
 def random_spectrum(seed, d=4):
@@ -288,6 +291,14 @@ class TestSolverAgainstReference:
                      for x in xs)
         assert res_rate == pytest.approx(single, abs=1e-13)
 
+    def test_batch_residual_is_the_single_level_maximum(self, pi4_spectrum):
+        for sp in (pi4_spectrum, random_spectrum(5, d=6)):
+            mbar = mean_epr(sp)
+            xs = np.linspace(-3.0 * mbar, 3.0 * mbar, 31)
+            _, res_rate = symmetry_residuals(sp, [], xs)
+            assert res_rate == max(abs(rate(float(x), sp).I - rate(float(-x), sp).I + x)
+                                   for x in xs)
+
     def test_nan_level_rejected(self, pi4_spectrum):
         with pytest.raises(DomainError):
             rate(math.nan, pi4_spectrum)
@@ -314,6 +325,92 @@ class TestSolverAgainstReference:
     def test_nan_level_rejected_by_legendre_oracle(self, pi4_spectrum):
         with pytest.raises(DomainError):
             legendre_oracle(math.nan, pi4_spectrum)
+
+
+def _huge_level_systems():
+    yield "pi4", magnetic_example(math.pi / 4)
+    for sign in (1.0, -1.0):
+        yield f"edge{sign:+.0f}", magnetic_example(sign * (math.pi / 2 - 1e-7))
+    for d in range(2, 9):
+        yield f"d{d}", random_system(np.random.default_rng(1300 + d), d, "identity")
+
+
+class TestHugeLevels:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, spec", list(_huge_level_systems()),
+                             ids=[n for n, _ in _huge_level_systems()])
+    def test_value_or_domain_error(self, name, spec):
+        # |x| up to the double range: ell0 approaches m far below one ulp of
+        # ell, so the bracket is carried as m - ell; where beta^2 (m - ell)
+        # underflows the level raises DomainError, and no raw error escapes
+        sp = spectral_decompose(spec)
+        dom = cramer_domain(sp)
+        for x in np.geomspace(1e-300, 1.7e308, 60):
+            for level in (float(x), float(-x)):
+                try:
+                    I = rate(level, sp).I
+                except EprLdpError as exc:
+                    assert isinstance(exc, DomainError) and abs(level) > 1e150, (level, exc)
+                    continue
+                assert math.isfinite(I) and I >= 0.0
+                if abs(level) >= 1e20:  # I(x) / |x| tends to b as x -> inf, 1 + b as x -> -inf
+                    slope = dom.b if level > 0 else 1.0 + dom.b
+                    assert I / abs(level) == pytest.approx(slope, rel=1e-6)
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_level_of_a_huge_drift(self):
+        # (x / |x|(ell = (m-1)/2))^2 underflows, so the logit start sits at ell = -1
+        sp = spectral_decompose(SystemSpec(5e149 * np.array([[-1.0, 1.0], [-1.0, -1.0]])))
+        for x in (1.1e-12, -1.1e-12, 1e-5):
+            try:
+                assert rate(x, sp).I >= 0.0
+            except EprLdpError:
+                pass
+
+
+class TestSolverCost:
+    @staticmethod
+    def _systems():
+        for theta in (-1.4, -0.9, -0.3, 0.2, 0.785, 1.1, 1.45,
+                      math.pi / 2 - 0.01, -(math.pi / 2 - 0.01)):
+            yield magnetic_example(theta)
+        yield magnetic_example(0.6, extended=True)
+        rng = np.random.default_rng(7)
+        for d in range(2, 9):
+            for style in ("identity", "scalar", "poly"):
+                yield random_system(rng, d, style)
+
+    def test_level_evaluations_per_solve(self, monkeypatch):
+        # ldp_curves' 31-level grid: the logit Newton needs about 4 level
+        # evaluations per solve (bracket, iterations and the final residual)
+        calls = []
+        level = cramer_module._level
+        monkeypatch.setattr(cramer_module, "_level", lambda *a: calls.append(1) or level(*a))
+        worst = 0
+        for spec in self._systems():
+            sp = spectral_decompose(spec)
+            cramer_domain(sp)  # the per-spectrum constants evaluate two levels
+            mbar = mean_epr(sp)
+            for x in np.linspace(-3.0 * mbar, 3.0 * mbar, 31):
+                calls.clear()
+                rate(float(x), sp)
+                worst = max(worst, len(calls))
+        assert worst <= 12
+
+    def test_golden_section_stops_when_the_bracket_stops_shrinking(self, monkeypatch):
+        # 2 + one F evaluation per golden-section iteration; a bracket stuck
+        # at the float spacing ran all 100 iterations
+        calls = []
+        F = cramer_module._F_at
+        monkeypatch.setattr(cramer_module, "_F_at", lambda *a: calls.append(1) or F(*a))
+        for spec in self._systems():
+            sp = spectral_decompose(spec)
+            mbar = mean_epr(sp)
+            for x in np.linspace(-3.0 * mbar, 3.0 * mbar, 31)[3::6]:
+                calls.clear()
+                legendre_oracle(float(x), sp)
+                assert len(calls) < 100
 
 
 class TestLegendreAgreement:

@@ -105,6 +105,15 @@ class TestValidation:
         report = validate_system(SystemSpec(pi4_spec.A, np.diag([1.0, 2.0])))
         assert not check(report, "aq_commute").passed
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [1e150, 1e200, 1e308])
+    def test_huge_drift_fails_scale_without_warning(self, s):
+        # the identities below square |A|; checked first, nothing overflows
+        report = validate_system(SystemSpec(np.array([[-s, s], [-s, -s]])))
+        assert not report.passed
+        assert [(c.name, c.severity) for c in report.failing()] == [("scale", "error")]
+        assert check(report, "scale").residual >= 2.0 * s
+
     def test_as_dict_round_trip(self, pi4_spec):
         d = validate_system(pi4_spec).as_dict()
         assert d["passed"] is True
