@@ -205,10 +205,11 @@ def _F_at(ch: _Channels, v: float) -> float:
 def _solve(ch: _Channels, x: float) -> tuple[float, float, float]:
     """ell0, I and the residual |x|(ell0) - |x| at one level x.
 
-    x = 0 (within 1e-12) short-circuits to ell0 = -1 exactly.  Otherwise the
-    bracket [-1, hi] starts at m - hi = 1e-15 m, divided by 16 while
-    |x|(hi) < |x| (|x| diverges at m; once beta_k^2 (m - hi) underflows, the
-    level raises :class:`DomainError`).  Newton steps are taken on log |x| in
+    x = 0 (|x| within 1e-12 of the level scale |x|(ell = (m-1)/2))
+    short-circuits to ell0 = -1 exactly.  Otherwise the bracket [-1, hi]
+    starts at m - hi = 1e-15 m, divided by 16 while |x|(hi) < |x| (|x|
+    diverges at m; once beta_k^2 (m - hi) underflows, the level raises
+    :class:`DomainError`).  Newton steps are taken on log |x| in
     the logit coordinate z = log((1+ell)/(m-ell)), nearly linear with slope
     1/2 at both ends (exactly so for a single rotation pair); the start is
     that line through ell = (m-1)/2, or hi if it lies past hi or underflows
@@ -219,7 +220,7 @@ def _solve(ch: _Channels, x: float) -> tuple[float, float, float]:
     t, m = abs(x), ch.dom.m
     if not math.isfinite(t):
         raise DomainError("EPR level x must be finite")
-    if t <= 1e-12:
+    if t <= 1e-12 * ch.level_mid:
         return -1.0, _F_at(ch, 1.0 + m), 0.0
     v_hi, g = ch.v_top, ch.top_level
     while g < t:
@@ -258,8 +259,11 @@ def _solve(ch: _Channels, x: float) -> tuple[float, float, float]:
     # lambda's + branch as ell0 / (2 (1 + sqrt(1+ell0))) and F from the unclamped
     # radicands at v = m - ell0 stay exact when alpha^2 and ell0 are far below 1.
     ell, root = (w - 1.0 if w < v else m - v), math.sqrt(1.0 + m - v)
-    I = (ell / (2.0 * (1.0 + root)) if x >= 0 else -0.5 * (1.0 + root)) * x + _F_at(ch, v)
-    if I < -1e-10:
+    lam = ell / (2.0 * (1.0 + root)) if x >= 0 else -0.5 * (1.0 + root)
+    lx, F = lam * x, _F_at(ch, v)
+    I = lx + F
+    # at the mean EPR, I and F cancel to the rounding of lambda x, sqrt(r_k) and alpha_k
+    if I < -1e-10 * (abs(lx) + abs(F) + abs(ch.alpha_sum)):
         raise NumericError(f"rate evaluated negative ({I:.3e}) at x={x}")
     return ell, max(I, 0.0), resid
 
@@ -267,11 +271,12 @@ def _solve(ch: _Channels, x: float) -> tuple[float, float, float]:
 def rate(x: float, spectrum: Spectrum) -> RatePoint:
     """Closed-form rate function I(x) = lambda(ell0) x + F(ell0).
 
-    x = 0 (within 1e-12) short-circuits to ell0 = -1 exactly; otherwise one
-    scalar safeguarded Newton iteration (``_solve``) solves for ell0(x).  A
-    residual above max(1e-12, 1e-9 max(1, |x|)) or a negative rate raises
-    :class:`NumericError`; a level that is not a finite real number, or too
-    large to resolve ell0 below m, raises :class:`DomainError`.
+    x = 0 (|x| within 1e-12 of the system's level scale) short-circuits to
+    ell0 = -1 exactly; otherwise one scalar safeguarded Newton iteration
+    (``_solve``) solves for ell0(x).  A residual above max(1e-12, 1e-9
+    max(1, |x|)) or a rate below -1e-10 (|lambda x| + |F| + |sum alpha_k|)
+    raises :class:`NumericError`; a level that is not a finite real number,
+    or too large to resolve ell0 below m, raises :class:`DomainError`.
     """
     x = check_real("EPR level x", x)
     return RatePoint(x, *_solve(_channels(spectrum), x))

@@ -190,7 +190,9 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
     and (A, M).  Failures are reported, never thrown; the reversible case
     (A symmetric) is a warning rather than an error because only the
     large-deviation objects are undefined there.  Matrix identities hold
-    when their residual is within 1e-10 of the Frobenius scale.  An A whose
+    when their residual is within 1e-10 of the Frobenius scale; commutators
+    are formed from power-of-two rescaled factors, so no A below the 1e150
+    limit overflows them.  An A whose
     Frobenius norm exceeds 1e150 (which :func:`spectral_decompose` refuses)
     is reported by a failing ``scale`` check alone, before any product of
     matrices can overflow.
@@ -206,7 +208,11 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
     sqrt_Q = _sym_sqrt(Q)
 
     def comm(F: np.ndarray, G: np.ndarray) -> float:
-        return float(np.linalg.norm(F @ G - G @ F))
+        # ||FG - GF|| with F and G scaled by exact powers of two to norm < 1,
+        # so neither the products nor the norm's squares overflow
+        e, f = math.frexp(np.linalg.norm(F))[1], math.frexp(np.linalg.norm(G))[1]
+        F, G = np.ldexp(F, -e), np.ldexp(G, -f)
+        return math.ldexp(float(np.linalg.norm(F @ G - G @ F)), e + f)
 
     res, thr = comm(A, A.T), tol * max(1.0, norm_A**2)
     checks = [CheckResult("normality", res <= thr, res, thr)]

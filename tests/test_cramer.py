@@ -160,6 +160,16 @@ class TestRate:
         assert abs(pt.ell0) <= 1e-9
         assert pt.I <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_mean_of_a_scaled_drift(self):
+        # |A| ~ 1e20: at the mean EPR, I = lambda x + F cancels to rounding
+        # of order 1e4, far inside a gate relative to the terms that cancel
+        for k in range(6):
+            spec = random_system(np.random.default_rng(k), 2 + k % 5,
+                                 ("identity", "scalar", "poly")[k % 3])
+            sp = spectral_decompose(SystemSpec(1e20 * spec.A, spec.Q))
+            assert 0.0 <= rate(mean_epr(sp), sp).I <= 1e-12 * mean_epr(sp)
+
     def test_known_parameter_root(self, pi4_spectrum):
         pt = rate(2.0 * SQRT2, pi4_spectrum)
         assert pt.ell0 == pytest.approx(0.6, abs=1e-9)
@@ -367,6 +377,15 @@ class TestHugeLevels:
                 assert rate(x, sp).I >= 0.0
             except EprLdpError:
                 pass
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_level_below_the_scale_of_a_huge_drift(self):
+        # levels within 1e-12 of the level scale (~1e150 here) are x = 0
+        sp = spectral_decompose(SystemSpec(5e149 * np.array([[-1.0, 1.0], [-1.0, -1.0]])))
+        at_zero = rate(0.0, sp).I
+        for x in (1.1e-12, -1.1e-12, 1e-5, 1e130):
+            assert rate(x, sp).I == pytest.approx(at_zero, rel=1e-12)
 
 
 class TestSolverCost:

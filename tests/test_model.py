@@ -114,6 +114,17 @@ class TestValidation:
         assert [(c.name, c.severity) for c in report.failing()] == [("scale", "error")]
         assert check(report, "scale").residual >= 2.0 * s
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [1e100, 5e149])
+    def test_large_drift_validates_without_overflow(self, s):
+        # the commutators square |A|; power-of-two rescaling keeps them finite
+        report = validate_system(SystemSpec(np.array([[-s, s], [-s, -s]])))
+        assert report.passed
+        for c in report.checks:
+            assert math.isfinite(c.residual)
+            if c.name in ("normality", "commute_a_m"):  # of order eps |A|^2
+                assert c.residual <= 1e-15 * s * s
+
     def test_as_dict_round_trip(self, pi4_spec):
         d = validate_system(pi4_spec).as_dict()
         assert d["passed"] is True

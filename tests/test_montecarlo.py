@@ -233,13 +233,15 @@ class TestSimulateEpr:
         chunked = simulate_epr(pi4_spec, cfg).samples
         assert np.array_equal(baseline, chunked)
 
-    @pytest.mark.parametrize("draw_values", [1, 1001])
+    @pytest.mark.parametrize("draw_values", [1, 150, 1001, 4800])
     @pytest.mark.parametrize("kind", ["exact_ou", "euler_maruyama", "z"])
     def test_draw_buffer_size_does_not_change_samples(
         self, pi4_spec, monkeypatch, kind, draw_values
     ):
-        # 100 steps x 2 components: 1001 values stage 5 trajectories at a
-        # time, which leaves a last buffer of 2 of the 32.
+        # 100 steps x 2 components = 200 values per trajectory.  1, 150 and
+        # 1001 values stage 16 trajectories at a time in slabs of 1, 4 and 31
+        # steps (the last slab ragged); 4800 stages 24 whole trajectories,
+        # which leaves a last buffer of 8 of the 32.
         if kind == "z":
             cfg = SimConfig(T=1.0, dt=0.01, n_traj=32, seed=14)
             run = lambda: simulate_z_integral(pi4_spec, 0.2, [0.5, -1.0], cfg)
@@ -248,6 +250,29 @@ class TestSimulateEpr:
             run = lambda: simulate_epr(pi4_spec, cfg).samples
         baseline = run()
         monkeypatch.setattr(mc, "_DRAW_VALUES", draw_values)
+        assert np.array_equal(baseline, run())
+
+    @pytest.mark.parametrize("block_values, window_values",
+                             [(1, None), (448, None), (448, 1920)],
+                             ids=["one_step", "ragged", "ragged_windows"])
+    @pytest.mark.parametrize("kind", ["exact_ou", "euler_maruyama", "z"])
+    def test_block_length_does_not_change_samples(
+        self, pi4_spec, monkeypatch, kind, block_values, window_values
+    ):
+        # 32 trajectories x 2 components over 100 steps: blocks of 1 step, and
+        # of 7 steps, ragged at the end of one window of 100 steps (2) or of
+        # windows of 30, 30, 30 and 10 steps (2, 2, 2 and 3).
+        if kind == "z":
+            cfg = SimConfig(T=1.0, dt=0.01, n_traj=32, seed=17)
+            run = lambda: simulate_z_integral(pi4_spec, 0.2, [0.5, -1.0], cfg)
+        else:
+            cfg = SimConfig(T=1.0, dt=0.01, n_traj=32, seed=17, scheme=kind,
+                            start=(0.3, -0.2) if kind == "exact_ou" else "stationary")
+            run = lambda: simulate_epr(pi4_spec, cfg).samples
+        baseline = run()
+        monkeypatch.setattr(mc, "_BLOCK_VALUES", block_values)
+        if window_values is not None:
+            monkeypatch.setattr(mc, "_WINDOW_VALUES", window_values)
         assert np.array_equal(baseline, run())
 
     @settings(max_examples=40, deadline=None)
@@ -291,6 +316,21 @@ class TestSimulateEpr:
             assert np.array_equal(simulate_epr(pi4_spec, cfg).samples,
                                   reference_epr(pi4_spec, cfg))
         cfg = SimConfig(T=0.5, dt=0.01, n_traj=300, seed=16)
+        assert np.array_equal(simulate_z_integral(pi4_spec, 0.1, [1.0, 0.5], cfg),
+                              reference_z_integral(pi4_spec, 0.1, [1.0, 0.5], cfg))
+
+    def test_narrow_ensemble_over_blocks_and_windows_equals_reference_bitwise(
+        self, pi4_spec, monkeypatch
+    ):
+        # 16 trajectories over 250 steps, in windows of 100, 100 and 50 steps
+        # cut into blocks of 40 steps (the last of each window ragged).
+        monkeypatch.setattr(mc, "_WINDOW_VALUES", 32 * 100)
+        monkeypatch.setattr(mc, "_BLOCK_VALUES", 32 * 40)
+        for scheme in ("exact_ou", "euler_maruyama"):
+            cfg = SimConfig(T=2.5, dt=0.01, n_traj=16, seed=18, scheme=scheme)
+            assert np.array_equal(simulate_epr(pi4_spec, cfg).samples,
+                                  reference_epr(pi4_spec, cfg))
+        cfg = SimConfig(T=2.5, dt=0.01, n_traj=16, seed=19)
         assert np.array_equal(simulate_z_integral(pi4_spec, 0.1, [1.0, 0.5], cfg),
                               reference_z_integral(pi4_spec, 0.1, [1.0, 0.5], cfg))
 
