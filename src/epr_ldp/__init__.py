@@ -24,7 +24,6 @@ from .cramer import (
     RatePoint,
     cramer,
     cramer_curve,
-    cramer_derivative,
     cramer_domain,
     legendre_oracle,
     rate,

@@ -105,7 +105,8 @@ def _overlaps_sq(x: np.ndarray, spectrum: Spectrum) -> np.ndarray:
 
 
 def s0(x, spec: SystemSpec, T: float) -> float:
-    """Mean of int_0^T |N Y_s|^2 ds for the unit-noise process started at x.
+    """The paper's mean S_0: the mean of int_0^T |N Y_s|^2 ds for the
+    unit-noise process started at x, the zeroth-chaos term of the functional.
 
     Splits as a start-dependent quadratic part, per channel
     (2 beta^2/alpha)(e^{2 alpha T} - 1)|<x, U_k>|^2, plus the
@@ -115,7 +116,7 @@ def s0(x, spec: SystemSpec, T: float) -> float:
     """
     check_inputs(T, x=x)
     vec = _start_vector(x, spec.dim)
-    spectrum = spectral_decompose(spec, allow_reversible=True)
+    spectrum = spectral_decompose(spec)
     if not spectrum.has_rotation:
         return 0.0
     alphas, betas = spectrum.alphas, spectrum.betas
@@ -143,14 +144,14 @@ def _hat_g(alpha, omega, phase, T: float, beta):
 
 
 def g_coefficients(x, spec: SystemSpec, T: float = 1.0, j_max: int = 200) -> np.ndarray:
-    """Real projections of the drift function onto the normalized kernel
-    eigenfunctions, one per entry of the kernel spectrum (channel-major,
-    aligned with ``KernelSpectrum.gammas``).  Both members of a conjugate
-    pair carry a coefficient, so sums of squares need no multiplicity
-    factor."""
+    """The paper's series coefficients g_j: real projections of the drift
+    function onto the normalized kernel eigenfunctions, one per entry of the
+    kernel spectrum (channel-major, aligned with ``KernelSpectrum.gammas``).
+    Both members of a conjugate pair carry a coefficient, so sums of squares
+    need no multiplicity factor."""
     check_inputs(T, x=x)
     vec = _start_vector(x, spec.dim)
-    spectrum = spectral_decompose(spec, allow_reversible=True)
+    spectrum = spectral_decompose(spec)
     ks = kernel_spectrum(spectrum, T, j_max)
     alpha, beta = spectrum.alphas[ks.k, None], spectrum.betas[ks.k, None]
     hat = _hat_g(alpha, ks.omega, ks.phase, T, beta)
@@ -248,7 +249,7 @@ def conditional_mgf(q: MgfQuery, spec: SystemSpec) -> float:
     p_k has the sign of theta, so a start whose overlaps overflow (|x| past
     ~1e154) gives +inf for theta > 0 and 0.0 for theta < 0.
     """
-    spectrum = spectral_decompose(spec, allow_reversible=True)
+    spectrum = spectral_decompose(spec)
     if not spectrum.has_rotation:
         return 1.0
     theta = q.theta
@@ -288,7 +289,7 @@ def cramer_finite_T(
     """
     check_inputs(T, lam=lam)
     theta = 0.5 * lam * (1.0 + lam)
-    spectrum = spectral_decompose(spec, allow_reversible=True)
+    spectrum = spectral_decompose(spec)
     if not spectrum.has_rotation or theta == 0.0:
         return 0.0
     if _diverges(theta, spectrum, T):
@@ -321,7 +322,7 @@ def conditional_mgf_series(q: MgfQuery, spec: SystemSpec) -> float:
     g-quadratic carry truncation error (the latter's tail decays like j^-4
     and is left uncorrected).
     """
-    spectrum = spectral_decompose(spec, allow_reversible=True)
+    spectrum = spectral_decompose(spec)
     if not spectrum.has_rotation or q.theta == 0.0:
         return 1.0
     terms = _series_terms(spectrum, q.T, q.j_max, q.theta)
@@ -349,7 +350,7 @@ def cramer_finite_T_series(
     """
     check_inputs(T, lam=lam)
     theta = 0.5 * lam * (1.0 + lam)
-    spectrum = spectral_decompose(spec, allow_reversible=True)
+    spectrum = spectral_decompose(spec)
     if not spectrum.has_rotation:
         return 0.0
     terms = _series_terms(spectrum, T, j_max, theta)

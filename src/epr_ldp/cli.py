@@ -23,7 +23,7 @@ import numpy as np
 
 from .chaos import MgfQuery, conditional_mgf, cramer_finite_T
 from .cramer import cramer_curve, cramer_domain, rate
-from .errors import ConfigError, DomainError, EprLdpError, ReversibilityError
+from .errors import ConfigError, DomainError, EprLdpError
 from .model import (
     SystemSpec,
     check_integer,
@@ -284,6 +284,20 @@ def _out_file(cfg: RunConfig, outdir: str, name: str) -> str:
     return os.path.join(base, name)
 
 
+def _emit(cfg: RunConfig, outdir: str, stem: str, tables, extra=None) -> None:
+    """Write ``tables``, each ``(csv_suffix, json_key, header, rows)``: as
+    one ``{stem}{csv_suffix}.csv`` per table, or as one ``{stem}.json``
+    holding the fingerprint, each table's rows under its key and ``extra``."""
+    fp = cfg.fingerprint()
+    if cfg.out_format == "csv":
+        for suffix, _, header, rows in tables:
+            _write_csv(_out_file(cfg, outdir, f"{stem}{suffix}.csv"), fp, header, rows)
+    else:
+        payload = {"fingerprint": fp, **(extra or {})}
+        payload.update({key: _rows_to_json(header, rows) for _, key, header, rows in tables})
+        _write_json(_out_file(cfg, outdir, f"{stem}.json"), payload)
+
+
 def cmd_validate(cfg: RunConfig, outdir: str) -> int:
     report = validate_system(cfg.system)
     payload = {"fingerprint": cfg.fingerprint(), **report.as_dict()}
@@ -293,14 +307,8 @@ def cmd_validate(cfg: RunConfig, outdir: str) -> int:
 
 
 def cmd_curves(cfg: RunConfig, outdir: str) -> int:
-    try:
-        sp = spectral_decompose(cfg.system)
-    except ReversibilityError:
-        raise ReversibilityError(
-            "the drift is reversible (A is symmetric), so the entropy "
-            "production rate is identically 0 and has no large-deviation curves"
-        ) from None
-    dom = cramer_domain(sp)
+    sp = spectral_decompose(cfg.system)
+    dom = cramer_domain(sp)  # refuses a reversible drift
     if cfg.lambda_grid is not None:
         lam_grid = cfg.lambda_grid.points()
     else:
@@ -319,19 +327,9 @@ def cmd_curves(cfg: RunConfig, outdir: str) -> int:
     for x in x_grid:
         pt = rate(float(x), sp)
         rate_rows.append((pt.x, pt.I, pt.ell0, pt.residual))
-    fp = cfg.fingerprint()
-    lam_header = "lambda,Lambda,Lambda_prime,in_domain"
-    rate_header = "x,I,ell0,residual"
-    if cfg.out_format == "csv":
-        _write_csv(_out_file(cfg, outdir, "curves_lambda.csv"), fp, lam_header, lam_rows)
-        _write_csv(_out_file(cfg, outdir, "curves_rate.csv"), fp, rate_header, rate_rows)
-    else:
-        _write_json(
-            _out_file(cfg, outdir, "curves.json"),
-            {"fingerprint": fp,
-             "lambda_curve": _rows_to_json(lam_header, lam_rows),
-             "rate_curve": _rows_to_json(rate_header, rate_rows)},
-        )
+    _emit(cfg, outdir, "curves", [
+        ("_lambda", "lambda_curve", "lambda,Lambda,Lambda_prime,in_domain", lam_rows),
+        ("_rate", "rate_curve", "x,I,ell0,residual", rate_rows)])
     print(f"curves: {len(lam_rows)} lambda rows, {len(rate_rows)} x rows "
           f"(domain [{dom.a!r}, {dom.b!r}])")
     return 0
@@ -339,27 +337,16 @@ def cmd_curves(cfg: RunConfig, outdir: str) -> int:
 
 def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
     # a reversible drift has a zero kernel: no analytic rows, gamma_max 0
-    sp = spectral_decompose(cfg.system, allow_reversible=True)
+    sp = spectral_decompose(cfg.system)
     ks = kernel_spectrum(sp, cfg.horizon, cfg.j_max)
     rows = ks.records()[["k", "j", "omega", "gamma"]].tolist()
     nys = nystrom_spectrum(cfg.system, lam=0.0, T=cfg.horizon,
                            n_nodes=cfg.nystrom_nodes)
     top = min(20, len(nys))
     nys_rows = [(i + 1, nys[i]) for i in range(top)]
-    fp = cfg.fingerprint()
-    header = "k,j,omega,gamma"
-    nys_header = "rank,gamma_nystrom"
-    if cfg.out_format == "csv":
-        _write_csv(_out_file(cfg, outdir, "spectrum.csv"), fp, header, rows)
-        _write_csv(_out_file(cfg, outdir, "spectrum_nystrom.csv"), fp,
-                   nys_header, nys_rows)
-    else:
-        _write_json(
-            _out_file(cfg, outdir, "spectrum.json"),
-            {"fingerprint": fp, "analytic": _rows_to_json(header, rows),
-             "nystrom": _rows_to_json(nys_header, nys_rows),
-             "gamma_max": ks.gamma_max},
-        )
+    _emit(cfg, outdir, "spectrum", [("", "analytic", "k,j,omega,gamma", rows),
+                                    ("_nystrom", "nystrom", "rank,gamma_nystrom", nys_rows)],
+          {"gamma_max": ks.gamma_max})
     print(f"spectrum: {len(rows)} analytic entries, gamma_max={ks.gamma_max!r}, "
           f"{top} Nystrom values")
     return 0
@@ -375,19 +362,10 @@ def cmd_mgf(cfg: RunConfig, outdir: str) -> int:
     theta = section.get("theta", 0.5 * lam * (1.0 + lam))
     value = conditional_mgf(MgfQuery(x=section["x0"], theta=theta, T=cfg.horizon), cfg.system)
     lam_T = cramer_finite_T(lam, cfg.system, cfg.horizon)
-    gamma_max = kernel_spectrum(spectral_decompose(cfg.system, allow_reversible=True),
-                                cfg.horizon, 1).gamma_max
-    fp = cfg.fingerprint()
-    header = "theta,lambda,T,conditional_mgf,cramer_finite_T"
-    row = (theta, lam, cfg.horizon, value, lam_T)
-    if cfg.out_format == "csv":
-        _write_csv(_out_file(cfg, outdir, "mgf.csv"), fp, header, [row])
-    else:
-        _write_json(
-            _out_file(cfg, outdir, "mgf.json"),
-            {"fingerprint": fp, "gamma_max": gamma_max,
-             "rows": _rows_to_json(header, [row])},
-        )
+    gamma_max = kernel_spectrum(spectral_decompose(cfg.system), cfg.horizon, 1).gamma_max
+    _emit(cfg, outdir, "mgf", [("", "rows", "theta,lambda,T,conditional_mgf,cramer_finite_T",
+                                [(theta, lam, cfg.horizon, value, lam_T)])],
+          {"gamma_max": gamma_max})
     print(f"mgf: theta={theta!r} -> {format_value(value)}, "
           f"Lambda_T({lam!r})={format_value(lam_T)}")
     return 0

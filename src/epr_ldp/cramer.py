@@ -30,7 +30,7 @@ from .model import Spectrum, check_real
 
 __all__ = [
     "CramerDomain", "CramerCurve", "RatePoint", "cramer_domain", "cramer",
-    "cramer_curve", "cramer_derivative", "rate", "legendre_oracle",
+    "cramer_curve", "rate", "legendre_oracle",
     "symmetry_residuals",
 ]
 
@@ -80,7 +80,8 @@ class _Channels:
         rot = spectrum.betas != 0.0
         if not np.any(rot):
             raise ReversibilityError(
-                "all channels are real (drift symmetric): Lambda/I are degenerate")
+                "the drift is reversible (A is symmetric), so the entropy production "
+                "rate is identically 0 and has no large-deviation curves")
         self.alpha2, self.beta2 = spectrum.alphas[rot] ** 2, spectrum.betas[rot] ** 2
         ratio = self.alpha2 / self.beta2
         m = float(np.min(ratio))
@@ -157,7 +158,9 @@ def cramer(lam: float, spectrum: Spectrum) -> float:
 
 def cramer_curve(spectrum: Spectrum, lambdas: Sequence[float],
                  with_derivative: bool = False) -> CramerCurve:
-    """Evaluate Lambda (and optionally Lambda', in one array expression) on a grid."""
+    """Evaluate Lambda on a grid and, with ``with_derivative``, in one array
+    expression Lambda' = (1+2 lambda) sum_k beta_k^2 / sqrt(alpha_k^2 -
+    4 lambda(1+lambda) beta_k^2), which diverges toward a and b (steepness)."""
     ch = _channels(spectrum)
     grid = np.asarray(lambdas, dtype=float)
     deriv = None
@@ -171,16 +174,6 @@ def cramer_curve(spectrum: Spectrum, lambdas: Sequence[float],
         deriv[grid == ch.dom.a] = -math.inf
         deriv[grid == ch.dom.b] = math.inf
     return CramerCurve(lambda_grid=grid, values=_cramer_values(ch, grid), derivative=deriv)
-
-
-def cramer_derivative(lam: float, spectrum: Spectrum) -> float:
-    """Lambda'(lambda) = (1+2 lambda) sum_k beta_k^2 / sqrt(alpha_k^2 -
-    4 lambda(1+lambda) beta_k^2), defined strictly inside (a, b); diverges
-    toward the endpoints (steepness)."""
-    dom = cramer_domain(spectrum)
-    if not (dom.a < lam < dom.b):
-        raise DomainError(f"lambda={lam} outside the open interval ({dom.a}, {dom.b})")
-    return float(cramer_curve(spectrum, [lam], with_derivative=True).derivative[0])
 
 
 def _level(ch: _Channels, w: float, v: float) -> tuple[float, float, float]:

@@ -31,13 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DimensionError,
-    DomainError,
-    NumericError,
-    ReversibilityError,
-)
+from .errors import DataError, DimensionError, DomainError, NumericError
 
 __all__ = [
     "SystemSpec",
@@ -52,10 +46,11 @@ __all__ = [
 
 # Relative (Frobenius-scaled) tolerance of validate_system's matrix identities.
 _VALIDATE_TOL = 1e-10
-# Largest Frobenius norm of A that spectral_decompose accepts.  The norm is
-# formed through its square, and alpha^2 and beta^2 enter every downstream
-# object, so both must stay inside the double range (~1.8e308).
-_MAX_NORM = 1e150
+# Range of the Frobenius norm of A that spectral_decompose accepts.  The norm
+# is formed through its square, and alpha^2 and beta^2 enter every downstream
+# object, so both must stay inside the normal double range (~2.2e-308 to
+# ~1.8e308).
+_MIN_NORM, _MAX_NORM = 1e-150, 1e150
 
 
 def _as_square_matrix(value, name: str) -> np.ndarray:
@@ -189,56 +184,50 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
     plus commuting-family spot checks for the pairs (N, Q), (M, Q^{1/2})
     and (A, M).  Failures are reported, never thrown; the reversible case
     (A symmetric) is a warning rather than an error because only the
-    large-deviation objects are undefined there.  Matrix identities hold
-    when their residual is within 1e-10 of the Frobenius scale; commutators
-    are formed from power-of-two rescaled factors, so no A below the 1e150
-    limit overflows them.  An A whose
-    Frobenius norm exceeds 1e150 (which :func:`spectral_decompose` refuses)
-    is reported by a failing ``scale`` check alone, before any product of
+    large-deviation objects are undefined there.  Each matrix identity holds
+    when its residual is within 1e-10 of its own Frobenius scale, with no
+    floor, so the verdicts do not depend on the scale of A.  Commutators
+    are decided on power-of-two rescaled factors, so no A inside the norm
+    range overflows or underflows them.  An A whose Frobenius norm lies
+    outside [1e-150, 1e150] (which :func:`spectral_decompose` refuses) is
+    reported by a failing ``scale`` check alone, before any product of
     matrices can overflow.
     """
     A, Q, tol = spec.A, spec.Q, _VALIDATE_TOL
     with np.errstate(over="ignore"):
         norm_A = np.linalg.norm(A)
-    if not norm_A <= _MAX_NORM:
-        return ValidationReport((CheckResult("scale", False, float(norm_A), _MAX_NORM),))
-    norm_Q = np.linalg.norm(Q)
+    if not _MIN_NORM <= norm_A <= _MAX_NORM:
+        bound = _MAX_NORM if norm_A > 1.0 else _MIN_NORM
+        return ValidationReport((CheckResult("scale", False, float(norm_A), bound),))
     M = A + A.T
     N = A - A.T
     sqrt_Q = _sym_sqrt(Q)
 
-    def comm(F: np.ndarray, G: np.ndarray) -> float:
-        # ||FG - GF|| with F and G scaled by exact powers of two to norm < 1,
-        # so neither the products nor the norm's squares overflow
+    def comm(name: str, F: np.ndarray, G: np.ndarray) -> CheckResult:
+        # ||FG - GF|| against tol ||F|| ||G||, both taken with F and G scaled
+        # by exact powers of two to norm < 1, so nothing overflows or underflows
         e, f = math.frexp(np.linalg.norm(F))[1], math.frexp(np.linalg.norm(G))[1]
         F, G = np.ldexp(F, -e), np.ldexp(G, -f)
-        return math.ldexp(float(np.linalg.norm(F @ G - G @ F)), e + f)
+        res = float(np.linalg.norm(F @ G - G @ F))
+        thr = tol * float(np.linalg.norm(F) * np.linalg.norm(G))
+        return CheckResult(name, res <= thr, math.ldexp(res, e + f), math.ldexp(thr, e + f))
 
-    res, thr = comm(A, A.T), tol * max(1.0, norm_A**2)
-    checks = [CheckResult("normality", res <= thr, res, thr)]
+    checks = [comm("normality", A, A.T)]
     res = float(np.linalg.norm(Q - Q.T))
-    thr = tol * max(1.0, norm_Q)
+    thr = tol * float(np.linalg.norm(Q))
     checks.append(CheckResult("q_symmetric", res <= thr, res, thr))
     min_eig = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[0])
     checks.append(CheckResult("q_spd", min_eig > 0.0, min_eig, 0.0))
-    res = comm(A, Q)
-    thr = tol * max(1.0, norm_A * norm_Q)
-    checks.append(CheckResult("aq_commute", res <= thr, res, thr))
+    checks.append(comm("aq_commute", A, Q))
     max_real = float(np.max(np.real(np.linalg.eigvals(A))))
     checks.append(CheckResult("stability", max_real < 0.0, max_real, 0.0))
     res = float(np.linalg.norm(N))
-    thr = tol * max(1.0, norm_A)
+    thr = tol * float(norm_A)
     checks.append(
         CheckResult("not_symmetric", res > thr, res, thr, severity="warning")
     )
-    for name, F, G in (
-        ("commute_n_q", N, Q),
-        ("commute_m_sqrtq", M, sqrt_Q),
-        ("commute_a_m", A, M),
-    ):
-        res = comm(F, G)
-        thr = tol * max(1.0, np.linalg.norm(F) * np.linalg.norm(G))
-        checks.append(CheckResult(name, res <= thr, res, thr))
+    checks += [comm("commute_n_q", N, Q), comm("commute_m_sqrtq", M, sqrt_Q),
+               comm("commute_a_m", A, M)]
     return ValidationReport(tuple(checks))
 
 
@@ -294,7 +283,7 @@ def _cluster_by_gap(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return [np.arange(i, j) for i, j in zip([0] + cuts, cuts + [len(values)]) if j > i]
 
 
-def spectral_decompose(spec: SystemSpec, *, allow_reversible: bool = False) -> Spectrum:
+def spectral_decompose(spec: SystemSpec) -> Spectrum:
     """Exact conjugate-paired eigendecomposition of the normal drift.
 
     Works through the commuting symmetric/skew split rather than a general
@@ -307,40 +296,35 @@ def spectral_decompose(spec: SystemSpec, *, allow_reversible: bool = False) -> S
 
     Channels are sorted by (alpha ascending, |beta| descending, beta
     descending), which keeps conjugate pairs adjacent with +beta first and
-    makes the output deterministic.  The reconstruction
-    ``A = sum_k a_k U_k U_k*`` is verified to relative tolerance 1e-10, so a
-    non-normal A raises :class:`NumericError`, and an A whose Frobenius norm
-    exceeds 1e150 raises :class:`DomainError`.  Computed once per spec and
-    cached on it (the spec is frozen and A is read-only, so the cache cannot
-    go stale); every call returns the same :class:`Spectrum`.
+    makes the output deterministic.  The tolerances are relative to the
+    scale s = (1 + |A|) min(1, |A|) (|A| the Frobenius norm, so s ~ |A|
+    below unit norm): a channel with |beta| <= 1e-12 s is real (beta = 0.0),
+    and the reconstruction ``A = sum_k a_k U_k U_k*`` must hold to 1e-10 s,
+    so a non-normal A raises :class:`NumericError` at any scale.  An A whose
+    Frobenius norm lies outside [1e-150, 1e150] raises :class:`DomainError`.
 
-    Parameters
-    ----------
-    spec : SystemSpec
-    allow_reversible : bool
-        Permit an all-real spectrum (symmetric A).  By default that raises
-        :class:`ReversibilityError`, since every downstream large-deviation
-        object degenerates.
+    A reversible drift (symmetric A, every beta = 0, ``has_rotation``
+    False) decomposes like any other: its EPR is identically 0, and only
+    the large-deviation objects of :mod:`epr_ldp.cramer` refuse it, with
+    :class:`ReversibilityError`.  Computed once per spec and cached on it
+    (the spec is frozen and A is read-only, so the cache cannot go stale);
+    every call returns the same :class:`Spectrum`.
     """
     if "_channels" not in vars(spec):
         object.__setattr__(spec, "_channels", _decompose(spec))
-    spectrum, reversible = spec._channels
-    if reversible and not allow_reversible:
-        raise ReversibilityError(
-            "drift is symmetric within tolerance; no rotation channels "
-            "(pass allow_reversible=True to decompose anyway)"
-        )
-    return spectrum
+    return spec._channels
 
 
-def _decompose(spec: SystemSpec) -> tuple[Spectrum, bool]:
-    """Uncached :func:`spectral_decompose`: the spectrum and whether A is symmetric."""
+def _decompose(spec: SystemSpec) -> Spectrum:
+    """Uncached :func:`spectral_decompose`."""
     A = spec.A
     with np.errstate(over="ignore"):
         norm_a = float(np.linalg.norm(A))
     if not norm_a <= _MAX_NORM:
         raise DomainError(f"|A| = {norm_a:.3g} exceeds {_MAX_NORM:g}; rescale time to shrink A")
-    scale = 1.0 + norm_a
+    if norm_a < _MIN_NORM:
+        raise DomainError(f"|A| = {norm_a:.3g} is below {_MIN_NORM:g}; rescale time to grow A")
+    scale = (1.0 + norm_a) * min(1.0, norm_a)
     beta_tol = 1e-12 * scale
     M, N = A + A.T, A - A.T
     try:
@@ -368,7 +352,7 @@ def _decompose(spec: SystemSpec) -> tuple[Spectrum, bool]:
                 P = (Z[:, real] @ Z[:, real].conj().T).real
                 W = Vg @ np.linalg.eigh(P)[1][:, -int(real.sum()):]
             channels += [(a.real, 0.0, U) for a, U in zip(*_split_by_m(A, W))]
-        # betas within 1e-8 (1 + |A|) form one run, which M splits better
+        # betas within 1e-8 s form one run, which M splits better
         pos = np.flatnonzero(b > beta_tol)
         for run in _cluster_by_gap(b[pos], 1e-8 * scale):
             for a, U in zip(*_split_by_m(A, Vg @ Z[:, pos[run]])):
@@ -385,8 +369,7 @@ def _decompose(spec: SystemSpec) -> tuple[Spectrum, bool]:
         raise NumericError(
             f"channel reconstruction residual exceeds tolerance ({residual:.3e}); is A normal?"
         )
-    reversible = all(abs(b) <= beta_tol for a, b in pairs)
-    return Spectrum(pairs=pairs, vectors=vectors), reversible
+    return Spectrum(pairs=pairs, vectors=vectors)
 
 
 def _split_by_m(A: np.ndarray, W: np.ndarray) -> tuple[list[complex], list[np.ndarray]]:

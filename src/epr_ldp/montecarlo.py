@@ -296,7 +296,7 @@ def _exact_step_matrices(
     over the channels of A, and the root is a square root of the step
     covariance Sigma_h = M^{-1}(e^{Mh} - I) Q = V diag(expm1(w h)/w) V' Q
     from M = V diag(w) V' (the tilt keeps M = A + A')."""
-    sp = spectral_decompose(spec, allow_reversible=True)
+    sp = spectral_decompose(spec)
     U = sp.vectors
     phases = np.exp((sp.alphas + 1j * (1.0 + 2.0 * lam) * sp.betas) * h)
     E = np.ascontiguousarray(((U * phases) @ U.conj().T).real)

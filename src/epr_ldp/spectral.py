@@ -212,7 +212,7 @@ def _channel_kernel_factors(alpha, beta, lam, T, u1, u2):
 def kernel_eval(
     spec: SystemSpec, lam: float, T: float, u1: float, u2: float
 ) -> np.ndarray:
-    """Evaluate the d x d kernel H_{lambda,T}(u1, u2) via the channel sum.
+    """The paper's kernel H_{lambda,T}(u1, u2), a d x d matrix, via the channel sum.
 
     H(u1, u2) = sum_k (-4 beta_k^2/alpha_k)
                 e^{-(alpha_k - i(1+2 lambda) beta_k) u1}
@@ -221,13 +221,13 @@ def kernel_eval(
 
     which is real (conjugate channels pair up) and satisfies
     H(u1, u2) = H(u2, u1)'.  ``nystrom_spectrum`` works channel by channel
-    and never assembles this matrix; it stays as the paper's H_{lambda,T},
-    the independent route to the full Nystrom matrix.
+    and never assembles this matrix; it stays as the independent route to
+    the full Nystrom matrix.
     """
     check_inputs(T, lam=lam)
     if not (0 <= u1 <= T and 0 <= u2 <= T):
         raise DomainError("u1, u2 must lie in [0, T]")
-    sp = spectral_decompose(spec, allow_reversible=True)
+    sp = spectral_decompose(spec)
     k = np.flatnonzero(sp.betas != 0.0)
     U = sp.vectors[:, k]
     H = (U * _channel_kernel_factors(sp.alphas[k], sp.betas[k], lam, T, u1, u2)) @ U.conj().T
@@ -276,7 +276,7 @@ def nystrom_spectrum(
     check_inputs(T, lam=lam)
     x, w = _gauss_legendre(n_nodes)
     t, sw = (x + 1.0) * (T / 2.0), np.sqrt(w * (T / 2.0))
-    sp = spectral_decompose(spec, allow_reversible=True)
+    sp = spectral_decompose(spec)
     vals = [np.zeros(n_nodes * np.count_nonzero(sp.betas == 0.0))]
     for alpha, beta in sp.pairs:
         if beta > 0.0:

@@ -92,9 +92,12 @@ class TestExitCodes:
         "system, failing",
         [({"matrix_A": magnetic_example(math.pi / 4).A.tolist(),
            "matrix_Q": [[1.0, 0.0], [0.0, 2.0]]}, "aq_commute"),
-         ({"matrix_A": [[-1.0, 2.0], [0.0, -1.0]]}, "normality")]
-        + [({"matrix_A": [[-s, s], [-s, -s]]}, "scale") for s in (1e150, 1e200, 1e308)],
-        ids=["non_commuting_q", "non_normal_a", "huge_a_1e150", "huge_a_1e200", "huge_a_1e308"],
+         ({"matrix_A": [[-1.0, 2.0], [0.0, -1.0]]}, "normality"),
+         ({"matrix_A": [[-1e-11, 2e-11], [0.0, -1e-11]]}, "normality")]
+        + [({"matrix_A": [[-s, s], [-s, -s]]}, "scale")
+           for s in (1e150, 1e200, 1e308, 1e-151, 0.0)],
+        ids=["non_commuting_q", "non_normal_a", "small_non_normal_a", "huge_a_1e150",
+             "huge_a_1e200", "huge_a_1e308", "tiny_a_1e-151", "zero_a"],
     )
     def test_invalid_system_refused(self, tmp_path, capsys, command, system, failing):
         cfg = write_config(tmp_path, dict(RUNNABLE, system=system))
@@ -170,6 +173,39 @@ class TestExitCodes:
         assert main(["curves", "--config", cfg, "--out", out]) == 3
 
 
+class TestFormatAgreement:
+    """Each table a command writes as CSV is a table of its JSON output."""
+
+    CONFIG = dict(MAGNETIC, horizon=1.0, mgf={"x0": [0.3, -0.8], "lambda": 0.1})
+    TABLES = {
+        "curves": [("curves_lambda.csv", "lambda_curve"), ("curves_rate.csv", "rate_curve")],
+        "spectrum": [("spectrum.csv", "analytic"), ("spectrum_nystrom.csv", "nystrom")],
+        "mgf": [("mgf.csv", "rows")],
+    }
+    EXTRA = {"curves": [], "spectrum": ["gamma_max"], "mgf": ["gamma_max"]}
+
+    @pytest.mark.parametrize("command", ["curves", "spectrum", "mgf"])
+    def test_json_tables_equal_csv_rows(self, tmp_path, capsys, command):
+        out, fingerprints = {}, {}
+        for fmt in ("csv", "json"):
+            cfg = write_config(tmp_path, dict(self.CONFIG, output={"format": fmt}), f"{fmt}.json")
+            fingerprints[fmt] = load_config(cfg).fingerprint()
+            out[fmt] = tmp_path / fmt
+            assert main([command, "--config", cfg, "--out", str(out[fmt])]) == 0
+        payload = json.loads((out["json"] / f"{command}.json").read_text())
+        # the fingerprint covers output.format, so each run carries its own
+        assert payload["fingerprint"] == fingerprints["json"]
+        tables = self.TABLES[command]
+        assert sorted(payload) == sorted(["fingerprint", *self.EXTRA[command],
+                                          *(key for _, key in tables)])
+        assert sorted(p.name for p in out["csv"].iterdir()) == sorted(n for n, _ in tables)
+        for csv_name, key in tables:
+            fingerprint, header, rows = read_csv(out["csv"] / csv_name)
+            assert fingerprint == fingerprints["csv"]
+            assert [sorted(r) for r in payload[key]] == [sorted(header)] * len(rows)
+            assert [[format_value(r[h]) for h in header] for r in payload[key]] == rows
+
+
 class TestCurves:
     def run(self, tmp_path, extra=None, out="out"):
         payload = dict(MAGNETIC)
@@ -202,7 +238,7 @@ class TestCurves:
         assert main(["curves", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "reversible" in err and "identically 0" in err
-        assert "True" not in err and "allow_reversible" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
 
     def test_out_of_domain_rows(self, tmp_path, capsys):
         sp = spectral_decompose(magnetic_example(math.pi / 4))

@@ -125,6 +125,25 @@ class TestValidation:
             if c.name in ("normality", "commute_a_m"):  # of order eps |A|^2
                 assert c.residual <= 1e-15 * s * s
 
+    @pytest.mark.parametrize("s", [1e-6, 1e-11, 1e-100])
+    def test_small_non_normal_drift_fails_normality(self, s):
+        # each threshold scales with its own identity, with no floor of 1
+        report = validate_system(SystemSpec(s * np.array([[-1.0, 2.0], [0.0, -1.0]])))
+        assert not report.passed
+        assert "normality" in {c.name for c in report.failing()}
+
+    @pytest.mark.parametrize("s", [1e-11, 1e-100, 1e-149])
+    def test_small_drift_passes_every_check(self, s):
+        spec = magnetic_example(0.5)
+        report = validate_system(SystemSpec(s * spec.A, spec.Q))
+        assert report.failing() == ()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [0.0, 1e-151, 1e-308])
+    def test_tiny_drift_fails_scale(self, s):
+        report = validate_system(SystemSpec(np.array([[-s, s], [-s, -s]])))
+        assert [(c.name, c.threshold) for c in report.failing()] == [("scale", 1e-150)]
+
     def test_as_dict_round_trip(self, pi4_spec):
         d = validate_system(pi4_spec).as_dict()
         assert d["passed"] is True
@@ -162,13 +181,13 @@ class TestSpectralDecompose:
         P = sp.vectors @ sp.vectors.conj().T
         assert np.max(np.abs(P - np.eye(2))) <= 1e-12
 
-    def test_reversible_raises_unless_allowed(self):
-        spec = SystemSpec(np.diag([-2.0, -1.0]))
-        with pytest.raises(ReversibilityError):
-            spectral_decompose(spec)
-        sp = spectral_decompose(spec, allow_reversible=True)
+    def test_reversible_drift_decomposes(self):
+        # only the large-deviation objects refuse a reversible drift
+        sp = spectral_decompose(SystemSpec(np.diag([-2.0, -1.0])))
         assert sp.pairs == ((-2.0, 0.0), (-1.0, 0.0))
         assert not sp.has_rotation
+        with pytest.raises(ReversibilityError, match="identically 0"):
+            cramer_domain(sp)
 
     def test_extended_magnetic_has_flat_channel(self):
         sp = spectral_decompose(magnetic_example(math.pi / 4, extended=True))
@@ -181,10 +200,7 @@ class TestSpectralDecompose:
     def test_tiny_rotation_is_reversible(self):
         # |beta| = 2e-12 is within the 1e-12 (1 + |A|) tolerance that decides
         # reversibility, so the Schur block must not become a rotation pair.
-        spec = SystemSpec(np.array([[-1.0, 2e-12], [-2e-12, -1.0]]))
-        with pytest.raises(ReversibilityError):
-            spectral_decompose(spec)
-        sp = spectral_decompose(spec, allow_reversible=True)
+        sp = spectral_decompose(SystemSpec(np.array([[-1.0, 2e-12], [-2e-12, -1.0]])))
         assert sp.pairs == ((-1.0, 0.0), (-1.0, 0.0))
         assert not sp.has_rotation
         with pytest.raises(ReversibilityError):
@@ -202,11 +218,32 @@ class TestSpectralDecompose:
         assert pi4_spectrum.alphas.shape == (2,)
 
     def test_non_normal_drift_raises_numeric_error(self):
-        # the reconstruction check runs before the reversibility check
         spec = SystemSpec(np.array([[-1.0, 2.0], [0.0, -1.0]]))
-        for allow in (False, True):
-            with pytest.raises(NumericError, match="is A normal"):
-                spectral_decompose(spec, allow_reversible=allow)
+        with pytest.raises(NumericError, match="is A normal"):
+            spectral_decompose(spec)
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-11, 1e-100])
+    def test_small_non_normal_drift_raises_numeric_error(self, s):
+        # its only eigenvalue is the real -s (twice): no rotation at any scale
+        spec = SystemSpec(s * np.array([[-1.0, 2.0], [0.0, -1.0]]))
+        with pytest.raises(NumericError, match="is A normal"):
+            spectral_decompose(spec)
+
+    @pytest.mark.parametrize("s", [1e-13, 1e-100])
+    def test_small_drift_keeps_its_channels(self, s):
+        # the tolerances scale with |A|, so a rescaled drift keeps beta/|alpha|
+        sp = spectral_decompose(SystemSpec(s * magnetic_example(0.5).A))
+        assert sp.betas / np.abs(sp.alphas) == pytest.approx(
+            [math.tan(0.5), -math.tan(0.5)], rel=1e-12)
+        assert cramer_domain(sp).m == pytest.approx(1.0 / math.tan(0.5) ** 2, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [0.0, 1e-151, 1e-200, 1e-308])
+    def test_tiny_drift_raises_domain_error(self, s):
+        # below 1e-150 the squares alpha^2, beta^2 leave the normal double range
+        spec = SystemSpec(np.array([[-s, s], [-s, -s]]))
+        with pytest.raises(DomainError, match="below 1e"):
+            spectral_decompose(spec)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("s", [1e151, 1e200, 1e308])
@@ -246,10 +283,11 @@ class TestAnalysisCache:
 
     def test_reversibility_checked_on_every_call(self):
         spec = SystemSpec(np.diag([-2.0, -1.0]))
-        sp = spectral_decompose(spec, allow_reversible=True)
-        with pytest.raises(ReversibilityError):
-            spectral_decompose(spec)
-        assert spectral_decompose(spec, allow_reversible=True) is sp
+        sp = spectral_decompose(spec)
+        for _ in range(2):
+            with pytest.raises(ReversibilityError):
+                cramer_domain(sp)
+        assert spectral_decompose(spec) is sp
 
     def test_failure_not_cached(self, monkeypatch):
         calls = []
@@ -258,7 +296,7 @@ class TestAnalysisCache:
         spec = SystemSpec(np.array([[-1.0, 2.0], [0.0, -1.0]]))  # not normal
         for _ in range(2):
             with pytest.raises(NumericError):
-                spectral_decompose(spec, allow_reversible=True)
+                spectral_decompose(spec)
         assert len(calls) == 2
 
     def test_one_decomposition_per_spec_across_layers(self, monkeypatch):
@@ -289,7 +327,7 @@ class TestMagneticExample:
         spec = magnetic_example(0.0)
         assert np.array_equal(spec.A, -np.eye(2))
         with pytest.raises(ReversibilityError):
-            spectral_decompose(spec)
+            cramer_domain(spectral_decompose(spec))
 
     def test_mean_epr_closed_form(self):
         for theta in (math.pi / 6, math.pi / 4, math.pi / 3):
@@ -312,7 +350,7 @@ def test_random_systems_satisfy_contract(seed, d, q_style):
     report = validate_system(spec)
     assert report.passed, [c.name for c in report.failing()]
 
-    sp = spectral_decompose(spec, allow_reversible=True)
+    sp = spectral_decompose(spec)
     assert len(sp.pairs) == d
     assert np.all(sp.alphas < 0)
     # rotating channels come in adjacent conjugate pairs, +beta first
@@ -339,7 +377,7 @@ def test_random_systems_satisfy_contract(seed, d, q_style):
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5))
 def test_vectors_reconstruct_drift(seed, d):
     spec = random_system(np.random.default_rng(seed), d, "identity")
-    sp = spectral_decompose(spec, allow_reversible=True)
+    sp = spectral_decompose(spec)
     A_rebuilt = sum(
         (alpha + 1j * beta) * np.outer(U, np.conj(U))
         for (alpha, beta), U in zip(sp.pairs, sp.vectors.T)

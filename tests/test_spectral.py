@@ -258,7 +258,7 @@ class TestNystrom:
         assert vals.shape == (n * d,)
         assert np.max(np.abs(vals - dense)) <= 1e-12 * np.max(np.abs(dense))
         # one beta = 0 channel (d = 5) or none rotating (reversible): n zeros each
-        betas = spectral_decompose(spec, allow_reversible=True).betas
+        betas = spectral_decompose(spec).betas
         zeros = n * np.count_nonzero(betas == 0.0)
         assert zeros in (n, n * d) and np.count_nonzero(vals == 0.0) == zeros
 
