@@ -191,9 +191,10 @@ def _diverges(theta: float, spectrum: Spectrum, T: float) -> bool:
     For alpha < 0 the first root omega_1 lies in (pi/2T, pi/T), which
     brackets gamma_1 = max_k 8 beta_k^2/(alpha_k^2 + omega_1^2).  Only a
     theta within a 1e-6 margin of that bracket needs the root: gamma_1 then
-    comes from ``kernel_spectrum`` itself (one root per distinct alpha) and
-    is compared in the same form, so the +inf boundary agrees exactly with
-    the spectral layer and the series oracles.
+    comes from ``kernel_spectrum(spectrum, T, 1)`` itself (one short Newton
+    solve for the first root of every distinct alpha) and is compared in
+    the same form, so the +inf boundary agrees exactly with the spectral
+    layer and the series oracles.
     """
     if not theta > 0.0:
         return False
@@ -216,29 +217,31 @@ def _channel_closed_form(
     With a = |alpha|, both are written through s = e^{-mu T} sinh(mu T)/mu
     and c = e^{-mu T} cosh(mu T): b = c + a s, log w = (mu - a) T + log b,
     p = 2q s / b.  For mu^2 < 0 the factor e^{-mu T} is dropped and s, c
-    become sin(nu T)/nu, cos(nu T).  Returns None when rounding has carried
-    b to its first zero, i.e. theta sits on the divergence threshold.
+    become sin(nu T)/nu, cos(nu T).  b - 1 is formed without cancellation
+    (c - 1 = expm1(-2 mu T)/2, so b - 1 = (a - mu) s = 2q s/(mu + a); and
+    cos(nu T) - 1 = -2 sin^2(nu T/2)), and log b = log1p(b - 1): at short
+    horizons both terms of log w are O(T) and cancel to an absolute error
+    of eps T, not eps.  Returns None when rounding has carried b to its
+    first zero, i.e. theta sits on the divergence threshold.
     """
     a = -alpha
     q = 4.0 * theta * beta * beta
     mu2 = alpha * alpha - 2.0 * q
     if mu2 > 0.0:
         mu = math.sqrt(mu2)
-        em1 = math.expm1(-2.0 * mu * T)
-        s = -em1 / (2.0 * mu)
-        c = 1.0 + 0.5 * em1
+        s = -math.expm1(-2.0 * mu * T) / (2.0 * mu)
         shift = -2.0 * q * T / (mu + a)  # (mu - a) T without cancellation
+        bm1 = 2.0 * q * s / (mu + a)
     elif mu2 < 0.0:
         nu = math.sqrt(-mu2)
         s = math.sin(nu * T) / nu
-        c = math.cos(nu * T)
         shift = -a * T
+        bm1 = a * s - 2.0 * math.sin(0.5 * nu * T) ** 2
     else:
-        s, c, shift = T, 1.0, -a * T
-    b = c + a * s
-    if not b > 0.0:
+        s, shift, bm1 = T, -a * T, a * T
+    if not bm1 > -1.0:
         return None
-    return shift + math.log(b), 2.0 * q * s / b
+    return shift + math.log1p(bm1), 2.0 * q * s / (1.0 + bm1)
 
 
 def conditional_mgf(q: MgfQuery, spec: SystemSpec) -> float:

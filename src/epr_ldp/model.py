@@ -46,11 +46,22 @@ __all__ = [
 
 # Relative (Frobenius-scaled) tolerance of validate_system's matrix identities.
 _VALIDATE_TOL = 1e-10
-# Range of the Frobenius norm of A that spectral_decompose accepts.  The norm
-# is formed through its square, and alpha^2 and beta^2 enter every downstream
-# object, so both must stay inside the normal double range (~2.2e-308 to
-# ~1.8e308).
+# Range of the Frobenius norms of A and Q that spectral_decompose accepts.  A
+# norm is formed through its square, and alpha^2 and beta^2 enter every
+# downstream object, so both must stay inside the normal double range
+# (~2.2e-308 to ~1.8e308).
 _MIN_NORM, _MAX_NORM = 1e-150, 1e150
+
+
+def _scale_error(spec: "SystemSpec") -> Optional[tuple[str, float, float]]:
+    """(name, Frobenius norm, violated bound) of the first of A and Q whose
+    norm lies outside [_MIN_NORM, _MAX_NORM], or None."""
+    for name, M in (("A", spec.A), ("Q", spec.Q)):
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(M))
+        if not _MIN_NORM <= norm <= _MAX_NORM:
+            return name, norm, _MAX_NORM if norm > 1.0 else _MIN_NORM
+    return None
 
 
 def _as_square_matrix(value, name: str) -> np.ndarray:
@@ -188,17 +199,16 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
     when its residual is within 1e-10 of its own Frobenius scale, with no
     floor, so the verdicts do not depend on the scale of A.  Commutators
     are decided on power-of-two rescaled factors, so no A inside the norm
-    range overflows or underflows them.  An A whose Frobenius norm lies
-    outside [1e-150, 1e150] (which :func:`spectral_decompose` refuses) is
-    reported by a failing ``scale`` check alone, before any product of
+    range overflows or underflows them.  An A or a Q whose Frobenius norm
+    lies outside [1e-150, 1e150] (which :func:`spectral_decompose` refuses)
+    is reported by a failing ``scale`` check alone, before any product of
     matrices can overflow.
     """
     A, Q, tol = spec.A, spec.Q, _VALIDATE_TOL
-    with np.errstate(over="ignore"):
-        norm_A = np.linalg.norm(A)
-    if not _MIN_NORM <= norm_A <= _MAX_NORM:
-        bound = _MAX_NORM if norm_A > 1.0 else _MIN_NORM
-        return ValidationReport((CheckResult("scale", False, float(norm_A), bound),))
+    bad = _scale_error(spec)
+    if bad is not None:
+        return ValidationReport((CheckResult("scale", False, bad[1], bad[2]),))
+    norm_A = np.linalg.norm(A)
     M = A + A.T
     N = A - A.T
     sqrt_Q = _sym_sqrt(Q)
@@ -300,8 +310,9 @@ def spectral_decompose(spec: SystemSpec) -> Spectrum:
     scale s = (1 + |A|) min(1, |A|) (|A| the Frobenius norm, so s ~ |A|
     below unit norm): a channel with |beta| <= 1e-12 s is real (beta = 0.0),
     and the reconstruction ``A = sum_k a_k U_k U_k*`` must hold to 1e-10 s,
-    so a non-normal A raises :class:`NumericError` at any scale.  An A whose
-    Frobenius norm lies outside [1e-150, 1e150] raises :class:`DomainError`.
+    so a non-normal A raises :class:`NumericError` at any scale.  An A or a
+    Q whose Frobenius norm lies outside [1e-150, 1e150] raises
+    :class:`DomainError`.
 
     A reversible drift (symmetric A, every beta = 0, ``has_rotation``
     False) decomposes like any other: its EPR is identically 0, and only
@@ -317,13 +328,13 @@ def spectral_decompose(spec: SystemSpec) -> Spectrum:
 
 def _decompose(spec: SystemSpec) -> Spectrum:
     """Uncached :func:`spectral_decompose`."""
+    bad = _scale_error(spec)
+    if bad is not None:
+        name, norm, bound = bad
+        side = "exceeds" if bound == _MAX_NORM else "is below"
+        raise DomainError(f"|{name}| = {norm:.3g} {side} {bound:g}; rescale time or state")
     A = spec.A
-    with np.errstate(over="ignore"):
-        norm_a = float(np.linalg.norm(A))
-    if not norm_a <= _MAX_NORM:
-        raise DomainError(f"|A| = {norm_a:.3g} exceeds {_MAX_NORM:g}; rescale time to shrink A")
-    if norm_a < _MIN_NORM:
-        raise DomainError(f"|A| = {norm_a:.3g} is below {_MIN_NORM:g}; rescale time to grow A")
+    norm_a = float(np.linalg.norm(A))
     scale = (1.0 + norm_a) * min(1.0, norm_a)
     beta_tol = 1e-12 * scale
     M, N = A + A.T, A - A.T

@@ -67,9 +67,10 @@ _MASK64 = (1 << 64) - 1
 # Each extra window costs one more standard_normal call per trajectory, so
 # wide ensembles want few windows.  On a 2-core x86-64 VM a 2e6 window cut
 # a 1e4-trajectory x 1e3-step ensemble from 2.0e7 to 1.7e7
-# trajectory-steps/s (peak RSS 125 -> 56 MB), while a narrow 64 x 5e4
-# ensemble took 22% less time with it.  Wide ensembles dominate the Monte
-# Carlo checks, so the window stays at 2e7.
+# trajectory-steps/s (peak RSS 125 -> 56 MB).  With time-blocked stepping a
+# narrow 64 x 5e4 ensemble takes the same time with either window (0.28-0.40
+# s in process); the smaller one only lowers its peak RSS (87 -> 54 MB).
+# Wide ensembles dominate the Monte Carlo checks, so the window stays at 2e7.
 _WINDOW_VALUES = 20_000_000
 # Doubles in the buffer that stages each window's per-trajectory draws
 # before their transposed copy into the component-major window.

@@ -7,18 +7,15 @@ restricts to a Sturm-Liouville problem whose eigenvalues are
     gamma_j = 8 beta^2 / (alpha^2 + omega_j^2),
 
 where omega_j solves the transcendental equation omega/alpha = tan(omega T)
-with exactly one root in each bracket ((2j-1)pi/2T, (2j+1)pi/2T).  The roots
-are found by bracketed bisection plus Newton polish on the pole-free form
-
-    g(omega) = omega cos(omega T) - alpha sin(omega T),
-
-never on the tan form.  The spectrum is lambda-independent; lambda enters
+with exactly one root in each bracket ((2j-1)pi/2T, (2j+1)pi/2T).  Every
+root, in the first brackets and in the tail sums alike, comes from one
+Newton iteration in the scaled variable x = omega T (``_scaled_roots``),
+never from the tan form.  The spectrum is lambda-independent; lambda enters
 only through unitary phase factors of the kernel, which the Nystrom oracle
 confirms numerically.
 
-Tail sums over j > j_max use the asymptotic fixed point
-omega_j T = (2j-1)pi/2 + arctan(|alpha|/omega_j) for a long explicit
-stretch and close the remainder with
+Tail sums over j > j_max use the same roots for a long explicit stretch
+and close the remainder with
 
     sum_j 1/(alpha^2 + nu_j^2) = T tanh(|alpha| T) / (2 |alpha|),
     nu_j = (2j-1) pi / (2T),
@@ -53,68 +50,74 @@ __all__ = [
 
 # Roots summed explicitly by the tail sums before their closed-form remainder.
 _N_EXPLICIT = 20000
+# Shortest horizon of the root solvers: omega_j = x_j / T with
+# x_j < (2j+1) pi/2 stays finite for any j_max below ~5e17.
+_MIN_T = 1e-290
 
 
-def _g(omega: np.ndarray, alpha: float, T: float) -> np.ndarray:
-    return omega * np.cos(omega * T) - alpha * np.sin(omega * T)
+def _scaled_roots(alpha, T: float, j: np.ndarray) -> np.ndarray:
+    """x_j = omega_j T for a drift alpha < 0 (a float or a column of them;
+    :class:`DomainError` otherwise) and root indices j >= 1, by Newton's
+    method on
+
+        f(x) = x - b_j - arctan(c / x),   b_j = (2j-1) pi/2,   c = |alpha| T.
+
+    f' = 1 + c/(x^2 + c^2) >= 1 and f'' = -2cx/(x^2 + c^2)^2 < 0, so f is
+    increasing and concave: from x_0 = b_j, where f < 0, Newton climbs
+    monotonically to the root x_*, with no bracket and no fallback.  Its
+    error e_n obeys e_{n+1} <= K e_n^2, K = max |f''|/2 <= 0.325/x^2 <= 0.132,
+    and e_0 = arctan(c/x_*) < pi/2, so e_n <= e_0 (K e_0)^(2^n - 1):
+    e_5 < 1e-21, below half an ulp of any x >= pi/2.  Five steps thus reach
+    every root, and that is the cap.  Most stop sooner: as K e_0 <= 0.207,
+    e_n <= 0.26 t_n for the step t_n just taken, so once every |t_n| <= 1e-8 x
+    the error left is at most 1.6 K t_n^2 <= 5.2e-17, below half an ulp,
+    and the loop ends.  c is clipped to [1e-150, 1e150], which moves no
+    root and keeps c^2 finite.  The step is formed in two scratch arrays,
+    as 20 000 tail roots make fresh temporaries costly.
+    """
+    if not np.all(np.less(alpha, 0.0)):
+        raise DomainError("alpha must be negative")
+    base = (2.0 * j - 1.0) * (math.pi / 2.0)
+    with np.errstate(over="ignore"):
+        c = np.clip(np.multiply(alpha, -T), 1e-150, 1e150)
+    c2 = c * c
+    shape = np.broadcast_shapes(np.shape(c), base.shape)
+    x, f, fp = np.broadcast_to(base, shape).copy(), np.empty(shape), np.empty(shape)
+    for _ in range(5):
+        np.subtract(x, base, out=f)
+        f -= np.arctan(np.divide(c, x, out=fp), out=fp)  # f(x)
+        np.multiply(x, x, out=fp)
+        fp += c2
+        np.divide(c, fp, out=fp)
+        fp += 1.0  # f'(x)
+        f /= fp  # the step t_n
+        x -= f
+        if np.divide(np.abs(f, out=f), x, out=f).max(initial=0.0) <= 1e-8:
+            break
+    return x
 
 
-def _g_prime(omega: np.ndarray, alpha: float, T: float) -> np.ndarray:
-    return (
-        np.cos(omega * T)
-        - omega * T * np.sin(omega * T)
-        - alpha * T * np.cos(omega * T)
-    )
+def _root_indices(T: float, j_max: int) -> np.ndarray:
+    """1.0, ..., j_max after the root solvers' checks: T a horizon of at
+    least ``_MIN_T`` and j_max an integer >= 1."""
+    check_inputs(T)
+    if not T >= _MIN_T:
+        raise DomainError(f"T = {T!r} is below the shortest horizon {_MIN_T:g} of the root solver")
+    j_max = check_integer("j_max", j_max)
+    if not j_max >= 1:
+        raise DomainError("j_max must be >= 1")
+    return np.arange(1.0, j_max + 1.0)
 
 
 def omega_roots(alpha: float, T: float, j_max: int) -> np.ndarray:
     """Solve omega/alpha = tan(omega T) on the first j_max brackets
     ((2j-1)pi/2T, (2j+1)pi/2T), returning the roots in ascending order.
 
-    Bisection on g(omega) = omega cos(omega T) - alpha sin(omega T) (whose
-    endpoint signs alternate deterministically, so each bracket holds exactly
-    one root) down to width ~1e-14, then three Newton polish steps clamped to
-    the bracket.  Vectorized across all brackets.
+    One vectorized Newton iteration in the scaled variable omega T
+    (``_scaled_roots``), at most five steps for any alpha < 0 and any
+    horizon T >= 1e-290; a shorter horizon raises :class:`DomainError`.
     """
-    if not alpha < 0:
-        raise DomainError("alpha must be negative")
-    check_inputs(T)
-    j_max = check_integer("j_max", j_max)
-    if not j_max >= 1:
-        raise DomainError("j_max must be >= 1")
-
-    j = np.arange(1, j_max + 1)
-    lo = (2 * j - 1) * (math.pi / (2 * T))
-    hi = (2 * j + 1) * (math.pi / (2 * T))
-    width = math.pi / T
-    eps = 1e-12 * width
-    a = lo + eps
-    b = hi - eps
-    ga = _g(a, alpha, T)
-    gb = _g(b, alpha, T)
-    if np.any(ga == 0.0) or np.any(gb == 0.0) or np.any(np.sign(ga) == np.sign(gb)):
-        raise NumericError(
-            "endpoint residual sign ambiguity in omega bracket; "
-            "root coincides with a bracket edge"
-        )
-    # Bisection: ~60 halvings takes pi/T below 1e-14 absolute for any sane T,
-    # and below a few ulps otherwise.
-    n_iter = max(48, int(math.ceil(math.log2(width / 1e-14))) + 2)
-    n_iter = min(n_iter, 200)
-    for _ in range(n_iter):
-        mid = 0.5 * (a + b)
-        gm = _g(mid, alpha, T)
-        take_left = np.sign(gm) == np.sign(ga)
-        a = np.where(take_left, mid, a)
-        ga = np.where(take_left, gm, ga)
-        b = np.where(take_left, b, mid)
-    x = 0.5 * (a + b)
-    for _ in range(3):
-        gx = _g(x, alpha, T)
-        gpx = _g_prime(x, alpha, T)
-        step = np.where(gpx != 0.0, gx / np.where(gpx != 0.0, gpx, 1.0), 0.0)
-        x = np.clip(x - step, lo + eps, hi - eps)
-    return x
+    return _scaled_roots(alpha, T, _root_indices(T, j_max)) / T
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -166,20 +169,20 @@ def kernel_spectrum(spectrum: Spectrum, T: float, j_max: int = 200) -> KernelSpe
 
     Both members of a conjugate channel pair appear (their eigenvalue
     families coincide), matching the operator's multiplicities.  The roots
-    are solved once per distinct alpha.
+    of every distinct alpha are solved in one Newton iteration.  gamma is
+    formed as 8 (beta / hypot(alpha, omega))^2, which neither overflows at
+    short horizons (omega ~ 1/T) nor at long ones, so no horizon down to
+    the solver's minimum 1e-290 (shorter raises :class:`DomainError`) warns.
     """
-    check_inputs(T)
-    j_max = check_integer("j_max", j_max)
-    if not j_max >= 1:
-        raise DomainError("j_max must be >= 1")
+    j = _root_indices(T, j_max)
     k = np.flatnonzero(spectrum.betas != 0.0)
     distinct, which = np.unique(spectrum.alphas[k], return_inverse=True)
-    roots = np.reshape([omega_roots(a, T, j_max) for a in distinct], (-1, j_max))[which]
+    roots = (_scaled_roots(distinct[:, None], T, j) / T)[which]
     alpha, beta = spectrum.alphas[k, None], spectrum.betas[k, None]
     return KernelSpectrum(
         k=k,
         omega=roots,
-        gamma=8.0 * beta * beta / (alpha * alpha + roots * roots),
+        gamma=8.0 * (beta / np.hypot(alpha, roots)) ** 2,
         phase=np.arctan2(roots, -alpha),
     )
 
@@ -308,27 +311,6 @@ def trace_closed_form(spec: SystemSpec, T: float) -> float:
     return 2.0 * (term1 - T * term2)
 
 
-def _refined_tail_roots(alpha: float, T: float, j: np.ndarray) -> np.ndarray:
-    """Roots for (large) indices j via the contraction
-    omega = ((2j-1)pi/2 + arctan(|alpha|/omega)) / T, with bisection fallback
-    for any index where the iteration has not converged."""
-    if not alpha < 0:
-        raise DomainError("alpha must be negative")
-    base = (2.0 * j - 1.0) * (math.pi / 2.0)
-    om = base / T
-    prev = np.zeros_like(om)
-    for _ in range(60):
-        prev = om
-        om = (base + np.arctan(-alpha / om)) / T
-        if np.max(np.abs(om - prev)) <= 1e-15 * np.max(om):
-            break
-    bad = np.abs(om - prev) > 1e-12 * np.maximum(1.0, om)
-    if np.any(bad):
-        jb = j[bad].astype(int)
-        om[bad] = omega_roots(alpha, T, int(jb.max()))[jb - 1]
-    return om
-
-
 def _nu_partial_sums(alpha: float, T: float, J1: int) -> tuple[float, float]:
     """(sum_{j>J1} 1/(a2+nu_j^2), sum_{j>J1} 1/(a2+nu_j^2)^2) in closed form,
     nu_j = (2j-1)pi/2T."""
@@ -350,7 +332,7 @@ def _nu_partial_sums(alpha: float, T: float, J1: int) -> tuple[float, float]:
 def gamma_tail(alpha: float, beta: float, T: float, j_start: int) -> float:
     """Analytic tail sum_{j >= j_start} gamma_j for one channel.
 
-    A long explicit stretch of asymptotically refined roots plus a
+    A long explicit stretch of Newton-solved roots plus a
     closed-form remainder over the bracket-midpoint approximants nu_j; the
     remainder's root-displacement error is O(|alpha| T^3 / J^3), far below
     the 1e-6 trace-identity tolerance for desk-scale (T, j_start).
@@ -362,7 +344,7 @@ def gamma_tail(alpha: float, beta: float, T: float, j_start: int) -> float:
         raise DomainError("j_start must be >= 1")
     J1 = j_start + _N_EXPLICIT - 1
     j = np.arange(j_start, J1 + 1, dtype=float)
-    om = _refined_tail_roots(alpha, T, j)
+    om = _scaled_roots(alpha, T, j) / T
     explicit = float(np.sum(8.0 * beta * beta / (alpha * alpha + om * om)))
     rem1, _ = _nu_partial_sums(alpha, T, J1)
     return explicit + 8.0 * beta * beta * rem1
@@ -385,7 +367,7 @@ def log_det_tail(
 ) -> float:
     """Analytic tail sum_{j >= j_start} log(1 - theta gamma_j) for one channel.
 
-    Explicit log1p over refined roots, then a second-order remainder
+    Explicit log1p over Newton-solved roots, then a second-order remainder
     log(1-x) ~ -x - x^2/2 closed over the nu_j approximants (third order is
     below double precision at these index ranges).
     """
@@ -396,7 +378,7 @@ def log_det_tail(
         raise DomainError("j_start must be >= 1")
     J1 = j_start + _N_EXPLICIT - 1
     j = np.arange(j_start, J1 + 1, dtype=float)
-    om = _refined_tail_roots(alpha, T, j)
+    om = _scaled_roots(alpha, T, j) / T
     gam = 8.0 * beta * beta / (alpha * alpha + om * om)
     arg = theta * gam
     if np.any(arg >= 1.0):

@@ -225,6 +225,14 @@ class TestFiniteHorizon:
         with pytest.raises(DomainError):
             cramer_finite_T(0.1, pi4_spec, 0.0)
 
+    @pytest.mark.parametrize("lam", [0.1, -1.1, 0.5])
+    def test_short_horizon_limit(self, pi4_spec, pi4_spectrum, lam):
+        # Lambda_T -> theta sum_k 2 beta_k^2/|alpha_k| as T -> 0, at rate O(T)
+        theta = 0.5 * lam * (1.0 + lam)
+        limit = theta * sum(2.0 * b * b / -a for a, b in pi4_spectrum.pairs)
+        for T in (1e-300, 1e-200, 1e-100, 1e-30, 1e-14, 1e-12, 1e-10):
+            assert cramer_finite_T(lam, pi4_spec, T) == pytest.approx(limit, rel=1e-10)
+
 
 _NAN, _INF = math.nan, math.inf
 _ENSEMBLE = EprEnsemble(np.array([0.5, 1.0, 2.0]), 1.0, "x")

@@ -254,6 +254,17 @@ class TestSpectralDecompose:
             spectral_decompose(spec)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q", [1e151, 1e200, 1e-151, 1e-200])
+    def test_out_of_range_noise_fails_scale_and_raises(self, q):
+        # |Q| is range-checked like |A|; its commutators once overflowed
+        spec = SystemSpec(magnetic_example(0.7).A, q * np.eye(2))
+        report = validate_system(spec)
+        assert [c.name for c in report.failing()] == ["scale"]
+        assert check(report, "scale").threshold == (1e150 if q > 1.0 else 1e-150)
+        with pytest.raises(DomainError, match="Q"):
+            spectral_decompose(spec)
+
+    @pytest.mark.filterwarnings("error")
     def test_large_drift_below_the_limit_decomposes(self):
         s = 1e149
         sp = spectral_decompose(SystemSpec(np.array([[-s, s], [-s, -s]])))

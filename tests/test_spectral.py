@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import brentq
 from hypothesis import given, settings, strategies as st
 
 from epr_ldp.errors import DomainError
@@ -21,7 +22,12 @@ from epr_ldp.spectral import (
     spectrum_gamma_tail,
     trace_closed_form,
 )
-from epr_ldp.spectral import _channel_kernel_factors, _gauss_legendre, _nu_partial_sums
+from epr_ldp.spectral import (
+    _channel_kernel_factors,
+    _gauss_legendre,
+    _nu_partial_sums,
+    _scaled_roots,
+)
 from epr_ldp.testing import random_system
 
 # First two roots of omega cos(omega) = -sin(omega) on the positive axis,
@@ -86,6 +92,42 @@ class TestOmegaRoots:
             assert residual_g(om, alpha, T) <= 1e-9 * max(1.0, om)
 
 
+def brent_root(alpha, T, j):
+    """The j-th root of g(omega) = omega cos(omega T) - alpha sin(omega T) by
+    Brent's method on ((2j-1)pi/2T, j pi/T), where g changes sign once;
+    independent of the library's Newton iteration."""
+    lo, hi = (2 * j - 1) * math.pi / (2 * T), j * math.pi / T
+    return brentq(lambda w: w * math.cos(w * T) - alpha * math.sin(w * T),
+                  lo, hi, xtol=1e-16 * lo, rtol=8.9e-16, maxiter=200)
+
+
+class TestRootOracle:
+    """The Newton roots against Brent's method on the pole-free form."""
+
+    @pytest.mark.parametrize("alpha", [-0.05, -1.0, -40.0])
+    @pytest.mark.parametrize("cT", [1e-10, 1e-4, 0.3, 1.0, 3.0, 50.0, 1e4])
+    def test_first_brackets(self, alpha, cT):
+        T = cT / -alpha
+        r = omega_roots(alpha, T, 200)
+        for j in (1, 2, 10, 200):
+            assert r[j - 1] == pytest.approx(brent_root(alpha, T, j), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha, T", [(-1.0, 1.0), (-0.3, 40.0), (-25.0, 0.01)])
+    def test_tail_indices(self, alpha, T):
+        j = np.arange(201.0, 20201.0)
+        om = _scaled_roots(alpha, T, j) / T  # the roots gamma_tail sums
+        for jj in (201, 1000, 5000, 20200):
+            assert om[jj - 201] == pytest.approx(brent_root(alpha, T, jj), rel=1e-13)
+
+    @pytest.mark.parametrize("cT", [1e-10, 0.5, 1.0, 7.0, 1e4])
+    def test_one_more_newton_step_moves_nothing(self, cT):
+        j = np.concatenate([np.arange(1.0, 201.0), [1000.0, 20200.0]])
+        x = _scaled_roots(-1.0, cT, j)
+        base = (2.0 * j - 1.0) * (math.pi / 2.0)
+        step = (x - base - np.arctan(cT / x)) / (1.0 + cT / (x * x + cT * cT))
+        assert np.all(np.abs(step) <= np.spacing(x))
+
+
 class TestKernelSpectrum:
     def test_magnetic_top_eigenvalue(self, pi4_spectrum):
         ks = kernel_spectrum(pi4_spectrum, 1.0)
@@ -138,6 +180,35 @@ class TestKernelSpectrum:
     def test_rejects_bad_horizon(self, pi4_spectrum):
         with pytest.raises(DomainError):
             kernel_spectrum(pi4_spectrum, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("T", [1e-11, 1e-12, 1e-14, 1e-100, 1e-200, 1e-290])
+    def test_short_horizons(self, pi4_spectrum, T):
+        # omega_j -> (2j-1) pi/2T, so gamma_j T^-2 -> 8 beta^2/((2j-1) pi/2)^2
+        ks = kernel_spectrum(pi4_spectrum, T, j_max=50)
+        j = np.arange(1, 51)
+        assert ks.omega[0] * T == pytest.approx((2 * j - 1) * math.pi / 2, rel=1e-9)
+        assert np.all(ks.phase <= math.pi / 2) and np.all(np.isfinite(ks.gamma))
+        if T >= 1e-100:
+            beta2 = pi4_spectrum.pairs[0][1] ** 2
+            expected = 8.0 * beta2 / ((2 * j - 1) * math.pi / 2) ** 2
+            assert ks.gamma[0] / T**2 == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("T", [1e-291, 1e-300, 5e-324])
+    def test_below_shortest_horizon(self, pi4_spectrum, T):
+        with pytest.raises(DomainError, match="1e-290"):
+            kernel_spectrum(pi4_spectrum, T)
+        with pytest.raises(DomainError, match="1e-290"):
+            omega_roots(-1.0, T, 5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("T", [1e10, 1e200, 1e308])
+    def test_long_horizons(self, pi4_spectrum, T):
+        # omega_j -> j pi/T and gamma -> 8 beta^2/alpha^2 without overflow
+        ks = kernel_spectrum(pi4_spectrum, T, j_max=5)
+        alpha, beta = pi4_spectrum.pairs[0]
+        assert ks.gamma_max == pytest.approx(8.0 * beta**2 / alpha**2, rel=1e-9)
+        assert ks.omega[0] * T == pytest.approx(np.arange(1, 6) * math.pi, rel=1e-9)
 
 
 class TestEigenfunctions:
