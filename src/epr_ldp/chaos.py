@@ -120,7 +120,7 @@ def s0(x, spec: SystemSpec, T: float) -> float:
     if not spectrum.has_rotation:
         return 0.0
     alphas, betas = spectrum.alphas, spectrum.betas
-    coef = 2.0 * betas**2 / alphas * (np.exp(2.0 * alphas * T) - 1.0)
+    coef = 2.0 * betas**2 / alphas * np.expm1(2.0 * alphas * T)
     # beta = 0 channels add nothing, even where their overlap overflows
     quad = float(np.sum(coef * np.where(coef != 0.0, _overlaps_sq(vec, spectrum), 0.0)))
     return quad + 0.5 * trace_closed_form(spec, T)
@@ -137,7 +137,7 @@ def _hat_g(alpha, omega, phase, T: float, beta):
     L = (
         -2.0 * np.cos(phase) * np.sin(omega * T + phase) * np.exp(alpha * T)
         + np.sin(2.0 * phase)
-    ) / np.sqrt(alpha * alpha + omega * omega)
+    ) / np.hypot(alpha, omega)  # sqrt(alpha^2 + omega^2) would overflow at short T
     return (4.0 * beta * beta / alpha) * L / np.sqrt(
         eigenfunction_norm_sq(omega, phase, T)
     )
@@ -178,7 +178,7 @@ def _series_terms(spectrum: Spectrum, T: float, j_max: int, theta: float):
     alpha, beta = spectrum.alphas[ks.k], spectrum.betas[ks.k]
     hat = _hat_g(alpha[:, None], ks.omega, ks.phase, T, beta[:, None])
     w = np.sum(hat**2 / (1.0 - theta * ks.gamma), axis=1)
-    q = 2.0 * beta * beta / alpha * (np.exp(2.0 * alpha * T) - 1.0)
+    q = 2.0 * beta * beta / alpha * np.expm1(2.0 * alpha * T)
     log_det = float(np.sum(np.log1p(-theta * ks.gamma))) + 2.0 * sum(
         log_det_tail(a, b, T, theta, j_max + 1) for a, b in spectrum.pairs if b > 0.0
     )

@@ -14,14 +14,24 @@ never from the tan form.  The spectrum is lambda-independent; lambda enters
 only through unitary phase factors of the kernel, which the Nystrom oracle
 confirms numerically.
 
-Tail sums over j > j_max use the same roots for a long explicit stretch
-and close the remainder with
+Tail sums over j >= j_start sum the same roots up to J1 = j_start - 1 + N
+and close the rest on shifted midpoints.  With c = |alpha| T and
+b_j = (2j-1) pi/2, the root x_j = omega_j T solves x = b_j + arctan(c/x), so
 
-    sum_j 1/(alpha^2 + nu_j^2) = T tanh(|alpha| T) / (2 |alpha|),
-    nu_j = (2j-1) pi / (2T),
+    x_j^2 = b_j^2 + 2c - (c^2 + 2c^3/3)/b_j^2 + O(c^4/b_j^4).
 
-(and its derivative in alpha^2 for the quadratic correction), keeping the
-tail independent of the closed-form trace it is checked against.
+Past J1, gamma_j = 8 beta^2 T^2/(c^2 + x_j^2) becomes 8 beta^2 T^2/(x^2 + b_j^2)
+with x^2 = c^2 + 2c (alpha^2 + 2|alpha|/T for alpha^2 at T = 1), summed in
+closed form from sum_j 1/(x^2 + b_j^2) = tanh(x)/(2x) and its x^2-derivative
+(``_nu_partial_sums``; never the closed-form trace the tail is checked
+against).  The shift leaves (c^2 + 2c^3/3)/b_j^4 of each term; summed past
+L = J1 pi that is ~ 8 c^4/(15 pi L^5) of a tail ~ 8 beta^2 T^2/(4c).
+``log_det_tail`` closes log(1-y), y_j = theta gamma_j, as -y - y^2/2 - y^3/3;
+the dropped y^4/4 sums to ~ |theta gamma_1|^3 (c/L)^7/(7 pi) of the tail
+(c >> 1).  N = min(_N_EXPLICIT, max(2000, ceil(5c))) thus keeps both below
+~5e-10 for |theta gamma_1| <= 1 (L >= 5 pi c, or J1 >= 2000 where c < 400);
+at the cap, c = 1e4, they are ~2e-9 and ~1e-7 |theta gamma_1|^3.
+``TestTailAccuracy`` checks this against 1e6 explicit roots.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ __all__ = [
     "log_det_tail",
 ]
 
-# Roots summed explicitly by the tail sums before their closed-form remainder.
+# Cap of the explicit roots in a tail sum (the count rule is in the docstring).
 _N_EXPLICIT = 20000
 # Shortest horizon of the root solvers: omega_j = x_j / T with
 # x_j < (2j+1) pi/2 stays finite for any j_max below ~5e17.
@@ -313,15 +323,22 @@ def trace_closed_form(spec: SystemSpec, T: float) -> float:
 
 def _nu_partial_sums(alpha: float, T: float, J1: int) -> tuple[float, float]:
     """(sum_{j>J1} 1/(a2+nu_j^2), sum_{j>J1} 1/(a2+nu_j^2)^2) in closed form,
-    nu_j = (2j-1)pi/2T."""
+    nu_j = (2j-1)pi/2T.  nu_j^2 overflows below T = 1e-140, which raises
+    :class:`DomainError`; the tails call this in the scaled variable, T = 1."""
+    if not T >= 1e-140:
+        raise DomainError(f"T = {T!r} is below 1e-140, the shortest horizon of the nu_j sums")
     a2 = alpha * alpha
     r = abs(alpha)
     x = r * T
     total1 = T * math.tanh(x) / (2.0 * r)
     # derivative of  s -> T tanh(sqrt(s) T)/(2 sqrt(s))  at s = a2, negated;
-    # x sech^2 x is written as 4x e^{-2x}/(1 + e^{-2x})^2, finite for any x
+    # x sech^2 x is written as 4x e^{-2x}/(1 + e^{-2x})^2, finite for any x;
+    # below x = 1/2 the difference is (sinh 2x - 2x)/(2 cosh^2 x) by sinh's
+    # series, as it would cancel to eps/x^2
     e2 = math.exp(-2.0 * x)
-    total2 = T * (math.tanh(x) - 4.0 * x * e2 / (1.0 + e2) ** 2) / (4.0 * r**3)
+    num = (sum((2.0 * x) ** k / math.factorial(k) for k in range(3, 21, 2)) / (2.0 * math.cosh(x) ** 2)
+           if x < 0.5 else math.tanh(x) - 4.0 * x * e2 / (1.0 + e2) ** 2)
+    total2 = T * num / (4.0 * r * r * r)
     jj = np.arange(1, J1 + 1)
     nu2 = ((2.0 * jj - 1.0) * (math.pi / (2.0 * T))) ** 2
     part1 = float(np.sum(1.0 / (a2 + nu2)))
@@ -329,25 +346,40 @@ def _nu_partial_sums(alpha: float, T: float, J1: int) -> tuple[float, float]:
     return total1 - part1, total2 - part2
 
 
-def gamma_tail(alpha: float, beta: float, T: float, j_start: int) -> float:
-    """Analytic tail sum_{j >= j_start} gamma_j for one channel.
+def _cube_tail(x: float, L: float) -> float:
+    """sum_{j>J1} 1/(x^2 + b_j^2)^3 for L = J1 pi by the midpoint integral
+    (1/pi) int_L^inf (x^2 + b^2)^-3 db (relative error ~12/L^2), directly
+    over the tail: L^-5 int_0^1 v^4 (1 + t^2 v^2)^-3 dv, t = x/L, by its
+    binomial series for t < 1/2, else x^-5 int_0^atan(t) sin^4."""
+    t = x / L
+    if t < 0.5:
+        return sum((-t * t) ** k * (k + 1) * (k + 2) / (4 * k + 10) for k in range(30)) * L**-5 / math.pi
+    p = math.atan(t)
+    return (0.375 * p - math.sin(2 * p) / 4 + math.sin(4 * p) / 32) * x**-5 / math.pi
 
-    A long explicit stretch of Newton-solved roots plus a
-    closed-form remainder over the bracket-midpoint approximants nu_j; the
-    remainder's root-displacement error is O(|alpha| T^3 / J^3), far below
-    the 1e-6 trace-identity tolerance for desk-scale (T, j_start).
-    """
+
+def _tail_stretch(alpha: float, beta: float, T: float, j_start: int):
+    """The explicit stretch gamma_j, j_start <= j <= J1, of a tail, with
+    (8 beta^2 T^2, x, J1) for its remainder: x^2 = c^2 + 2c, c = |alpha| T
+    clipped to [1e-150, 1e150] as in ``_scaled_roots``."""
+    if not j_start >= 1:
+        raise DomainError("j_start must be >= 1")
+    c = min(max(-alpha * T, 1e-150), 1e150)
+    J1 = j_start - 1 + min(_N_EXPLICIT, max(2000, math.ceil(5.0 * c)))
+    x = _scaled_roots(alpha, T, np.arange(j_start, J1 + 1.0))
+    bT = beta * T
+    return 8.0 * (bT / np.hypot(alpha * T, x)) ** 2, 8.0 * bT * bT, math.sqrt(c * (c + 2.0)), J1
+
+
+def gamma_tail(alpha: float, beta: float, T: float, j_start: int) -> float:
+    """Analytic tail sum_{j >= j_start} gamma_j for one channel: Newton roots
+    up to J1, then 8 beta^2 T^2 sum_{j>J1} 1/(x^2 + b_j^2) on the shifted
+    midpoints, with the count and error bound of the module docstring."""
     check_inputs(T, alpha=alpha, beta=beta)
     if beta == 0.0:
         return 0.0
-    if not j_start >= 1:
-        raise DomainError("j_start must be >= 1")
-    J1 = j_start + _N_EXPLICIT - 1
-    j = np.arange(j_start, J1 + 1, dtype=float)
-    om = _scaled_roots(alpha, T, j) / T
-    explicit = float(np.sum(8.0 * beta * beta / (alpha * alpha + om * om)))
-    rem1, _ = _nu_partial_sums(alpha, T, J1)
-    return explicit + 8.0 * beta * beta * rem1
+    gam, k, x, J1 = _tail_stretch(alpha, beta, T, j_start)
+    return float(np.sum(gam)) + k * _nu_partial_sums(x, 1.0, J1)[0]
 
 
 def spectrum_gamma_tail(spectrum: Spectrum, T: float, j_start: int) -> float:
@@ -358,33 +390,20 @@ def spectrum_gamma_tail(spectrum: Spectrum, T: float, j_start: int) -> float:
     return 2.0 * sum(gamma_tail(a, b, T, j_start) for a, b in spectrum.pairs if b > 0.0)
 
 
-def log_det_tail(
-    alpha: float,
-    beta: float,
-    T: float,
-    theta: float,
-    j_start: int,
-) -> float:
-    """Analytic tail sum_{j >= j_start} log(1 - theta gamma_j) for one channel.
-
-    Explicit log1p over Newton-solved roots, then a second-order remainder
-    log(1-x) ~ -x - x^2/2 closed over the nu_j approximants (third order is
-    below double precision at these index ranges).
-    """
+def log_det_tail(alpha: float, beta: float, T: float, theta: float, j_start: int) -> float:
+    """Analytic tail sum_{j >= j_start} log(1 - theta gamma_j) for one channel:
+    log1p over Newton roots up to J1, then -y - y^2/2 - y^3/3 summed over
+    y_j = u/(x^2 + b_j^2), u = 8 theta beta^2 T^2, on the shifted midpoints,
+    with the count and error bound of the module docstring.  The cubic sum
+    is formed directly over the tail (``_cube_tail``): as total minus
+    partial sum it would cancel every digit."""
     check_inputs(T, alpha=alpha, beta=beta, theta=theta)
     if beta == 0.0 or theta == 0.0:
         return 0.0
-    if not j_start >= 1:
-        raise DomainError("j_start must be >= 1")
-    J1 = j_start + _N_EXPLICIT - 1
-    j = np.arange(j_start, J1 + 1, dtype=float)
-    om = _scaled_roots(alpha, T, j) / T
-    gam = 8.0 * beta * beta / (alpha * alpha + om * om)
+    gam, k, x, J1 = _tail_stretch(alpha, beta, T, j_start)
     arg = theta * gam
     if np.any(arg >= 1.0):
         return -math.inf
-    explicit = float(np.sum(np.log1p(-arg)))
-    rem1, rem2 = _nu_partial_sums(alpha, T, J1)
-    c = 8.0 * beta * beta
-    remainder = -theta * c * rem1 - 0.5 * theta * theta * c * c * rem2
-    return explicit + remainder
+    s1, s2 = _nu_partial_sums(x, 1.0, J1)
+    u = theta * k
+    return float(np.sum(np.log1p(-arg))) - u * (s1 + u * (s2 / 2 + u * _cube_tail(x, J1 * math.pi) / 3))

@@ -9,6 +9,13 @@ import scipy.linalg
 from scipy.optimize import brentq
 from hypothesis import given, settings, strategies as st
 
+from epr_ldp.chaos import (
+    MgfQuery,
+    conditional_mgf_series,
+    cramer_finite_T,
+    cramer_finite_T_series,
+    g_coefficients,
+)
 from epr_ldp.errors import DomainError
 from epr_ldp.model import SystemSpec, spectral_decompose
 from epr_ldp.spectral import (
@@ -406,3 +413,90 @@ class TestLongHorizonTails:
         assert math.isfinite(log_det_tail(alpha, beta, T, 0.1, 201))
         assert math.isfinite(gamma_tail(alpha, beta, T, 201))
         assert math.isfinite(spectrum_gamma_tail(classic_spectrum, T, 201))
+
+
+J_REF = 1_000_000
+
+
+def brute_force_tails(c, thetas):
+    """Reference tails of the channel (alpha, beta) = (-1, 1/2) at T = c, from
+    j_start = 2 and from j_start = 201: [gamma sum, log-det sum per theta].
+
+    Newton roots are summed explicitly up to J_REF = 1e6 with math.fsum.  The
+    rest is closed on shifted midpoints, y_j = u/(x^2 + b_j^2) with x^2 = c^2
+    + 2c, b_j = (2j-1)pi/2 and u = 8 beta^2 T^2 (times theta for the log),
+    as sum y, or -y - y^2/2 for the log, by the midpoint integral from
+    L = J_REF pi with its first Euler-Maclaurin correction.  At L = pi 1e6
+    and c <= 1e4 the shift's next order ((c^2 + 2c^3/3)/b^4 per term), the
+    dropped y^3/3 (|y| <= 1e-4 at the cut) and the next midpoint correction
+    each stay below 1e-11 of the tail, so the reference is good to ~1e-11
+    relative.
+    """
+    T, beta = c, 0.5
+    x = _scaled_roots(-1.0, T, np.arange(2.0, J_REF + 1.0))
+    gam = 8.0 * (beta * T / np.hypot(c, x)) ** 2
+    x2, L, k = c * c + 2.0 * c, J_REF * math.pi, 8.0 * (beta * T) ** 2
+    s1 = (math.atan(math.sqrt(x2) / L) / (math.pi * math.sqrt(x2))
+          - math.pi / 12.0 * L / (x2 + L * L) ** 2)
+    s2 = 1.0 / (3.0 * math.pi * L**3)
+    out = {2: [], 201: []}
+    for terms, rem in [(gam, k * s1)] + [
+            (np.log1p(-th * gam), -th * k * (s1 + 0.5 * th * k * s2)) for th in thetas]:
+        late = math.fsum(terms[199:].tolist())  # j >= 201
+        out[201].append(math.fsum([late, rem]))
+        out[2].append(math.fsum([late, rem] + terms[:199].tolist()))
+    return out
+
+
+class TestTailAccuracy:
+    """gamma_tail and log_det_tail against the brute-force reference over
+    c = |alpha| T from 1e-7 to 1e4, at theta = 0.9/gamma_1 and -1/gamma_1."""
+
+    @pytest.mark.parametrize(
+        "c", [1e-7, 1e-3, 0.5, 2.0, 10.0, 50.0, 200.0, 1000.0, 4000.0, 1e4])
+    def test_against_brute_force(self, c):
+        T, beta = c, 0.5
+        gamma_1 = 8.0 * beta**2 / (1.0 + omega_roots(-1.0, T, 1)[0] ** 2)
+        thetas = (0.9 / gamma_1, -1.0 / gamma_1)
+        ref = brute_force_tails(c, thetas)
+        bound = 1e-9 if c <= 4000.0 else 1e-7
+        for j_start, want in ref.items():
+            got = [gamma_tail(-1.0, beta, T, j_start)] + [
+                log_det_tail(-1.0, beta, T, th, j_start) for th in thetas]
+            for g, w in zip(got, want):
+                assert abs(g - w) <= bound * abs(w), (j_start, g, w)
+
+
+class TestShortHorizonTails:
+    """No overflow warning below T ~ 1e-150, where omega_j ~ 1/T squares
+    past the double range."""
+
+    @pytest.mark.parametrize("T", [1e-160, 1e-200, 1e-290])
+    def test_no_warning(self, pi4_spec, pi4_spectrum, T):
+        alpha, beta = pi4_spectrum.pairs[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = [
+                gamma_tail(alpha, beta, T, 201),
+                log_det_tail(alpha, beta, T, 0.3, 201),
+                spectrum_gamma_tail(pi4_spectrum, T, 201),
+                conditional_mgf_series(MgfQuery(x=[1.0, 0.5], theta=0.3, T=T), pi4_spec),
+                cramer_finite_T_series(0.1, pi4_spec, T),
+                *g_coefficients([1.0, 0.5], pi4_spec, T),
+            ]
+        assert all(math.isfinite(v) for v in vals)
+        # the series oracle still meets the closed form's T -> 0 limit
+        assert vals[4] == pytest.approx(cramer_finite_T(0.1, pi4_spec, T), rel=1e-12)
+
+    def test_huge_alpha_at_shortest_horizon(self):
+        # c = 1e-140, beta T = 1e-140: gamma_j = 8e-280/(c^2 + x_j^2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gamma_tail(-1e150, 1e150, 1e-290, 2)
+            assert math.isfinite(log_det_tail(-1e150, 1e150, 1e-290, 1e279, 2))
+        want = 8e-280 * (0.5 - 4.0 / math.pi**2)  # sum_{j>=2} 1/b_j^2
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_nu_partial_sums_refuses_short_horizon(self):
+        with pytest.raises(DomainError, match="1e-140"):
+            _nu_partial_sums(-1.0, 1e-150, 100)
