@@ -20,18 +20,24 @@ b_j = (2j-1) pi/2, the root x_j = omega_j T solves x = b_j + arctan(c/x), so
 
     x_j^2 = b_j^2 + 2c - (c^2 + 2c^3/3)/b_j^2 + O(c^4/b_j^4).
 
-Past J1, gamma_j = 8 beta^2 T^2/(c^2 + x_j^2) becomes 8 beta^2 T^2/(x^2 + b_j^2)
-with x^2 = c^2 + 2c (alpha^2 + 2|alpha|/T for alpha^2 at T = 1), summed in
-closed form from sum_j 1/(x^2 + b_j^2) = tanh(x)/(2x) and its x^2-derivative
-(``_nu_partial_sums``; never the closed-form trace the tail is checked
-against).  The shift leaves (c^2 + 2c^3/3)/b_j^4 of each term; summed past
-L = J1 pi that is ~ 8 c^4/(15 pi L^5) of a tail ~ 8 beta^2 T^2/(4c).
-``log_det_tail`` closes log(1-y), y_j = theta gamma_j, as -y - y^2/2 - y^3/3;
-the dropped y^4/4 sums to ~ |theta gamma_1|^3 (c/L)^7/(7 pi) of the tail
-(c >> 1).  N = min(_N_EXPLICIT, max(2000, ceil(5c))) thus keeps both below
-~5e-10 for |theta gamma_1| <= 1 (L >= 5 pi c, or J1 >= 2000 where c < 400);
-at the cap, c = 1e4, they are ~2e-9 and ~1e-7 |theta gamma_1|^3.
-``TestTailAccuracy`` checks this against 1e6 explicit roots.
+Past J1 each c^2 + x_j^2 becomes x^2 + b_j^2 with x^2 = c^2 + 2c (alpha^2
+becomes xi^2 = alpha^2 + 2|alpha|/T).  ``gamma_tail`` sums 1/(x^2 + b_j^2)
+from tanh(x)/(2x) (``_nu_partial_sums``; never the closed-form trace the
+tail is checked against).  ``log_det_tail`` sums f(b) = log(1 - u/(x^2 + b^2)),
+u = 8 theta beta^2 T^2, by the midpoint rule's Euler-Maclaurin form, L = J1 pi,
+
+    sum_{j>J1} f(b_j) = (1/pi) int_L^inf f db + (pi/24) f'(L)   (next: ~3/L^4 of it),
+    int_L^inf f db = -L f(L) - 2 [x atan(x/L) - A atan(A/L)],  A^2 = x^2 - u
+
+(by parts, then partial fractions in b^2; A atan(A/L) = -a atanh(a/L) for
+A = ia): no expansion of the log, so any theta.  The shift leaves
+(c^2 + 2c^3/3)/b_j^2 in each denominator, at most (c^2 + 2c^3/3)/(5 L^4) of
+the remainder once summed, and the remainder is a tenth or less of a tail
+from j_start <= c.  N = max(2000, ceil(5c)), i.e. L >= 5 pi c, thus keeps
+both tails within ~5e-10 up to the cap N = _N_EXPLICIT, which c = 1e4
+reaches at ~2e-9.  Past c ~ L the expansion fails: the error peaks at a
+few 1e-6 for c ~ 1e5 to 1e6 and falls as ~0.3/c.  ``TestTailAccuracy`` and
+``TestLongHorizonTails`` check this against brute force and closed forms.
 """
 
 from __future__ import annotations
@@ -323,63 +329,46 @@ def trace_closed_form(spec: SystemSpec, T: float) -> float:
 
 def _nu_partial_sums(alpha: float, T: float, J1: int) -> tuple[float, float]:
     """(sum_{j>J1} 1/(a2+nu_j^2), sum_{j>J1} 1/(a2+nu_j^2)^2) in closed form,
-    nu_j = (2j-1)pi/2T.  nu_j^2 overflows below T = 1e-140, which raises
-    :class:`DomainError`; the tails call this in the scaled variable, T = 1."""
-    if not T >= 1e-140:
-        raise DomainError(f"T = {T!r} is below 1e-140, the shortest horizon of the nu_j sums")
+    nu_j = (2j-1)pi/2T."""
     a2 = alpha * alpha
     r = abs(alpha)
     x = r * T
     total1 = T * math.tanh(x) / (2.0 * r)
     # derivative of  s -> T tanh(sqrt(s) T)/(2 sqrt(s))  at s = a2, negated;
-    # x sech^2 x is written as 4x e^{-2x}/(1 + e^{-2x})^2, finite for any x;
-    # below x = 1/2 the difference is (sinh 2x - 2x)/(2 cosh^2 x) by sinh's
-    # series, as it would cancel to eps/x^2
+    # x sech^2 x is written as 4x e^{-2x}/(1 + e^{-2x})^2, finite for any x
     e2 = math.exp(-2.0 * x)
-    num = (sum((2.0 * x) ** k / math.factorial(k) for k in range(3, 21, 2)) / (2.0 * math.cosh(x) ** 2)
-           if x < 0.5 else math.tanh(x) - 4.0 * x * e2 / (1.0 + e2) ** 2)
-    total2 = T * num / (4.0 * r * r * r)
+    total2 = T * (math.tanh(x) - 4.0 * x * e2 / (1.0 + e2) ** 2) / (4.0 * r * r * r)
     jj = np.arange(1, J1 + 1)
     nu2 = ((2.0 * jj - 1.0) * (math.pi / (2.0 * T))) ** 2
-    part1 = float(np.sum(1.0 / (a2 + nu2)))
-    part2 = float(np.sum(1.0 / (a2 + nu2) ** 2))
-    return total1 - part1, total2 - part2
-
-
-def _cube_tail(x: float, L: float) -> float:
-    """sum_{j>J1} 1/(x^2 + b_j^2)^3 for L = J1 pi by the midpoint integral
-    (1/pi) int_L^inf (x^2 + b^2)^-3 db (relative error ~12/L^2), directly
-    over the tail: L^-5 int_0^1 v^4 (1 + t^2 v^2)^-3 dv, t = x/L, by its
-    binomial series for t < 1/2, else x^-5 int_0^atan(t) sin^4."""
-    t = x / L
-    if t < 0.5:
-        return sum((-t * t) ** k * (k + 1) * (k + 2) / (4 * k + 10) for k in range(30)) * L**-5 / math.pi
-    p = math.atan(t)
-    return (0.375 * p - math.sin(2 * p) / 4 + math.sin(4 * p) / 32) * x**-5 / math.pi
+    inv = 1.0 / (a2 + nu2)
+    return total1 - float(np.sum(inv)), total2 - float(np.sum(inv * inv))
 
 
 def _tail_stretch(alpha: float, beta: float, T: float, j_start: int):
     """The explicit stretch gamma_j, j_start <= j <= J1, of a tail, with
-    (8 beta^2 T^2, x, J1) for its remainder: x^2 = c^2 + 2c, c = |alpha| T
-    clipped to [1e-150, 1e150] as in ``_scaled_roots``."""
+    (xi, J1) for its remainder: xi^2 = alpha^2 + 2|alpha|/T, x = xi T, with
+    c = |alpha| T raised to 1e-150 as in ``_scaled_roots``."""
     if not j_start >= 1:
         raise DomainError("j_start must be >= 1")
-    c = min(max(-alpha * T, 1e-150), 1e150)
-    J1 = j_start - 1 + min(_N_EXPLICIT, max(2000, math.ceil(5.0 * c)))
+    a = max(-alpha, 1e-150 / T)
+    J1 = j_start - 1 + max(2000, math.ceil(min(5.0 * a * T, _N_EXPLICIT)))
     x = _scaled_roots(alpha, T, np.arange(j_start, J1 + 1.0))
-    bT = beta * T
-    return 8.0 * (bT / np.hypot(alpha * T, x)) ** 2, 8.0 * bT * bT, math.sqrt(c * (c + 2.0)), J1
+    return 8.0 * (beta / np.hypot(alpha, x / T)) ** 2, math.sqrt(a) * math.sqrt(a + 2.0 / T), J1
 
 
 def gamma_tail(alpha: float, beta: float, T: float, j_start: int) -> float:
     """Analytic tail sum_{j >= j_start} gamma_j for one channel: Newton roots
     up to J1, then 8 beta^2 T^2 sum_{j>J1} 1/(x^2 + b_j^2) on the shifted
-    midpoints, with the count and error bound of the module docstring."""
+    midpoints, with the count and error bound of the module docstring.  The
+    remainder is ``_nu_partial_sums`` in units s = max(T, 1) of time, where
+    neither xi T/s nor b_j/s squares past the float range."""
     check_inputs(T, alpha=alpha, beta=beta)
     if beta == 0.0:
         return 0.0
-    gam, k, x, J1 = _tail_stretch(alpha, beta, T, j_start)
-    return float(np.sum(gam)) + k * _nu_partial_sums(x, 1.0, J1)[0]
+    gam, xi, J1 = _tail_stretch(alpha, beta, T, j_start)
+    s = max(T, 1.0)
+    b = beta * T / s
+    return float(np.sum(gam)) + 8.0 * b * b * _nu_partial_sums(xi * (T / s), s, J1)[0]
 
 
 def spectrum_gamma_tail(spectrum: Spectrum, T: float, j_start: int) -> float:
@@ -392,18 +381,24 @@ def spectrum_gamma_tail(spectrum: Spectrum, T: float, j_start: int) -> float:
 
 def log_det_tail(alpha: float, beta: float, T: float, theta: float, j_start: int) -> float:
     """Analytic tail sum_{j >= j_start} log(1 - theta gamma_j) for one channel:
-    log1p over Newton roots up to J1, then -y - y^2/2 - y^3/3 summed over
-    y_j = u/(x^2 + b_j^2), u = 8 theta beta^2 T^2, on the shifted midpoints,
-    with the count and error bound of the module docstring.  The cubic sum
-    is formed directly over the tail (``_cube_tail``): as total minus
-    partial sum it would cancel every digit."""
+    log1p over Newton roots up to J1, then the Euler-Maclaurin closure of the
+    module docstring in units h = hypot(x, L) of b, where nothing overflows:
+    p = x/h, ell = L/h, v = u/h^2, and p^2 + ell^2 = 1.  The bracket
+    E = p atan(p/ell) - A atan(A/ell) is formed without cancellation: as
+    v atan(p/ell)/(p + A) + A atan(z), z = tan(atan(p/ell) - atan(A/ell)), for
+    A^2 = p^2 - v >= 0, else as p atan(p/ell) + a atanh(a/ell), a^2 = -A^2."""
     check_inputs(T, alpha=alpha, beta=beta, theta=theta)
     if beta == 0.0 or theta == 0.0:
         return 0.0
-    gam, k, x, J1 = _tail_stretch(alpha, beta, T, j_start)
+    gam, xi, J1 = _tail_stretch(alpha, beta, T, j_start)
     arg = theta * gam
     if np.any(arg >= 1.0):
         return -math.inf
-    s1, s2 = _nu_partial_sums(x, 1.0, J1)
-    u = theta * k
-    return float(np.sum(np.log1p(-arg))) - u * (s1 + u * (s2 / 2 + u * _cube_tail(x, J1 * math.pi) / 3))
+    H = math.hypot(xi, J1 * math.pi / T)  # h/T
+    p, ell, b = xi / H, J1 * math.pi / T / H, beta / H
+    v = theta * 8.0 * b * b
+    A = math.sqrt(abs(p * p - v))
+    E = (v * math.atan2(p, ell) / (p + A) + A * math.atan(v * ell / ((p + A) * (ell * ell + p * A)))
+         if p * p >= v else p * math.atan2(p, ell) + A * math.atanh(A / ell))
+    rem = H * (-ell * math.log1p(-v) - 2.0 * E) / math.pi * T + math.pi / 12.0 * ell * v / (1.0 - v) / H / T
+    return float(np.sum(np.log1p(-arg))) + rem

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from epr_ldp.chaos import (
     MgfQuery,
+    _channel_closed_form,
     conditional_mgf_series,
     cramer_finite_T,
     cramer_finite_T_series,
@@ -414,6 +415,36 @@ class TestLongHorizonTails:
         assert math.isfinite(gamma_tail(alpha, beta, T, 201))
         assert math.isfinite(spectrum_gamma_tail(classic_spectrum, T, 201))
 
+    @pytest.mark.parametrize("j_start", [1, 201])
+    @pytest.mark.parametrize("T", [1e5, 1e8, 1e80, 1e200])
+    def test_against_closed_forms(self, pi4_spec, pi4_spectrum, T, j_start):
+        # from j = 1 the tails are the whole channel sums: half the kernel
+        # trace and the Fredholm log-determinant; the first 200 terms come
+        # from kernel_spectrum.  Past |alpha| T ~ 2e4 the explicit stretch
+        # ends below c, so the bound is looser up to c ~ 1e8.
+        alpha, beta = pi4_spectrum.pairs[0]
+        g_inf = 8.0 * beta**2 / alpha**2  # gamma_j -> g_inf for omega_j << |alpha|
+        head = kernel_spectrum(pi4_spectrum, T, j_max=j_start - 1).gamma[0] if j_start > 1 else np.zeros(0)
+        bound = 1e-5 if T < 1e12 else 1e-13
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gamma_tail(alpha, beta, T, j_start)
+            want = trace_closed_form(pi4_spec, T) / 2.0 - math.fsum(head)
+            assert abs(got - want) <= bound * want
+            for theta in (0.9 / g_inf, -30.0 / g_inf, -1e100):
+                got = log_det_tail(alpha, beta, T, theta, j_start)
+                want = _channel_closed_form(alpha, beta, theta, T)[0] - math.fsum(np.log1p(-theta * head))
+                assert abs(got - want) <= bound * abs(want), theta
+
+    def test_huge_horizon_keeps_the_shift_unclipped(self):
+        # gamma_tail ~ 4 beta^2 T/|alpha| once |alpha| T >> j_start
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gamma_tail(-1.0, 1.0, 1e151, 201) == pytest.approx(4e151, rel=1e-12)
+            # |alpha| T overflows, the tail does not
+            assert gamma_tail(-2.0, 1e-10, 1e308, 201) == pytest.approx(2e288, rel=1e-12)
+            assert log_det_tail(-2.0, 1e-10, 1e308, 1.0, 201) == pytest.approx(-2e288, rel=1e-12)
+
 
 J_REF = 1_000_000
 
@@ -428,7 +459,7 @@ def brute_force_tails(c, thetas):
     as sum y, or -y - y^2/2 for the log, by the midpoint integral from
     L = J_REF pi with its first Euler-Maclaurin correction.  At L = pi 1e6
     and c <= 1e4 the shift's next order ((c^2 + 2c^3/3)/b^4 per term), the
-    dropped y^3/3 (|y| <= 1e-4 at the cut) and the next midpoint correction
+    dropped y^3/3 (|y| <= 3e-4 at the cut) and the next midpoint correction
     each stay below 1e-11 of the tail, so the reference is good to ~1e-11
     relative.
     """
@@ -450,14 +481,14 @@ def brute_force_tails(c, thetas):
 
 class TestTailAccuracy:
     """gamma_tail and log_det_tail against the brute-force reference over
-    c = |alpha| T from 1e-7 to 1e4, at theta = 0.9/gamma_1 and -1/gamma_1."""
+    c = |alpha| T from 1e-7 to 1e4, at theta gamma_1 = 0.9, -1, -3 and -30."""
 
     @pytest.mark.parametrize(
         "c", [1e-7, 1e-3, 0.5, 2.0, 10.0, 50.0, 200.0, 1000.0, 4000.0, 1e4])
     def test_against_brute_force(self, c):
         T, beta = c, 0.5
         gamma_1 = 8.0 * beta**2 / (1.0 + omega_roots(-1.0, T, 1)[0] ** 2)
-        thetas = (0.9 / gamma_1, -1.0 / gamma_1)
+        thetas = (0.9 / gamma_1, -1.0 / gamma_1, -3.0 / gamma_1, -30.0 / gamma_1)
         ref = brute_force_tails(c, thetas)
         bound = 1e-9 if c <= 4000.0 else 1e-7
         for j_start, want in ref.items():
@@ -465,6 +496,18 @@ class TestTailAccuracy:
                 log_det_tail(-1.0, beta, T, th, j_start) for th in thetas]
             for g, w in zip(got, want):
                 assert abs(g - w) <= bound * abs(w), (j_start, g, w)
+
+    @pytest.mark.parametrize("theta", [-1e100, -1e200])
+    def test_huge_negative_theta(self, theta):
+        # log(1 + |theta| gamma_j) is closed without expanding the log: the
+        # tail is the Fredholm log-determinant minus its first 200 terms
+        alpha, beta, T = -1.0, 0.5, 1.0
+        head = 8.0 * beta**2 / (alpha**2 + omega_roots(alpha, T, 200) ** 2)
+        want = _channel_closed_form(alpha, beta, theta, T)[0] - math.fsum(np.log1p(-theta * head))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_det_tail(alpha, beta, T, theta, 201)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestShortHorizonTails:
@@ -496,7 +539,3 @@ class TestShortHorizonTails:
             assert math.isfinite(log_det_tail(-1e150, 1e150, 1e-290, 1e279, 2))
         want = 8e-280 * (0.5 - 4.0 / math.pi**2)  # sum_{j>=2} 1/b_j^2
         assert got == pytest.approx(want, rel=1e-12)
-
-    def test_nu_partial_sums_refuses_short_horizon(self):
-        with pytest.raises(DomainError, match="1e-140"):
-            _nu_partial_sums(-1.0, 1e-150, 100)
