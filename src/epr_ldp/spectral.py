@@ -14,30 +14,34 @@ never from the tan form.  The spectrum is lambda-independent; lambda enters
 only through unitary phase factors of the kernel, which the Nystrom oracle
 confirms numerically.
 
-Tail sums over j >= j_start sum the same roots up to J1 = j_start - 1 + N
-and close the rest on shifted midpoints.  With c = |alpha| T and
-b_j = (2j-1) pi/2, the root x_j = omega_j T solves x = b_j + arctan(c/x), so
+Tail sums over j >= j_start solve roots only up to J1 = max(j_start - 1, 200)
+and close the rest by the midpoint Euler-Maclaurin sum over the exact root
+map.  With c = |alpha| T, b_j = (2j-1) pi/2 and L = J1 pi, x_j = omega_j T is
+X(b_j), where X = b + atan(c/X), so X' = (X^2 + c^2)/(X^2 + c^2 + c).  For a
+term g(b_j) = F(X(b_j)), F = K/(c^2 + X^2) (gamma_j, K = 8 beta^2 T^2) or
+log(1 - u/(c^2 + X^2)) (log(1 - theta gamma_j), u = theta K),
 
-    x_j^2 = b_j^2 + 2c - (c^2 + 2c^3/3)/b_j^2 + O(c^4/b_j^4).
+    sum_{j>J1} g(b_j) = (1/pi) int_L^inf g db + (pi/24) g'(L) - (7 pi^3/5760) g'''(L) + R,
 
-Past J1 each c^2 + x_j^2 becomes x^2 + b_j^2 with x^2 = c^2 + 2c (alpha^2
-becomes xi^2 = alpha^2 + 2|alpha|/T).  ``gamma_tail`` sums 1/(x^2 + b_j^2)
-from tanh(x)/(2x) (``_nu_partial_sums``; never the closed-form trace the
-tail is checked against).  ``log_det_tail`` sums f(b) = log(1 - u/(x^2 + b^2)),
-u = 8 theta beta^2 T^2, by the midpoint rule's Euler-Maclaurin form, L = J1 pi,
-
-    sum_{j>J1} f(b_j) = (1/pi) int_L^inf f db + (pi/24) f'(L)   (next: ~3/L^4 of it),
-    int_L^inf f db = -L f(L) - 2 [x atan(x/L) - A atan(A/L)],  A^2 = x^2 - u
-
-(by parts, then partial fractions in b^2; A atan(A/L) = -a atanh(a/L) for
-A = ia): no expansion of the log, so any theta.  The shift leaves
-(c^2 + 2c^3/3)/b_j^2 in each denominator, at most (c^2 + 2c^3/3)/(5 L^4) of
-the remainder once summed, and the remainder is a tenth or less of a tail
-from j_start <= c.  N = max(2000, ceil(5c)), i.e. L >= 5 pi c, thus keeps
-both tails within ~5e-10 up to the cap N = _N_EXPLICIT, which c = 1e4
-reaches at ~2e-9.  Past c ~ L the expansion fails: the error peaks at a
-few 1e-6 for c ~ 1e5 to 1e6 and falls as ~0.3/c.  ``TestTailAccuracy`` and
-``TestLongHorizonTails`` check this against brute force and closed forms.
+and db = (1 + c/(X^2 + c^2)) dX splits the integral into int_{X(L)}^inf F dX
+and, with X = c cot psi and phi = atan(c/X(L)), int_0^phi F(c cot psi) d psi.
+For gamma both are elementary: (K/c) phi + (K/c^2)(phi - sin phi cos phi)/2.
+For the log the first is -X F - 2 [c atan(c/X) - A atan(A/X)] at X(L),
+A^2 = c^2 - u (by parts and partial fractions); the second,
+int_0^phi log(1 - (u/c^2) sin^2 psi) d psi, takes a 32-node Gauss-Legendre
+rule.  Where u < -4 S^2 (S below) or theta gamma at the cut passes 1/2, the
+two zeros of 1 - (u/c^2) sin^2 psi nearest [0, phi] come near it; the log
+of their quadratic is integrated in closed form and the rule gets the
+smooth quotient.  The remainder R is led by (31 pi^5/967680) g^(5)(L); F is
+analytic off X = +-i c and +-sqrt(u - c^2), so g^(k)/g ~ hypot(c, X)^-k and
+|R| < 22/L^6 < 4e-16 of the tail at L >= 200 pi.  Past theta = 1/g_inf,
+g_inf = 8 beta^2/alpha^2, the log has a real singular point
+X* = T sqrt(8 theta beta^2 - alpha^2).  From theta g_inf >= 1 - 1e-14 on,
+where theta gamma_{j_start} may round to 1, the root j_start is solved and
+J1 raised until L clears X* by 64 pi (|R| < 1e-12): the tail is -inf
+exactly when theta gamma_{j_start} >= 1 as ``kernel_spectrum`` forms it.
+All of it is formed in the unit S = hypot(c, X(L)) = T hypot(alpha, X(L)/T):
+nothing overflows for T from 1e-290 to 1e308 and |alpha| up to 1e150.
 """
 
 from __future__ import annotations
@@ -64,11 +68,15 @@ __all__ = [
     "log_det_tail",
 ]
 
-# Cap of the explicit roots in a tail sum (the count rule is in the docstring).
-_N_EXPLICIT = 20000
-# Shortest horizon of the root solvers: omega_j = x_j / T with
-# x_j < (2j+1) pi/2 stays finite for any j_max below ~5e17.
+# Shortest horizon and largest root index: b_j = (2j-1) pi/2 is exact in
+# doubles and omega_j = x_j/T < (2j+1) pi/2T stays finite.
 _MIN_T = 1e-290
+_MAX_J = 2**52
+# Tails solve roots up to _J_EXPLICIT, clear a real singular point of
+# log(1 - theta gamma) by _CLEARANCE in omega T and close on _N_GAUSS nodes.
+_J_EXPLICIT = 200
+_CLEARANCE = 64.0 * math.pi
+_N_GAUSS = 32
 
 
 def _scaled_roots(alpha, T: float, j: np.ndarray) -> np.ndarray:
@@ -88,41 +96,32 @@ def _scaled_roots(alpha, T: float, j: np.ndarray) -> np.ndarray:
     e_n <= 0.26 t_n for the step t_n just taken, so once every |t_n| <= 1e-8 x
     the error left is at most 1.6 K t_n^2 <= 5.2e-17, below half an ulp,
     and the loop ends.  c is clipped to [1e-150, 1e150], which moves no
-    root and keeps c^2 finite.  The step is formed in two scratch arrays,
-    as 20 000 tail roots make fresh temporaries costly.
+    root and keeps c^2 finite.
     """
     if not np.all(np.less(alpha, 0.0)):
         raise DomainError("alpha must be negative")
     base = (2.0 * j - 1.0) * (math.pi / 2.0)
     with np.errstate(over="ignore"):
         c = np.clip(np.multiply(alpha, -T), 1e-150, 1e150)
-    c2 = c * c
-    shape = np.broadcast_shapes(np.shape(c), base.shape)
-    x, f, fp = np.broadcast_to(base, shape).copy(), np.empty(shape), np.empty(shape)
+    x = base + 0.0 * c  # in the shape of base and c together
     for _ in range(5):
-        np.subtract(x, base, out=f)
-        f -= np.arctan(np.divide(c, x, out=fp), out=fp)  # f(x)
-        np.multiply(x, x, out=fp)
-        fp += c2
-        np.divide(c, fp, out=fp)
-        fp += 1.0  # f'(x)
-        f /= fp  # the step t_n
-        x -= f
-        if np.divide(np.abs(f, out=f), x, out=f).max(initial=0.0) <= 1e-8:
+        t = (x - base - np.arctan(c / x)) / (1.0 + c / (x * x + c * c))  # the step t_n
+        x = x - t
+        if np.max(np.abs(t) / x, initial=0.0) <= 1e-8:
             break
     return x
 
 
-def _root_indices(T: float, j_max: int) -> np.ndarray:
-    """1.0, ..., j_max after the root solvers' checks: T a horizon of at
-    least ``_MIN_T`` and j_max an integer >= 1."""
-    check_inputs(T)
+def _check_index(T: float, name: str, j, **values) -> int:
+    """The root solvers' and tails' checks: T a horizon of at least
+    ``_MIN_T`` and the root index j an integer in [1, _MAX_J] (returned)."""
+    check_inputs(T, **values)
     if not T >= _MIN_T:
         raise DomainError(f"T = {T!r} is below the shortest horizon {_MIN_T:g} of the root solver")
-    j_max = check_integer("j_max", j_max)
-    if not j_max >= 1:
-        raise DomainError("j_max must be >= 1")
-    return np.arange(1.0, j_max + 1.0)
+    j = check_integer(name, j)
+    if not 1 <= j <= _MAX_J:
+        raise DomainError(f"{name} must be between 1 and {_MAX_J}, got {j!r}")
+    return j
 
 
 def omega_roots(alpha: float, T: float, j_max: int) -> np.ndarray:
@@ -133,7 +132,7 @@ def omega_roots(alpha: float, T: float, j_max: int) -> np.ndarray:
     (``_scaled_roots``), at most five steps for any alpha < 0 and any
     horizon T >= 1e-290; a shorter horizon raises :class:`DomainError`.
     """
-    return _scaled_roots(alpha, T, _root_indices(T, j_max)) / T
+    return _scaled_roots(alpha, T, np.arange(1.0, _check_index(T, "j_max", j_max) + 1.0)) / T
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -190,7 +189,7 @@ def kernel_spectrum(spectrum: Spectrum, T: float, j_max: int = 200) -> KernelSpe
     short horizons (omega ~ 1/T) nor at long ones, so no horizon down to
     the solver's minimum 1e-290 (shorter raises :class:`DomainError`) warns.
     """
-    j = _root_indices(T, j_max)
+    j = np.arange(1.0, _check_index(T, "j_max", j_max) + 1.0)
     k = np.flatnonzero(spectrum.betas != 0.0)
     distinct, which = np.unique(spectrum.alphas[k], return_inverse=True)
     roots = (_scaled_roots(distinct[:, None], T, j) / T)[which]
@@ -327,78 +326,135 @@ def trace_closed_form(spec: SystemSpec, T: float) -> float:
     return 2.0 * (term1 - T * term2)
 
 
-def _nu_partial_sums(alpha: float, T: float, J1: int) -> tuple[float, float]:
-    """(sum_{j>J1} 1/(a2+nu_j^2), sum_{j>J1} 1/(a2+nu_j^2)^2) in closed form,
-    nu_j = (2j-1)pi/2T."""
-    a2 = alpha * alpha
-    r = abs(alpha)
-    x = r * T
-    total1 = T * math.tanh(x) / (2.0 * r)
-    # derivative of  s -> T tanh(sqrt(s) T)/(2 sqrt(s))  at s = a2, negated;
-    # x sech^2 x is written as 4x e^{-2x}/(1 + e^{-2x})^2, finite for any x
-    e2 = math.exp(-2.0 * x)
-    total2 = T * (math.tanh(x) - 4.0 * x * e2 / (1.0 + e2) ** 2) / (4.0 * r * r * r)
-    jj = np.arange(1, J1 + 1)
-    nu2 = ((2.0 * jj - 1.0) * (math.pi / (2.0 * T))) ** 2
-    inv = 1.0 / (a2 + nu2)
-    return total1 - float(np.sum(inv)), total2 - float(np.sum(inv * inv))
-
-
-def _tail_stretch(alpha: float, beta: float, T: float, j_start: int):
-    """The explicit stretch gamma_j, j_start <= j <= J1, of a tail, with
-    (xi, J1) for its remainder: xi^2 = alpha^2 + 2|alpha|/T, x = xi T, with
-    c = |alpha| T raised to 1e-150 as in ``_scaled_roots``."""
-    if not j_start >= 1:
-        raise DomainError("j_start must be >= 1")
-    a = max(-alpha, 1e-150 / T)
-    J1 = j_start - 1 + max(2000, math.ceil(min(5.0 * a * T, _N_EXPLICIT)))
+def _stretch(alpha: float, beta: float, T: float, j_start: int, J1: int) -> np.ndarray:
+    """gamma_j for j_start <= j <= J1 from the Newton roots (none if J1 < j_start)."""
+    if J1 < j_start:
+        return np.zeros(0)
     x = _scaled_roots(alpha, T, np.arange(j_start, J1 + 1.0))
-    return 8.0 * (beta / np.hypot(alpha, x / T)) ** 2, math.sqrt(a) * math.sqrt(a + 2.0 / T), J1
+    return 8.0 * (beta / np.hypot(alpha, x / T)) ** 2
+
+
+def _cut(alpha: float, T: float, J1: int):
+    """The root map at the cut L = J1 pi for alpha < 0 (else
+    :class:`DomainError`): X = X(L) from the scalar form of ``_scaled_roots``'
+    Newton iteration.  Returns om = hypot(alpha, X/T) and, in the unit
+    S = om T = hypot(c, X), p = c/S, ell = X/S and eps = 1/S (0 past overflow)."""
+    if not alpha < 0.0:
+        raise DomainError("alpha must be negative")
+    L = J1 * math.pi
+    c = min(max(-alpha * T, 1e-150), 1e150)
+    x = L
+    for _ in range(5):
+        step = (x - L - math.atan(c / x)) / (1.0 + c / (x * x + c * c))
+        x -= step
+        if abs(step) <= 1e-8 * x:
+            break
+    om = math.hypot(alpha, x / T)
+    return om, -alpha / om, x / T / om, 1.0 / (T * om)
+
+
+def _em_terms(p: float, ell: float, eps: float, F1: float, F2: float, F3: float) -> float:
+    """(pi/24) g'(L) - (7 pi^3/5760) g'''(L) over eps, g = F o X, from
+    F1..F3 = S^k F^(k) at the cut and X' = q, X'' = 2 p ell eps^2 q^3,
+    X''' = p eps^3 q^4 (6 ell^2 + 2 p^2 - 12 ell^2 q)."""
+    q = 1.0 / (1.0 + p * eps)
+    e2 = ell * ell
+    g3 = F3 + eps * q * p * (6.0 * ell * F2 + F1 * (6.0 * e2 + 2.0 * p * p - 12.0 * e2 * q))
+    return math.pi / 24.0 * q * F1 - 7.0 * math.pi**3 / 5760.0 * eps * eps * q**3 * g3
 
 
 def gamma_tail(alpha: float, beta: float, T: float, j_start: int) -> float:
     """Analytic tail sum_{j >= j_start} gamma_j for one channel: Newton roots
-    up to J1, then 8 beta^2 T^2 sum_{j>J1} 1/(x^2 + b_j^2) on the shifted
-    midpoints, with the count and error bound of the module docstring.  The
-    remainder is ``_nu_partial_sums`` in units s = max(T, 1) of time, where
-    neither xi T/s nor b_j/s squares past the float range."""
-    check_inputs(T, alpha=alpha, beta=beta)
+    for j_start <= j <= 200, then the closure of the module docstring, as
+    8 beta^2 T/om times terms in (p, ell, eps) of ``_cut``."""
+    j_start = _check_index(T, "j_start", j_start, alpha=alpha, beta=beta)
     if beta == 0.0:
         return 0.0
-    gam, xi, J1 = _tail_stretch(alpha, beta, T, j_start)
-    s = max(T, 1.0)
-    b = beta * T / s
-    return float(np.sum(gam)) + 8.0 * b * b * _nu_partial_sums(xi * (T / s), s, J1)[0]
+    J1 = max(j_start - 1, _J_EXPLICIT)
+    om, p, ell, eps = _cut(alpha, T, J1)
+    phi = math.atan2(p, ell)
+    r = phi / p if p > 1e-150 else 1.0 / ell  # phi/p
+    z = phi * phi  # (phi - p ell)/p^2 by its Taylor series where it cancels
+    w = (r * r * phi * (2 / 3 - z * (2 / 15 - z * (4 / 315 - z * (2 / 2835 - z * 4 / 155925))))
+         if phi < 0.1 else (phi - p * ell) / (p * p))
+    rem = r / math.pi + eps * (w / (2.0 * math.pi) + eps * _em_terms(
+        p, ell, eps, -2.0 * ell, 6.0 * ell * ell - 2.0 * p * p, 24.0 * ell * (p * p - ell * ell)))
+    return float(np.sum(_stretch(alpha, beta, T, j_start, J1))) + 8.0 * (beta / om) * beta * T * rem
 
 
 def spectrum_gamma_tail(spectrum: Spectrum, T: float, j_start: int) -> float:
     """Sum of gamma_tail over every channel of the spectrum; the two members
     of a conjugate pair share their tail (only beta^2 enters), so each pair
     is solved once and counted twice."""
-    check_inputs(T)
+    j_start = _check_index(T, "j_start", j_start)
     return 2.0 * sum(gamma_tail(a, b, T, j_start) for a, b in spectrum.pairs if b > 0.0)
 
 
+def _log_sin2_part(p: float, ell: float, v: float, dlt: float) -> float:
+    """int_0^phi log(1 - (v/p^2) sin^2 psi) d psi, phi = atan2(p, ell), given
+    dlt = p^2 - v, by the cached Gauss-Legendre rule.  The integrand is
+    log|p^2 cos^2 psi + dlt sin^2 psi| - 2 log p.  Outside -4 <= v <= 1/2 a
+    pair of its zeros +-zeta in t = psi or t = chi = pi/2 - psi (zeta real
+    or imaginary) lies next to the interval; log|t^2 - zeta^2| is then
+    integrated in closed form."""
+    if p <= 1e-150 or ell <= 1e-20:  # phi ~ p or S > 1e22: below an ulp of the first part
+        return 0.0
+    phi = math.atan2(p, ell)
+    nodes, wt = _gauss_legendre(_N_GAUSS)
+    if -4.0 <= v <= 0.5:
+        s = np.sin((nodes + 1.0) * (phi / 2.0)) / p
+        return phi / 2.0 * float(wt @ np.log1p(-v * s * s))
+    if v < 0.0 or p * p < 0.5:  # zeros next to psi = 0 (dlt < 0 if v > 1/2 > p^2)
+        t0, P1, P2 = 0.0, dlt, p * p
+        zeta = 1j * math.atanh(p / math.sqrt(dlt)) if v < 0.0 else math.atan2(p, math.sqrt(-dlt))
+    else:  # zeros next to chi = 0
+        t0, P1, P2 = math.atan2(ell, p), p * p, dlt
+        zeta = math.atan2(math.sqrt(-dlt), p) if dlt < 0.0 else 1j * math.atanh(math.sqrt(dlt) / p)
+    t = t0 + (nodes + 1.0) * (phi / 2.0)
+    s, c = np.sin(t), np.cos(t)
+
+    def G(w):  # Re w (log w - 1), an antiderivative of log|w| along the real axis; 0 at 0
+        return w.real * (math.log(abs(w)) - 1.0) - w.imag * math.atan2(w.imag, w.real) if w else 0.0
+
+    ends = sum(G(t0 + phi - z) - G(t0 - z) for z in (zeta, -zeta))
+    near = np.abs(t - zeta) * np.abs(t + zeta)
+    return ends - 2.0 * phi * math.log(p) + phi / 2.0 * float(
+        wt @ np.log(np.abs(P1 * s * s + P2 * c * c) / near))
+
+
 def log_det_tail(alpha: float, beta: float, T: float, theta: float, j_start: int) -> float:
-    """Analytic tail sum_{j >= j_start} log(1 - theta gamma_j) for one channel:
-    log1p over Newton roots up to J1, then the Euler-Maclaurin closure of the
-    module docstring in units h = hypot(x, L) of b, where nothing overflows:
-    p = x/h, ell = L/h, v = u/h^2, and p^2 + ell^2 = 1.  The bracket
-    E = p atan(p/ell) - A atan(A/ell) is formed without cancellation: as
-    v atan(p/ell)/(p + A) + A atan(z), z = tan(atan(p/ell) - atan(A/ell)), for
-    A^2 = p^2 - v >= 0, else as p atan(p/ell) + a atanh(a/ell), a^2 = -A^2."""
-    check_inputs(T, alpha=alpha, beta=beta, theta=theta)
+    """Analytic tail sum_{j >= j_start} log(1 - theta gamma_j) for one
+    channel, -inf iff theta gamma_{j_start} >= 1: log1p over Newton roots for
+    j_start <= j <= J1, then the closure of the module docstring.  In the
+    units of ``_cut`` its first part is S (-ell log(1 - v) - 2E), v = u/S^2,
+    with E = p atan(p/ell) - A atan(A/ell) formed without cancellation: as
+    v atan(p/ell)/(p + A) + A atan(tan(atan(p/ell) - atan(A/ell))) for
+    A^2 = p^2 - v >= 0, else as p atan(p/ell) + a atanh(a/ell), a^2 = -A^2.
+    p^2 - v = -ws/om^2, ws = 8 theta beta^2 - alpha^2, and 1 - v = ell^2 + p^2 - v
+    keep their digits where theta gamma nears 1 at the cut."""
+    j_start = _check_index(T, "j_start", j_start, alpha=alpha, beta=beta, theta=theta)
     if beta == 0.0 or theta == 0.0:
         return 0.0
-    gam, xi, J1 = _tail_stretch(alpha, beta, T, j_start)
-    arg = theta * gam
+    J1 = max(j_start - 1, _J_EXPLICIT)
+    ws = 8.0 * theta * beta * beta - alpha * alpha
+    if ws > -1e-14 * alpha * alpha:  # theta g_inf >= 1 - 1e-14: solve root j_start, clear X*
+        m = min(T * math.sqrt(max(ws, 0.0)) / math.pi, j_start)  # X*/pi, capped past any root >= j_start
+        J1 = max(J1, j_start, math.ceil(m + _CLEARANCE / math.pi))
+    arg = theta * _stretch(alpha, beta, T, j_start, J1)
     if np.any(arg >= 1.0):
         return -math.inf
-    H = math.hypot(xi, J1 * math.pi / T)  # h/T
-    p, ell, b = xi / H, J1 * math.pi / T / H, beta / H
+    om, p, ell, eps = _cut(alpha, T, J1)
+    b = beta / om
     v = theta * 8.0 * b * b
-    A = math.sqrt(abs(p * p - v))
+    dlt = p * p - v if math.isinf(ws) else -ws / om / om  # p^2 - v
+    A, omv = math.sqrt(abs(dlt)), ell * ell + dlt  # 1 - v
+    if not omv > 0.0:  # 1 - theta gamma at the cut is below the float range
+        return -math.inf
     E = (v * math.atan2(p, ell) / (p + A) + A * math.atan(v * ell / ((p + A) * (ell * ell + p * A)))
-         if p * p >= v else p * math.atan2(p, ell) + A * math.atanh(A / ell))
-    rem = H * (-ell * math.log1p(-v) - 2.0 * E) / math.pi * T + math.pi / 12.0 * ell * v / (1.0 - v) / H / T
-    return float(np.sum(np.log1p(-arg))) + rem
+         if dlt >= 0.0 else p * math.atan2(p, ell) + A * math.atanh(A / ell))
+    log1mv = math.log1p(-v) if abs(v) < 0.5 else math.log(omv)
+    d, R = v / omv, 1.0 / omv  # F' to F''' from 1/(P - u) - 1/P = u/(P (P - u))
+    F = (2.0 * ell * d, 2.0 * d - 4.0 * ell * ell * d * (R + 1.0),
+         d * (16.0 * ell**3 * (R * R + R + 1.0) - 12.0 * ell * (R + 1.0)))
+    rem = (T * (om * (-ell * log1mv - 2.0 * E)) + _log_sin2_part(p, ell, v, dlt)) / math.pi
+    return float(np.sum(np.log1p(-arg))) + rem + eps * _em_terms(p, ell, eps, *F)

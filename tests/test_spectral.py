@@ -17,6 +17,7 @@ from epr_ldp.chaos import (
     cramer_finite_T_series,
     g_coefficients,
 )
+from epr_ldp import spectral
 from epr_ldp.errors import DomainError
 from epr_ldp.model import SystemSpec, spectral_decompose
 from epr_ldp.spectral import (
@@ -33,7 +34,6 @@ from epr_ldp.spectral import (
 from epr_ldp.spectral import (
     _channel_kernel_factors,
     _gauss_legendre,
-    _nu_partial_sums,
     _scaled_roots,
 )
 from epr_ldp.testing import random_system
@@ -390,27 +390,13 @@ class TestTraceIdentity:
 
 
 class TestLongHorizonTails:
-    """The closed-form nu_j sums behind the tails stay finite past the
-    |alpha| T ~ 710 overflow of cosh."""
-
-    def test_nu_partial_sums_unchanged_at_300(self):
-        alpha, T, J1 = -1.0, 300.0, 20200
-        x = abs(alpha) * T
-        jj = np.arange(1, J1 + 1)
-        nu2 = ((2.0 * jj - 1.0) * (math.pi / (2.0 * T))) ** 2
-        ref1 = T * math.tanh(x) / 2.0 - float(np.sum(1.0 / (1.0 + nu2)))
-        ref2 = T * (math.tanh(x) - x / math.cosh(x) ** 2) / 4.0 - float(
-            np.sum(1.0 / (1.0 + nu2) ** 2)
-        )
-        got1, got2 = _nu_partial_sums(alpha, T, J1)
-        assert got1 == pytest.approx(ref1, rel=1e-14)
-        assert got2 == pytest.approx(ref2, rel=1e-14)
+    """The tails stay finite and right past the |alpha| T ~ 710 overflow of
+    cosh, and on through c = |alpha| T >> the cut L = 200 pi."""
 
     @pytest.mark.parametrize("alpha_T", [1000.0, 1e4])
     def test_tails_finite(self, classic_spectrum, alpha_T):
         alpha, beta = classic_spectrum.pairs[0]
         T = alpha_T / abs(alpha)
-        assert all(math.isfinite(v) for v in _nu_partial_sums(alpha, T, 20200))
         assert math.isfinite(log_det_tail(alpha, beta, T, 0.1, 201))
         assert math.isfinite(gamma_tail(alpha, beta, T, 201))
         assert math.isfinite(spectrum_gamma_tail(classic_spectrum, T, 201))
@@ -420,8 +406,7 @@ class TestLongHorizonTails:
     def test_against_closed_forms(self, pi4_spec, pi4_spectrum, T, j_start):
         # from j = 1 the tails are the whole channel sums: half the kernel
         # trace and the Fredholm log-determinant; the first 200 terms come
-        # from kernel_spectrum.  Past |alpha| T ~ 2e4 the explicit stretch
-        # ends below c, so the bound is looser up to c ~ 1e8.
+        # from kernel_spectrum.
         alpha, beta = pi4_spectrum.pairs[0]
         g_inf = 8.0 * beta**2 / alpha**2  # gamma_j -> g_inf for omega_j << |alpha|
         head = kernel_spectrum(pi4_spectrum, T, j_max=j_start - 1).gamma[0] if j_start > 1 else np.zeros(0)
@@ -435,6 +420,25 @@ class TestLongHorizonTails:
                 got = log_det_tail(alpha, beta, T, theta, j_start)
                 want = _channel_closed_form(alpha, beta, theta, T)[0] - math.fsum(np.log1p(-theta * head))
                 assert abs(got - want) <= bound * abs(want), theta
+
+    @pytest.mark.parametrize("j_start", [1, 201])
+    @pytest.mark.parametrize("c", [3e4, 1e5, 1e6, 1e7])
+    def test_through_c_near_the_cut(self, pi4_spec, pi4_spectrum, c, j_start):
+        # c from ~50 L to ~1.6e4 L (L = 200 pi): the roots below c sit near
+        # b_j + pi/2, and the closure follows them through b ~ c
+        alpha, beta = pi4_spectrum.pairs[0]
+        T = c / abs(alpha)
+        g_inf = 8.0 * beta**2 / alpha**2
+        head = kernel_spectrum(pi4_spectrum, T, j_max=j_start - 1).gamma[0] if j_start > 1 else np.zeros(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gamma_tail(alpha, beta, T, j_start)
+            want = trace_closed_form(pi4_spec, T) / 2.0 - math.fsum(head)
+            assert got == pytest.approx(want, rel=1e-12)
+            for theta in (0.9 / g_inf, -30.0 / g_inf, -1e100):
+                got = log_det_tail(alpha, beta, T, theta, j_start)
+                want = _channel_closed_form(alpha, beta, theta, T)[0] - math.fsum(np.log1p(-theta * head))
+                assert got == pytest.approx(want, rel=1e-12), theta
 
     def test_huge_horizon_keeps_the_shift_unclipped(self):
         # gamma_tail ~ 4 beta^2 T/|alpha| once |alpha| T >> j_start
@@ -508,6 +512,86 @@ class TestTailAccuracy:
             warnings.simplefilter("error")
             got = log_det_tail(alpha, beta, T, theta, 201)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestClosureWithoutRoots:
+    """From j_start >= 201 the tails solve no root: they are the closure
+    alone, checked against the Newton roots it replaces."""
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 600.0, 1e4])
+    def test_telescopes_to_newton_roots(self, c):
+        alpha, beta, T = -1.0, 0.5, c
+        omega = omega_roots(alpha, T, 1200)
+        gam = 8.0 * (beta / np.hypot(alpha, omega)) ** 2
+        theta = 0.3 / gam[0]
+        want = math.fsum(gam[1000:])
+        assert gamma_tail(alpha, beta, T, 1001) - gamma_tail(alpha, beta, T, 1201) == pytest.approx(want, rel=1e-12)
+        want = math.fsum(np.log1p(-theta * gam[1000:]))
+        got = log_det_tail(alpha, beta, T, theta, 1001) - log_det_tail(alpha, beta, T, theta, 1201)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_no_root_is_solved(self, pi4_spectrum, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a tail from j_start >= 201 solved a root")
+
+        monkeypatch.setattr(spectral, "_scaled_roots", refuse)
+        for T in (1e-3, 1.0, 1e3, 1e6):
+            assert spectrum_gamma_tail(pi4_spectrum, T, 201) > 0.0
+            for alpha, beta in pi4_spectrum.pairs:
+                g_inf = 8.0 * beta**2 / alpha**2  # no real singular point below 1/g_inf
+                for theta in (0.9 / g_inf, -30.0 / g_inf, -1e100):
+                    assert math.isfinite(log_det_tail(alpha, beta, T, theta, 201))
+
+    @pytest.mark.parametrize("j_start", [201, 1001, 2**40])
+    @pytest.mark.parametrize("c", [1.0, 1e6, 1e13, 1e200])
+    def test_minus_inf_exactly_from_the_first_term(self, c, j_start):
+        # -inf iff theta gamma_{j_start} >= 1 with gamma formed as in
+        # kernel_spectrum, also where c >> x_j rounds gamma_j to g_inf
+        alpha, beta = -1.0, 0.5
+        x = _scaled_roots(alpha, c, np.array([float(j_start)]))[0]
+        g = 8.0 * (beta / np.hypot(alpha, x / c)) ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for theta in (1.0 / g, math.nextafter(1.0 / g, 0.0), math.nextafter(1.0 / g, 1.0),
+                          (1.0 + 1e-12) / g, (1.0 - 1e-9) / g, 2.0 / g, alpha**2 / (8.0 * beta**2)):
+                got = log_det_tail(alpha, beta, c, theta, j_start)
+                assert (got == -math.inf) == (theta * g >= 1.0) and not math.isnan(got), theta
+
+    def test_near_the_divergence_edge(self, pi4_spec, pi4_spectrum):
+        # c >> L: theta gamma at the cut X(200 pi) is 1 + 1e-9 but every
+        # term from j = 201 on is finite.  The 200 head terms are past 1,
+        # so the Fredholm determinant is positive and its log is
+        # sum_j log|1 - theta gamma_j|.
+        alpha, beta = pi4_spectrum.pairs[0]
+        T = 1e6 / abs(alpha)
+        g = kernel_spectrum(pi4_spectrum, T, j_max=201).gamma[0]
+        theta = (1.0 - 1e-9) / g[200]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_det_tail(alpha, beta, T, theta, 201)
+        want = _channel_closed_form(alpha, beta, theta, T)[0] - math.fsum(np.log(theta * g[:200] - 1.0))
+        assert got == pytest.approx(want, rel=1e-12)
+        x = _scaled_roots(alpha, T, np.arange(201.0, 1201.0))
+        explicit = np.log1p(-theta * 8.0 * (beta / np.hypot(alpha, x / T)) ** 2)
+        want = math.fsum(explicit) + log_det_tail(alpha, beta, T, theta, 1201)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("j_start", [201.5, "201", 10**20, 1e300, 0])
+    def test_j_start_is_checked(self, pi4_spectrum, j_start):
+        for call in (lambda: gamma_tail(-1.0, 0.5, 1.0, j_start),
+                     lambda: log_det_tail(-1.0, 0.5, 1.0, 0.3, j_start),
+                     lambda: spectrum_gamma_tail(pi4_spectrum, 1.0, j_start)):
+            with pytest.raises(DomainError, match="j_start"):
+                call()
+        if j_start in (10**20, 1e300):
+            with pytest.raises(DomainError, match=str(2**52)):
+                gamma_tail(-1.0, 0.5, 1.0, j_start)
+
+    def test_largest_j_start(self):
+        # sum_{j > J1} 2/x_j^2 with x_j ~ (j - 1/2) pi, J1 = 2^52 - 1
+        want = 2.0 / (math.pi**2 * (2.0**52 - 1.0))
+        assert gamma_tail(-1.0, 0.5, 1.0, 2**52) == pytest.approx(want, rel=1e-12)
+        assert log_det_tail(-1.0, 0.5, 1.0, 0.3, 2**52) == pytest.approx(-0.3 * want, rel=1e-12)
 
 
 class TestShortHorizonTails:
