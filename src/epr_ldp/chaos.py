@@ -182,7 +182,7 @@ def _series_terms(spectrum: Spectrum, T: float, j_max: int, theta: float):
     log_det = float(np.sum(np.log1p(-theta * ks.gamma))) + 2.0 * sum(
         log_det_tail(a, b, T, theta, j_max + 1) for a, b in spectrum.pairs if b > 0.0
     )
-    return ks.k, theta * q + 0.5 * theta * theta * w, log_det
+    return ks.k, theta * q + 0.5 * theta * (theta * w), log_det  # theta^2 w is 0, not NaN, at w = 0
 
 
 def _diverges(theta: float, spectrum: Spectrum, T: float) -> bool:

@@ -11,8 +11,8 @@ with exactly one root in each bracket ((2j-1)pi/2T, (2j+1)pi/2T).  Every
 root, in the first brackets and in the tail sums alike, comes from one
 Newton iteration in the scaled variable x = omega T (``_scaled_roots``),
 never from the tan form.  The spectrum is lambda-independent; lambda enters
-only through unitary phase factors of the kernel, which the Nystrom oracle
-confirms numerically.
+only through unitary phase factors of the kernel, so the Nystrom oracle
+eigensolves the real kernel and ``verify`` measures the phased one.
 
 Tail sums over j >= j_start solve roots only up to J1 = max(j_start - 1, 200)
 and close the rest by the midpoint Euler-Maclaurin sum over the exact root
@@ -217,14 +217,20 @@ def eigenfunction_norm_sq(omega, phase, T: float):
     )
 
 
-def _channel_kernel_factors(alpha, beta, lam, T, u1, u2):
-    """Scalar kernel factor c_k(u1, u2) of the channel projection, written as
-    (-4 beta^2/alpha) e^{i f (u1-u2)} (e^{alpha|u1-u2|} - e^{alpha(T-u1)} e^{alpha(T-u2)}),
-    f = (1 + 2 lambda) beta: every exponent is <= 0, so no horizon overflows."""
-    freq = (1.0 + 2.0 * lam) * beta
-    left = (-4.0 * beta * beta / alpha) * np.exp(1j * freq * u1)
+def _channel_real_factor(alpha, beta, T, u1, u2):
+    """The channel kernel's real symmetric factor R(u1, u2),
+    (-4 beta^2/alpha)(e^{alpha|u1-u2|} - e^{alpha(T-u1)} e^{alpha(T-u2)}):
+    every exponent is <= 0, so no horizon overflows."""
     tail = np.exp(alpha * (T - u1)) * np.exp(alpha * (T - u2))
-    return left * np.exp(-1j * freq * u2) * (np.exp(alpha * np.abs(u1 - u2)) - tail)
+    return (-4.0 * beta * beta / alpha) * (np.exp(alpha * np.abs(u1 - u2)) - tail)
+
+
+def _channel_kernel_factors(alpha, beta, lam, T, u1, u2):
+    """Scalar kernel factor c_k(u1, u2) = e^{i f u1} R(u1, u2) e^{-i f u2} of
+    the channel projection, f = (1 + 2 lambda) beta."""
+    freq = (1.0 + 2.0 * lam) * beta
+    real = _channel_real_factor(alpha, beta, T, u1, u2)
+    return np.exp(1j * freq * u1) * real * np.exp(-1j * freq * u2)
 
 
 def kernel_eval(
@@ -264,6 +270,34 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+def _nystrom_blocks(spec: SystemSpec, T: float, n_nodes: int, lam=None) -> list:
+    """(alpha, beta, sqrt(w_i w_j) R(t_i, t_j)) per beta > 0 channel at the
+    Gauss-Legendre nodes t_i and weights w_i on [0, T]; given a tilt lam,
+    the complex block of the phased c_k(t_i, t_j) instead."""
+    x, w = _gauss_legendre(n_nodes)
+    t, sw = (x + 1.0) * (T / 2.0), np.sqrt(w * (T / 2.0))
+    u1, u2, W = t[:, None], t[None, :], np.outer(sw, sw)
+    return [(a, b, W * (_channel_real_factor(a, b, T, u1, u2) if lam is None
+                        else _channel_kernel_factors(a, b, lam, T, u1, u2)))
+            for a, b in spectral_decompose(spec).pairs if b > 0.0]
+
+
+def _nystrom_eigvals(spec: SystemSpec, T: float, n_nodes: int, lam=None) -> np.ndarray:
+    """The eigenvalues of ``_nystrom_blocks``, each block's twice (for its
+    conjugate channel), and n_nodes zeros per beta = 0 channel, descending."""
+    n_nodes = check_integer("n_nodes", n_nodes)
+    if not n_nodes >= 8:
+        raise DomainError("n_nodes must be >= 8")
+    blocks = _nystrom_blocks(spec, T, n_nodes, lam)
+    vals = [np.zeros(n_nodes * (spec.dim - 2 * len(blocks)))]
+    for _, _, B in blocks:
+        try:
+            vals += [np.linalg.eigvalsh(B)] * 2
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"Nystrom eigensolve failed at T={T!r}") from exc
+    return np.sort(np.concatenate(vals))[::-1]
+
+
 def nystrom_spectrum(
     spec: SystemSpec,
     lam: float,
@@ -275,36 +309,27 @@ def nystrom_spectrum(
     and weights w_i on [0, T].
 
     As H = Re sum_k c_k U_k U_k* with orthonormal U_k, they are those of the
-    n_nodes x n_nodes Hermitian blocks sqrt(w_i w_j) c_k(t_i, t_j), one
-    eigensolve per beta > 0 channel counted twice (for its conjugate), plus
-    n_nodes zeros per beta = 0 channel.  The blocks keep the phases
-    e^{i(1+2 lambda) beta (u1-u2)}, so lambda-independence is tested, not
-    assumed.  This is the independent oracle for the analytic spectrum: it
-    never touches the Sturm-Liouville roots.  The kernel's kink along
-    u1 = u2 limits the quadrature order; tolerances of ~1e-4 at n=400
-    account for that.
+    blocks sqrt(w_i w_j) c_k(t_i, t_j) of the beta > 0 channels, each counted
+    twice (for its conjugate), plus n_nodes zeros per beta = 0 channel.
+    c_k = e^{i f u1} R(u1, u2) e^{-i f u2}, f = (1 + 2 lambda) beta, is a
+    diagonal unitary similarity of the real symmetric R, the kernel at
+    lambda = -1/2 (the fixed point of lambda -> -1 - lambda), so one real
+    ``eigvalsh`` of R's block per channel gives them and lam is validated
+    only (the benchmark's ``finite_horizon`` workload passes it).  Check 03
+    of ``verify`` and the tests still measure lambda-dependence, on the
+    phased complex blocks (``_nystrom_eigvals`` with a tilt) and on the
+    whole matrix assembled from ``kernel_eval``.
 
-    No horizon overflows, but the kernel decays like e^{alpha |u1 - u2|},
-    so accuracy needs enough nodes per unit of |alpha| T: at 400 nodes the
-    pi/4 magnetic example gives 8.44 at T = 300 against the analytic 7.998.
+    This is the independent oracle for the analytic spectrum: it never
+    touches the Sturm-Liouville roots.  The kernel's kink along u1 = u2
+    limits the quadrature order; tolerances of ~1e-4 at n=400 account for
+    that.  No horizon overflows, but the kernel decays like
+    e^{alpha |u1 - u2|}, so accuracy needs enough nodes per unit of
+    |alpha| T: at 400 nodes the pi/4 magnetic example gives 8.44 at T = 300
+    against the analytic 7.998.
     """
-    n_nodes = check_integer("n_nodes", n_nodes)
-    if not n_nodes >= 8:
-        raise DomainError("n_nodes must be >= 8")
     check_inputs(T, lam=lam)
-    x, w = _gauss_legendre(n_nodes)
-    t, sw = (x + 1.0) * (T / 2.0), np.sqrt(w * (T / 2.0))
-    sp = spectral_decompose(spec)
-    vals = [np.zeros(n_nodes * np.count_nonzero(sp.betas == 0.0))]
-    for alpha, beta in sp.pairs:
-        if beta > 0.0:
-            C = _channel_kernel_factors(alpha, beta, lam, T, t[:, None], t[None, :])
-            C *= sw[:, None] * sw[None, :]
-            try:
-                vals += [np.linalg.eigvalsh(C)] * 2
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(f"Nystrom eigensolve failed at T={T!r}") from exc
-    return np.sort(np.concatenate(vals))[::-1]
+    return _nystrom_eigvals(spec, T, n_nodes)
 
 
 def trace_closed_form(spec: SystemSpec, T: float) -> float:
@@ -440,9 +465,16 @@ def log_det_tail(alpha: float, beta: float, T: float, theta: float, j_start: int
     if ws > -1e-14 * alpha * alpha:  # theta g_inf >= 1 - 1e-14: solve root j_start, clear X*
         m = min(T * math.sqrt(max(ws, 0.0)) / math.pi, j_start)  # X*/pi, capped past any root >= j_start
         J1 = max(J1, j_start, math.ceil(m + _CLEARANCE / math.pi))
-    arg = theta * _stretch(alpha, beta, T, j_start, J1)
-    if np.any(arg >= 1.0):
-        return -math.inf
+    g = _stretch(alpha, beta, T, j_start, J1)
+    if g.size and abs(theta) * float(g[0]) > 1e300:  # theta g may overflow (g[0] is the largest)
+        if theta > 0.0:
+            return -math.inf
+        explicit = float(np.sum(np.log(g) + np.log(1.0 / g - theta)))  # 1/g - theta: a sum of positives
+    else:
+        arg = theta * g
+        if np.any(arg >= 1.0):
+            return -math.inf
+        explicit = float(np.sum(np.log1p(-arg)))
     om, p, ell, eps = _cut(alpha, T, J1)
     b = beta / om
     v = theta * 8.0 * b * b
@@ -457,4 +489,4 @@ def log_det_tail(alpha: float, beta: float, T: float, theta: float, j_start: int
     F = (2.0 * ell * d, 2.0 * d - 4.0 * ell * ell * d * (R + 1.0),
          d * (16.0 * ell**3 * (R * R + R + 1.0) - 12.0 * ell * (R + 1.0)))
     rem = (T * (om * (-ell * log1mv - 2.0 * E)) + _log_sin2_part(p, ell, v, dlt)) / math.pi
-    return float(np.sum(np.log1p(-arg))) + rem + eps * _em_terms(p, ell, eps, *F)
+    return explicit + rem + eps * _em_terms(p, ell, eps, *F)

@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import montecarlo as mc
-from .chaos import MgfQuery, conditional_mgf, cramer_finite_T, cramer_finite_T_series
+from .chaos import (MgfQuery, _channel_closed_form, conditional_mgf, cramer_finite_T,
+                    cramer_finite_T_series)
 from .cramer import cramer, cramer_domain, legendre_oracle, rate, symmetry_residuals
 from .model import (
     SystemSpec,
@@ -26,7 +27,8 @@ from .model import (
     mean_epr,
     spectral_decompose,
 )
-from .spectral import kernel_spectrum, nystrom_spectrum, spectrum_gamma_tail, trace_closed_form
+from .spectral import (_nystrom_blocks, _nystrom_eigvals, kernel_spectrum, nystrom_spectrum,
+                       spectrum_gamma_tail, trace_closed_form)
 from .testing import random_system
 
 __all__ = ["CHECKS", "QUICK", "run_check", "run_verification"]
@@ -84,20 +86,46 @@ def _legendre() -> dict:
     return _result(worst <= 1e-6, residual=worst)
 
 
+def _fredholm_residual(spec: SystemSpec, T: float, n_nodes: int = 400) -> float:
+    """Worst |log det(I - theta B) - log w| / (1 + |log w|) over the real
+    Nystrom blocks B of the channels of spec and theta gamma_1 in
+    {-3, 0.5, 0.9}: one ``slogdet`` per case against the Gelfand-Yaglom
+    closed form log w.  The determinant uses no root, tail or series
+    (gamma_1 only places theta)."""
+    gamma_1 = kernel_spectrum(spectral_decompose(spec), T, 1).gamma_max
+    worst = 0.0
+    for alpha, beta, B in _nystrom_blocks(spec, T, n_nodes):
+        for ratio in (-3.0, 0.5, 0.9):
+            theta = ratio / gamma_1
+            sign, log_det = np.linalg.slogdet(np.eye(n_nodes) - theta * B)
+            log_w = _channel_closed_form(alpha, beta, theta, T)[0]
+            err = abs(float(log_det) - log_w) / (1.0 + abs(log_w)) if sign > 0 else math.inf
+            worst = max(worst, err)
+    return worst
+
+
 def _nystrom() -> dict:
+    """The Nystrom top-5 against the analytic spectrum; the phased blocks at
+    three tilts against the real ones; the Nystrom Fredholm determinant
+    against log w.  The kernel's derivative jumps across u1 = u2, so the
+    Gauss-Legendre rule is second order there and the determinant error
+    falls like n^-2 (Bornemann, Math. Comp. 79 (2010) 871): 6.2e-5 at
+    n = 400 on these cases, 1.5e-5 at 800.  1e-4 holds it at 400."""
     spec = _classic()
     sp = spectral_decompose(spec)
-    worst_match = worst_tilt = 0.0
+    worst_match = worst_tilt = worst_det = 0.0
     for T in (1.0, 5.0):
         analytic = kernel_spectrum(sp, T).descending().gamma[:5]
-        tops = [nystrom_spectrum(spec, lam, T, n_nodes=400)[:5] for lam in (0.0, 0.3, -0.7)]
-        for top in tops:
-            worst_match = max(worst_match, float(np.max(np.abs(top - analytic) / analytic)))
-        for top in tops[1:]:
-            worst_tilt = max(worst_tilt, float(np.max(np.abs(top - tops[0]) / tops[0])))
+        top = nystrom_spectrum(spec, 0.0, T, n_nodes=400)[:5]
+        worst_match = max(worst_match, float(np.max(np.abs(top - analytic) / analytic)))
+        for lam in (0.0, 0.3, -0.7):
+            phased = _nystrom_eigvals(spec, T, 400, lam)[:5]
+            worst_tilt = max(worst_tilt, float(np.max(np.abs(phased - top) / top)))
+        for system in (spec, magnetic_example(math.pi / 4)):
+            worst_det = max(worst_det, _fredholm_residual(system, T))
     return _result(
-        worst_match <= 1e-4 and worst_tilt <= 1e-6,
-        relative_error=worst_match, lambda_dependence=worst_tilt,
+        worst_match <= 1e-4 and worst_tilt <= 1e-6 and worst_det <= 1e-4,
+        relative_error=worst_match, lambda_dependence=worst_tilt, fredholm_residual=worst_det,
     )
 
 

@@ -1,6 +1,7 @@
 """Quadratic-functional expansion: offset, linear coefficients, conditional MGF."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,18 @@ class TestClosedFormVsSeries:
             assert conditional_mgf(q, pi4_spec) == pytest.approx(
                 conditional_mgf_series(q, pi4_spec), rel=rel
             )
+
+    def test_extreme_horizon_and_theta(self):
+        # T = 1e300, theta = -1e300: the projections underflow to 0, so
+        # theta^2 sum g^2/(1 - theta gamma) is 0 (not inf * 0 = NaN)
+        rng = np.random.default_rng(2024)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(10):
+                d = int(rng.integers(2, 9))
+                spec = random_system(rng, d)
+                q = MgfQuery(x=rng.standard_normal(d), theta=-1e300, T=1e300)
+                assert conditional_mgf_series(q, spec) == conditional_mgf(q, spec)
 
     def test_long_horizon_correction_is_constant(self, pi4_spec, pi4_spectrum):
         # Lambda - Lambda_T = c/T + o(1/T), far past where e^{|alpha| T}

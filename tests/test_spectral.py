@@ -34,9 +34,12 @@ from epr_ldp.spectral import (
 from epr_ldp.spectral import (
     _channel_kernel_factors,
     _gauss_legendre,
+    _nystrom_blocks,
+    _nystrom_eigvals,
     _scaled_roots,
 )
 from epr_ldp.testing import random_system
+from epr_ldp.verify import _fredholm_residual
 
 # First two roots of omega cos(omega) = -sin(omega) on the positive axis,
 # i.e. the alpha = -1, T = 1 frequency equation.
@@ -297,10 +300,30 @@ class TestNystrom:
         assert np.max(rel) <= 1e-3
 
     def test_tilt_independent(self, classic_spec):
+        # the phased complex blocks at two tilts against the real blocks
         base = nystrom_spectrum(classic_spec, 0.0, 1.0, n_nodes=120)
-        tilted = nystrom_spectrum(classic_spec, 0.3, 1.0, n_nodes=120)
-        rel = np.abs(tilted[:10] - base[:10]) / base[:10]
-        assert np.max(rel) <= 1e-6
+        for lam in (0.0, 0.3):
+            tilted = _nystrom_eigvals(classic_spec, 1.0, 120, lam)
+            rel = np.abs(tilted[:10] - base[:10]) / base[:10]
+            assert np.max(rel) <= 1e-6
+
+    def test_real_blocks_only(self, pi4_spec, monkeypatch):
+        # the oracle never builds the phased complex kernel
+        def refuse(*args):
+            raise AssertionError("complex kernel built")
+
+        monkeypatch.setattr(spectral, "_channel_kernel_factors", refuse)
+        assert all(B.dtype == float for _, _, B in _nystrom_blocks(pi4_spec, 1.0, 16))
+        assert np.all(np.isfinite(nystrom_spectrum(pi4_spec, 0.3, 1.0, n_nodes=16)))
+
+    @pytest.mark.parametrize("T", [0.5, 1.0, 5.0])
+    def test_fredholm_determinant_second_order(self, pi4_spec, T):
+        # slogdet(I - theta B) of the real blocks against the closed-form
+        # log w: the kernel's kink makes the error fall like n^-2
+        rng = np.random.default_rng(11)
+        for spec in (pi4_spec, random_system(rng, 2), random_system(rng, 4)):
+            coarse, fine = (_fredholm_residual(spec, T, n) for n in (200, 400))
+            assert fine * 3.0 <= coarse, (spec.dim, coarse, fine)
 
     def test_positive_semidefinite(self, classic_spec):
         vals = nystrom_spectrum(classic_spec, 0.0, 1.0, n_nodes=150)
@@ -500,6 +523,18 @@ class TestTailAccuracy:
                 log_det_tail(-1.0, beta, T, th, j_start) for th in thetas]
             for g, w in zip(got, want):
                 assert abs(g - w) <= bound * abs(w), (j_start, g, w)
+
+    def test_huge_theta_in_the_newton_stretch(self):
+        # |theta| gamma_j passes the float range on the solved roots j <= 200:
+        # the explicit terms log(|theta| gamma_j) plus the closure from 201
+        alpha, beta, T, theta = -1e-3, 1e5, 1.0, -1e300
+        head = 8.0 * beta**2 / (alpha**2 + omega_roots(alpha, T, 200) ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_det_tail(alpha, beta, T, theta, 1)
+            want = math.fsum(np.log(-theta) + np.log(head)) + log_det_tail(alpha, beta, T, theta, 201)
+            assert log_det_tail(alpha, beta, T, -theta, 1) == -math.inf
+        assert got == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("theta", [-1e100, -1e200])
     def test_huge_negative_theta(self, theta):
