@@ -17,20 +17,16 @@ production path is closed form per channel:
 and ``cramer_finite_T`` averages the start over the stationary law of the
 reduced process, -(1/2T) sum_k [log w_k + log(1 - p_k/(2|alpha_k|))].  Both
 are evaluated in log space (e^{-2 mu T} instead of cosh/sinh), so they stay
-finite at horizons far past |alpha| T = 709.  Divergence is decided by the
-same comparison theta >= 1/gamma_1 as the spectral layer, with gamma_1 from
-the same root solver, so the +inf boundary agrees with it exactly.
+finite at horizons far past |alpha| T = 709.  A channel diverges iff mu^2 < 0
+and either nu T >= pi or b = cos(nu T) + |alpha| sin(nu T)/nu <= 0 (nu^2 =
+-mu^2); theta >= 1/gamma_1 decides only in b's rounding band (2e-14 of it).
 
 The eigenvalue-series route — a truncated kernel spectrum, the projection
 coefficients ``g`` of the start onto its eigenfunctions and analytic
 log-determinant tails — is kept as the independent oracles
 ``conditional_mgf_series`` and ``cramer_finite_T_series``.  Both evaluate
 one array expression over every kernel-spectrum entry and never call the
-closed form.  The truncation ``j_max`` carried by ``MgfQuery`` (and the
-fourth argument of ``cramer_finite_T``) affects only those oracles.  The
-tilt ``MgfQuery.lam`` is validated but read by nothing: the projections do
-not depend on it.  It stays only because the benchmark's
-``finite_horizon`` workload passes it.
+closed form; ``j_max`` (in ``MgfQuery`` and ``cramer_finite_T``) is theirs.
 
 Everything here is Q-free: the tilted process is driven by unit noise, so
 only the drift's spectral data enters.
@@ -72,8 +68,8 @@ _LOG_HUGE = 709.0
 class MgfQuery:
     """Evaluation point for the conditional MGF E^x exp(theta * functional).
 
-    ``j_max`` is read only by ``conditional_mgf_series``; ``lam`` is read
-    by nothing.
+    ``j_max`` is read only by ``conditional_mgf_series``.  ``lam`` is read by
+    nothing (no projection depends on the tilt); the benchmark passes it.
     """
 
     x: Sequence[float]
@@ -185,29 +181,6 @@ def _series_terms(spectrum: Spectrum, T: float, j_max: int, theta: float):
     return ks.k, theta * q + 0.5 * theta * (theta * w), log_det  # theta^2 w is 0, not NaN, at w = 0
 
 
-def _diverges(theta: float, spectrum: Spectrum, T: float) -> bool:
-    """theta at or past 1/gamma_1, never for theta <= 0 (gamma_1 > 0).
-
-    For alpha < 0 the first root omega_1 lies in (pi/2T, pi/T), which
-    brackets gamma_1 = max_k 8 beta_k^2/(alpha_k^2 + omega_1^2).  Only a
-    theta within a 1e-6 margin of that bracket needs the root: gamma_1 then
-    comes from ``kernel_spectrum(spectrum, T, 1)`` itself (one short Newton
-    solve for the first root of every distinct alpha) and is compared in
-    the same form, so the +inf boundary agrees exactly with the spectral
-    layer and the series oracles.
-    """
-    if not theta > 0.0:
-        return False
-    rot = [(a * a, 8.0 * b * b) for a, b in spectrum.pairs if b != 0.0]
-    w = math.pi / T
-    if theta * max(c / (a2 + 0.25 * w * w) for a2, c in rot) <= 1.0 - 1e-6:
-        return False
-    if theta * max(c / (a2 + w * w) for a2, c in rot) >= 1.0 + 1e-6:
-        return True
-    gamma_1 = kernel_spectrum(spectrum, T, 1).gamma_max
-    return gamma_1 > 0.0 and theta >= 1.0 / gamma_1
-
-
 def _channel_closed_form(
     alpha: float, beta: float, theta: float, T: float
 ) -> Optional[tuple[float, float]]:
@@ -244,33 +217,64 @@ def _channel_closed_form(
     return shift + math.log1p(bm1), 2.0 * q * s / (1.0 + bm1)
 
 
+def _channel_terms(spectrum: Spectrum, theta: float, T: float) -> Optional[list]:
+    """(k, alpha_k, log w_k, p_k) per beta != 0 channel, or None at +inf.
+
+    With c = |alpha| T, y = -mu^2 T^2 = x^2 and y_1 = (omega_1 T)^2,
+    theta gamma_1 - 1 = (y - y_1)/(c^2 + y_1), and b = cos x + c sin x/x falls
+    from 1 + c to -1 on [0, pi^2] via 0 at y_1 (b > 1 + c at y < 0).  For
+    u = eps/2, y errs by < 7 u (c^2 + |y|), 7 u c^2 from mu^2's cancellation
+    (relative ~ eps (alpha^2 + 8 theta beta^2)/|mu^2|), and gamma_1 (a root,
+    five roundings) by < 14 u: theta >= 1/gamma_1 is exact off |y - y_1| <=
+    15 u (c^2 + pi^2), and dy = 32 u (c^2 + |y| + 10) covers both.  As |db/dy|
+    = (sin x/x + c (sin x - x cos x)/x^3)/2 <= (1 + c/3)/2 on [0, pi^2] and b
+    (y clamped there) errs by < 4 eps (c + 3), y + dy < 0, y - dy > pi^2 or
+    |b| > (1 + c/3) dy/2 + 4 eps (c + 3) decides; else theta >= 1/gamma_1
+    does.  Past c ~ 2e7 that band covers 1 + c, so mu^2 = 0 is a tie; in
+    theta it stays below 2e-14.  b rounded to 0 at the tie also gives None.
+    """
+    terms, tie = [], False
+    for k, (alpha, beta) in enumerate(spectrum.pairs):
+        if beta == 0.0:
+            continue
+        c = -float(alpha) * T
+        y = 2.0 * (4.0 * theta * T * float(beta)) * (float(beta) * T) - c * c
+        dy = 3.6e-15 * (c * c + abs(y) + 10.0)  # 32 u
+        if not y + dy < 0.0:
+            x = math.sqrt(min(max(y, 0.0), math.pi**2))
+            b = math.cos(x) + c * math.sin(x) / x if x else 1.0 + c
+            band = (1.0 + c / 3.0) * dy / 2.0 + 9e-16 * (c + 3.0)  # 4 eps (c + 3)
+            if y - dy > math.pi**2 or b < -band:
+                return None
+            if not (b > band or tie):  # decided for all channels at once
+                tie, gamma_1 = True, kernel_spectrum(spectrum, T, 1).gamma_max
+                if gamma_1 > 0.0 and theta >= 1.0 / gamma_1:
+                    return None
+        closed = _channel_closed_form(alpha, beta, theta, T)
+        if closed is None:
+            return None
+        terms.append((k, alpha, *closed))
+    return terms
+
+
 def conditional_mgf(q: MgfQuery, spec: SystemSpec) -> float:
     """E^x exp(theta * int_0^T |N Y_s|^2 ds), +inf at and past theta = 1/gamma_1.
 
-    Closed form per channel, exp(sum_k [-log w_k + p_k |<x, U_k>|^2] / 2);
+    Closed form per channel, exp(sum_k [-log w_k + p_k |<x, U_k>|^2] / 2),
+    from ``_channel_terms``: +inf by the sign of b, rooting only at the tie.
     ``q.lam`` and ``q.j_max`` are not used (see ``conditional_mgf_series``).
     p_k has the sign of theta, so a start whose overlaps overflow (|x| past
     ~1e154) gives +inf for theta > 0 and 0.0 for theta < 0.
     """
     spectrum = spectral_decompose(spec)
-    if not spectrum.has_rotation:
+    if not spectrum.has_rotation or q.theta == 0.0:
         return 1.0
-    theta = q.theta
-    if _diverges(theta, spectrum, q.T):
+    terms = _channel_terms(spectrum, q.theta, q.T)
+    if terms is None:
         return math.inf
-    if theta == 0.0:
-        return 1.0
     ov = _overlaps_sq(_start_vector(q.x, spec.dim), spectrum)
-    log_mgf = 0.0
-    for k, (alpha, beta) in enumerate(spectrum.pairs):
-        if beta == 0.0:
-            continue
-        terms = _channel_closed_form(alpha, beta, theta, q.T)
-        if terms is None:
-            return math.inf
-        log_w, p = terms
-        # p is 0 only where theta beta^2 underflows; 0 * inf would be NaN
-        log_mgf += 0.5 * ((p * ov[k] if p else 0.0) - log_w)
+    # p is 0 only where theta beta^2 underflows; 0 * inf would be NaN
+    log_mgf = sum(0.5 * ((p * ov[k] if p else 0.0) - log_w) for k, _, log_w, p in terms)
     if log_mgf > _LOG_HUGE:
         return math.inf
     return math.exp(log_mgf)
@@ -286,25 +290,20 @@ def cramer_finite_T(
 
         -(1/2T) sum_k [log w_k + log(1 - p_k/(2|alpha_k|))].
 
-    Divergence — theta at or past 1/gamma_1, or some channel's p_k reaching
-    2|alpha_k| — is genuine information and is returned as +inf rather than
-    raised.  ``j_max`` is not used (see ``cramer_finite_T_series``).
+    Divergence — theta at or past 1/gamma_1, told by the sign of b as in
+    ``conditional_mgf``, or some channel's p_k reaching 2|alpha_k| — is +inf,
+    not an error.  ``j_max`` is not used (see ``cramer_finite_T_series``).
     """
     check_inputs(T, lam=lam)
     theta = 0.5 * lam * (1.0 + lam)
     spectrum = spectral_decompose(spec)
     if not spectrum.has_rotation or theta == 0.0:
         return 0.0
-    if _diverges(theta, spectrum, T):
+    terms = _channel_terms(spectrum, theta, T)
+    if terms is None:
         return math.inf
     total = 0.0
-    for alpha, beta in spectrum.pairs:
-        if beta == 0.0:
-            continue
-        terms = _channel_closed_form(alpha, beta, theta, T)
-        if terms is None:
-            return math.inf
-        log_w, p = terms
+    for _, alpha, log_w, p in terms:
         ratio = p / (-2.0 * alpha)
         if ratio >= 1.0:
             return math.inf

@@ -489,9 +489,12 @@ def simulate_z_integral(
 def empirical_mgf(ensemble: EprEnsemble, lam: float) -> MgfEstimate:
     """(1/T) log mean exp(lam T e_p) with a leave-one-out jackknife error.
 
-    Evaluated through log-sum-exp; a single dominating sample drives the
-    jackknife spread to infinity, which is the honest diagnostic near the
-    domain boundary.
+    Evaluated through log-sum-exp, shifted by the sample s* that maximises
+    lam s before the product with T: the exponents lam (s - s*) T are <= 0,
+    so no |lam| up to the double range overflows to inf - inf, and a value
+    lam s* beyond that range is +inf.  A single dominating sample, whose
+    leave-one-out sum cancels to 0 (log -inf), drives the jackknife spread
+    to infinity, which is the honest diagnostic near the domain boundary.
     """
     check_inputs(ensemble.T, lam=lam)
     s = np.asarray(ensemble.samples, dtype=float)
@@ -500,15 +503,18 @@ def empirical_mgf(ensemble: EprEnsemble, lam: float) -> MgfEstimate:
         raise DomainError("empty ensemble")
     if lam == 0.0:
         return MgfEstimate(0.0, 0.0)
-    T = ensemble.T
-    a = lam * T * s
-    shift = float(np.max(a))
-    total = shift + math.log(float(np.sum(np.exp(a - shift))))
-    value = (total - math.log(n)) / T
+    T, lam = ensemble.T, float(lam)
+    top = float(np.max(s) if lam > 0.0 else np.min(s))
+    with np.errstate(over="ignore"):
+        a = lam * (s - top) * T
+    total = math.log(float(np.sum(np.exp(a))))
+    value = lam * top + (total - math.log(n)) / T
     if n < 2:
         return MgfEstimate(value, math.inf)
     with np.errstate(divide="ignore"):
         loo = total + np.log1p(-np.exp(np.minimum(a - total, 0.0)))
+    if np.isneginf(loo).any():
+        return MgfEstimate(value, math.inf)
     v = (loo - math.log(n - 1)) / T
     center = float(np.mean(v))
     stderr = math.sqrt((n - 1) / n * float(np.sum((v - center) ** 2)))

@@ -208,13 +208,16 @@ def eigenfunction_norm_sq(omega, phase, T: float):
     Equals (1/2)(T - (sin 2(omega T + phase) - sin 2 phase)/(2 omega)); for
     (omega, phase) taken from a KernelSpectrum entry with drift alpha the
     value lies in [ (1/2)(1 - 1/pi) T, (1/2)((1 + 1/pi) T - 1/alpha) ].
+    A non-finite omega, phase or 2 (omega T + phase) raises
+    :class:`DomainError`.
     """
-    if not np.all(omega > 0):
+    check_inputs(T, omega=omega, phase=phase)
+    if not np.all(np.greater(omega, 0.0)):
         raise DomainError("omega must be positive")
-    check_inputs(T)
-    return 0.5 * (
-        T - (np.sin(2.0 * (omega * T + phase)) - np.sin(2.0 * phase)) / (2.0 * omega)
-    )
+    with np.errstate(over="ignore"):
+        arg = 2.0 * (np.multiply(omega, T) + phase)
+    check_inputs(T, **{"2 (omega T + phase)": arg})
+    return 0.5 * (T - (np.sin(arg) - np.sin(2.0 * phase)) / (2.0 * omega))
 
 
 def _channel_real_factor(alpha, beta, T, u1, u2):

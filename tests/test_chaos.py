@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epr_ldp import chaos
 from epr_ldp.chaos import (
     MgfQuery,
     conditional_mgf,
@@ -386,6 +387,7 @@ class TestClosedFormVsSeries:
 
 class TestDivergenceBoundary:
     HORIZONS = (0.05, 0.5, 2.0, 10.0, 60.0)
+    C_VALUES = (1e-7, 1e-3, 0.5, 2.0, 10.0, 200.0, 1e3, 1e4, 1e6, 1e8, 1e12)  # max|alpha| T
 
     def systems(self):
         rng = np.random.default_rng(20240)
@@ -419,21 +421,78 @@ class TestDivergenceBoundary:
                     diverged = conditional_mgf(q, spec) == math.inf
                     assert diverged == (ratio * theta >= 1.0 / gamma1)
 
+    def test_no_root_off_the_tie(self, monkeypatch):
+        """Away from 1/gamma_1 the sign of b decides divergence: neither
+        function solves a root."""
+        solve, calls = chaos.kernel_spectrum, []
+        monkeypatch.setattr(chaos, "kernel_spectrum", lambda *args: calls.append(args) or solve(*args))
+        for spec in self.systems():
+            sp = spectral_decompose(spec)
+            x0 = np.ones(spec.dim)
+            for T in self.HORIZONS:
+                gamma1 = solve(sp, T, 1).gamma_max
+                for ratio in (-3.0, 0.5, 1.05, 2.0):
+                    theta = ratio / gamma1
+                    mgf = conditional_mgf(MgfQuery(x=x0, theta=theta, T=T), spec)
+                    assert (mgf == math.inf) == (ratio > 1.0)
+                    if 1.0 + 8.0 * theta >= 0.0:
+                        lam = (math.sqrt(1.0 + 8.0 * theta) - 1.0) / 2.0
+                        # below 1/gamma_1 the stationary average may diverge too
+                        assert cramer_finite_T(lam, spec, T) == math.inf or ratio < 1.0
+        assert calls == []
+
+    def test_rule_matches_spectral_comparison(self, monkeypatch):
+        """The root-free rule says theta >= 1/gamma_1 exactly when the
+        spectral layer's comparison does, from max|alpha| T = 1e-7 to 1e12,
+        at 1/gamma_1 and 1-4 ulp either side of it (the tie band, where it
+        defers to that comparison) and off it.  With the closed form stubbed
+        out, ``_channel_terms`` returns None only by that rule."""
+        monkeypatch.setattr(chaos, "_channel_closed_form", lambda *args: (0.0, 0.0))
+        rng = np.random.default_rng(2207)
+        for i in range(20):
+            spec = random_system(rng, 2 + i % 5, ("identity", "scalar", "poly")[i % 3])
+            sp = spectral_decompose(spec)
+            a_max = max(-a for a, b in sp.pairs if b != 0.0)
+            for c in self.C_VALUES:
+                T = c / a_max
+                gamma1 = kernel_spectrum(sp, T, 1).gamma_max
+                thetas = [1.0 / gamma1]
+                for toward in (math.inf, 0.0):
+                    theta = thetas[0]
+                    for _ in range(4):
+                        theta = math.nextafter(theta, toward)
+                        thetas.append(theta)
+                thetas += [r / gamma1 for r in (1.0 + 1e-9, 1.0 - 1e-9, 0.5, 1.05, 2.0, -3.0)]
+                for theta in thetas:
+                    diverged = chaos._channel_terms(sp, theta, T) is None
+                    assert diverged == (theta >= 1.0 / gamma1), (i, c, theta * gamma1)
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         d=st.integers(2, 6),
-        log_T=st.floats(math.log(1e-3), math.log(1e4)),
+        log_T=st.floats(math.log(1e-3), math.log(1e10)),
         theta=st.floats(-10.0, 10.0),
         lam=st.floats(-3.0, 2.0),
+        ulps=st.one_of(st.none(), st.integers(-4, 4)),
     )
-    def test_property_value_or_inf(self, seed, d, log_T, theta, lam):
+    def test_property_value_or_inf(self, seed, d, log_T, theta, lam, ulps):
         rng = np.random.default_rng(seed)
         spec = random_system(rng, d, ("identity", "scalar", "poly")[seed % 3])
         T = math.exp(log_T)
         x0 = rng.standard_normal(d)
+        sp = spectral_decompose(spec)
+        if ulps is not None:
+            # mu^2 = 0 in the channel of largest g_inf = 8 beta^2/alpha^2, give
+            # or take a few ulp: a tie of the rule once |alpha| T passes ~2e7
+            theta = 1.0 / max(8.0 * b * b / (a * a) for a, b in sp.pairs)
+            for _ in range(abs(ulps)):
+                theta = math.nextafter(theta, math.copysign(math.inf, ulps))
+            lam = (math.sqrt(1.0 + 8.0 * theta) - 1.0) / 2.0
         mgf = conditional_mgf(MgfQuery(x=x0, theta=theta, T=T), spec)
         lam_T = cramer_finite_T(lam, spec, T)
         assert isinstance(mgf, float) and 0.0 <= mgf <= math.inf
         assert isinstance(lam_T, float)
         assert math.isfinite(lam_T) or lam_T == math.inf
+        if theta >= 1.0 / kernel_spectrum(sp, T, 1).gamma_max:
+            assert mgf == math.inf

@@ -542,6 +542,23 @@ class TestEmpiricalMgf:
         ens = EprEnsemble(np.array([1.3]), T=2.0, config="abc")
         assert empirical_mgf(ens, 0.1).stderr == math.inf
 
+    def test_dominating_sample_has_infinite_stderr(self):
+        # e^-50 is below half an ulp of 1 + e^-50, so the leave-one-out sum
+        # of the larger sample cancels to 0: its log is -inf (the spread was NaN)
+        ens = EprEnsemble(np.array([1.0, 2.0]), T=50.0, config="abc")
+        est = empirical_mgf(ens, 1.0)
+        assert est.value == pytest.approx(2.0 - math.log(2.0) / 50.0, rel=1e-15)
+        assert est.stderr == math.inf
+
+    @pytest.mark.parametrize("lam", [1e308, -1e308])
+    def test_extreme_tilt_is_not_nan(self, pi4_spec, lam):
+        # lam T s overflowed to inf - inf; the shift is now taken on lam s
+        ens = simulate_epr(pi4_spec, SimConfig(T=5.0, dt=0.01, n_traj=50, seed=4))
+        est = empirical_mgf(ens, lam)
+        top = float(ens.samples.max() if lam > 0 else ens.samples.min())
+        assert est.value == (math.inf if abs(lam * top) == math.inf else pytest.approx(lam * top))
+        assert est.stderr == math.inf
+
     def test_matches_direct_jackknife(self):
         rng = np.random.default_rng(8)
         samples = rng.normal(1.4, 0.4, size=200)

@@ -234,6 +234,14 @@ class TestEigenfunctions:
                 quad, abs=1e-9
             )
 
+    @pytest.mark.parametrize("omega, phase, T", [
+        (math.inf, 0.3, 1.0), (1.0, math.nan, 1.0), (1e300, 0.3, 1e300),
+        (np.array([1.0, math.inf]), np.array([0.3, 0.3]), 1.0),
+    ], ids=["omega=inf", "phase=nan", "omega_T_overflows", "array_with_inf"])
+    def test_non_finite_inputs_raise(self, omega, phase, T):
+        with pytest.raises(DomainError):
+            eigenfunction_norm_sq(omega, phase, T)
+
     def test_modes_vanish_at_horizon(self, pi4_spectrum):
         T = 2.3
         ks = kernel_spectrum(pi4_spectrum, T, j_max=60)
