@@ -310,9 +310,9 @@ def spectral_decompose(spec: SystemSpec) -> Spectrum:
     scale s = (1 + |A|) min(1, |A|) (|A| the Frobenius norm, so s ~ |A|
     below unit norm): a channel with |beta| <= 1e-12 s is real (beta = 0.0),
     and the reconstruction ``A = sum_k a_k U_k U_k*`` must hold to 1e-10 s,
-    so a non-normal A raises :class:`NumericError` at any scale.  An A or a
-    Q whose Frobenius norm lies outside [1e-150, 1e150] raises
-    :class:`DomainError`.
+    so a non-normal A raises :class:`NumericError` at any scale.  An A with
+    a channel alpha_k >= 0 (not stable), or an A or a Q whose Frobenius norm
+    lies outside [1e-150, 1e150], raises :class:`DomainError`.
 
     A reversible drift (symmetric A, every beta = 0, ``has_rotation``
     False) decomposes like any other: its EPR is identically 0, and only
@@ -380,6 +380,8 @@ def _decompose(spec: SystemSpec) -> Spectrum:
         raise NumericError(
             f"channel reconstruction residual exceeds tolerance ({residual:.3e}); is A normal?"
         )
+    if not pairs[-1][0] < 0.0:  # channels are sorted by alpha
+        raise DomainError(f"A is not stable: a channel has alpha = {pairs[-1][0]:.3g} >= 0")
     return Spectrum(pairs=pairs, vectors=vectors)
 
 

@@ -48,6 +48,7 @@ from .model import (
     check_integer,
     check_real,
     spectral_decompose,
+    validate_system,
 )
 
 __all__ = [
@@ -434,8 +435,15 @@ def simulate_epr(spec: SystemSpec, config: SimConfig) -> EprEnsemble:
     midpoint rule for the remaining dX term is exact in expectation per
     step up to O(h) (the Ito/Stratonovich correction vanishes, N being
     skew).  euler_maruyama keeps the driving increments and accumulates
-    the Ito sum plus the trapezoid time integral directly.
+    the Ito sum plus the trapezoid time integral directly.  Both need the
+    commuting noise of the model: a Q that fails
+    :func:`~epr_ldp.model.validate_system`'s ``scale``, ``q_symmetric``,
+    ``q_spd`` or ``aq_commute`` check raises :class:`DomainError`.
     """
+    failing = [c.name for c in validate_system(spec).failing()
+               if c.name in ("scale", "q_symmetric", "q_spd", "aq_commute")]
+    if failing:
+        raise DomainError(f"system fails validation: {', '.join(failing)}")
     h, n_steps = _step_grid(spec, config)
     A = spec.A
     N = A - A.T

@@ -342,13 +342,17 @@ def trace_closed_form(spec: SystemSpec, T: float) -> float:
 
     computed by direct matrix arithmetic, with e^{MT} - I = V diag(expm1(w T)) V'
     from M = V diag(w) V' (no channel or Sturm-Liouville input), so it can
-    serve as one side of the trace-identity cross-check.
+    serve as one side of the trace-identity cross-check.  A drift that is
+    not stable (an eigenvalue 2 alpha_k of M at or above 0) raises
+    :class:`DomainError`.
     """
     check_inputs(T)
     A = spec.A
     M, N = A + A.T, A - A.T  # Q-free: Gamma need not exist
-    W = np.linalg.solve(M, N)
     w, V = np.linalg.eigh(M)
+    if not w[-1] < 0.0:
+        raise DomainError(f"A is not stable: A + A' has the eigenvalue {w[-1]:.3g} >= 0")
+    W = np.linalg.solve(M, N)
     term1 = float(np.sum(np.expm1(w * T) * np.sum((V.T @ W) ** 2, axis=1)))
     term2 = float(np.trace(W.T @ N))
     return 2.0 * (term1 - T * term2)

@@ -139,6 +139,13 @@ class TestConditionalMgf:
     def test_theta_zero_is_one(self, pi4_spec):
         assert conditional_mgf(self.q(0.0), pi4_spec) == 1.0
 
+    @pytest.mark.parametrize("mgf", [conditional_mgf, conditional_mgf_series])
+    @pytest.mark.parametrize("theta", [0.0, 0.1, 100.0])
+    def test_start_dimension_checked_first(self, pi4_spec, mgf, theta):
+        # before the theta = 0 and divergence exits
+        with pytest.raises(DimensionError):
+            mgf(self.q(theta, x=[1.0, 2.0, 3.0]), pi4_spec)
+
     def test_reversible_is_one(self):
         spec = SystemSpec(np.diag([-1.0, -2.0]))
         assert conditional_mgf(MgfQuery(x=np.ones(2), theta=0.4), spec) == 1.0

@@ -9,13 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 import epr_ldp.montecarlo as mc
 from epr_ldp.chaos import cramer_finite_T
 from epr_ldp.cli import format_value, load_config, main
 from epr_ldp.cramer import cramer, cramer_domain
-from epr_ldp.errors import ConfigError
+from epr_ldp.errors import ConfigError, DomainError
 from epr_ldp.model import magnetic_example, mean_epr, spectral_decompose
+from epr_ldp.verify import _ks_2samp
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -433,10 +435,23 @@ def _imported_by(module, prefixes):
 
 
 def test_cli_import_skips_scipy_stats():
-    # scipy is most of the start-up cost: the library needs only numpy, and
-    # `verify` imports scipy.stats when it runs
+    # scipy is most of the start-up cost, and the library needs only numpy
     for module in ("epr_ldp", "epr_ldp.cli", "epr_ldp.verify"):
         assert _imported_by(module, ("scipy",)) == "[]", module
+
+
+def test_q_invariance_loads_no_scipy():
+    # check 09's p-values come from verify's own KS helper, same bits as
+    # scipy.stats.ks_2samp gave
+    code = ("import json, sys; from epr_ldp.verify import QUICK, run_check; "
+            "r = run_check('q_invariance', QUICK['q_invariance']); "
+            "print(json.dumps([r['ks_p_values'], "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    p_values, scipy_modules = json.loads(out.stdout)
+    assert scipy_modules == []
+    assert p_values == [0.8633028038475316, 0.2117398173490672]
 
 
 def test_cli_import_skips_process_pools():
@@ -453,6 +468,34 @@ def test_cli_import_skips_numpy_random():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": SRC})
     assert out.stdout.strip() == "False"
+
+
+class TestKsTwoSample:
+    """verify's equal-size Kolmogorov-Smirnov helper against scipy.stats."""
+
+    @pytest.mark.parametrize("n", [2000, 10_000])
+    def test_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n)
+        pairs = [
+            (a, rng.standard_normal(n)),
+            (a, 1.05 * rng.standard_normal(n)),
+            (a, rng.standard_normal(n) + 0.1),  # p far below 1e-3
+            (np.round(a, 1), np.round(rng.standard_normal(n), 1)),  # ties
+            (np.round(a), np.round(rng.standard_normal(n) + 0.3)),  # few values
+            (a, rng.permutation(a)),  # h = 0
+        ]
+        for x, y in pairs:
+            ref = ks_2samp(x, y)
+            assert _ks_2samp(x, y) == (ref.statistic, ref.pvalue)
+
+    def test_equal_samples_give_one(self):
+        assert _ks_2samp([3.0, 1.0, 2.0], [1.0, 2.0, 3.0]) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("sizes", [(5, 6), (0, 0)])
+    def test_sizes_must_match(self, sizes):
+        with pytest.raises(DomainError):
+            _ks_2samp(np.zeros(sizes[0]), np.ones(sizes[1]))
 
 
 class TestVerify:

@@ -24,7 +24,7 @@ from epr_ldp.model import (
     validate_system,
 )
 from epr_ldp.montecarlo import _stationary_root
-from epr_ldp.spectral import kernel_eval, nystrom_spectrum
+from epr_ldp.spectral import kernel_eval, nystrom_spectrum, trace_closed_form
 from epr_ldp.testing import random_system
 
 from conftest import commuting_q_variants
@@ -188,6 +188,24 @@ class TestSpectralDecompose:
         assert not sp.has_rotation
         with pytest.raises(ReversibilityError, match="identically 0"):
             cramer_domain(sp)
+
+    @pytest.mark.parametrize("A", [[[0.5, 1.0], [-1.0, 0.5]], [[0.0, 1.0], [-1.0, 0.0]]],
+                             ids=["unstable", "marginal"])
+    def test_unstable_drift_refused(self, A):
+        # a normal drift with alpha_k >= 0 breaks the stability assumption;
+        # every entry point that reads its channels refuses it
+        spec = SystemSpec(np.array(A))
+        calls = [
+            lambda: spectral_decompose(spec),
+            lambda: cramer_finite_T(0.1, spec, 1.0),
+            lambda: conditional_mgf(MgfQuery(x=[1.0, 0.0], theta=0.1), spec),
+            lambda: s0([1.0, 0.0], spec, 1.0),
+            lambda: trace_closed_form(spec, 1.0),
+            lambda: nystrom_spectrum(spec, 0.0, 1.0, n_nodes=40),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="not stable"):
+                call()
 
     def test_extended_magnetic_has_flat_channel(self):
         sp = spectral_decompose(magnetic_example(math.pi / 4, extended=True))

@@ -226,6 +226,22 @@ class TestSimulateEpr:
         assert np.array_equal(a.samples, b.samples)
         assert a.config == cfg.fingerprint()
 
+    @pytest.mark.parametrize("scheme", ["exact_ou", "euler_maruyama"])
+    @pytest.mark.parametrize("start", ["stationary", (1.0, 0.0)])
+    @pytest.mark.parametrize(
+        "noise, failing",
+        [(lambda A: np.array([[2.0, 0.3], [0.3, 1.0]]), "aq_commute"),
+         (lambda A: np.eye(2) + 0.3 * (A - A.T), "q_symmetric"),
+         (lambda A: -np.eye(2), "q_spd")],
+        ids=["noncommuting", "asymmetric", "negative"],
+    )
+    def test_bad_noise_refused(self, scheme, start, noise, failing):
+        # the exact step's Sigma_h assumes AQ = QA; symmetrising it hid a bad Q
+        A = magnetic_example(0.7).A
+        cfg = SimConfig(T=1.0, dt=0.01, n_traj=4, seed=3, scheme=scheme, start=start)
+        with pytest.raises(DomainError, match=failing):
+            simulate_epr(SystemSpec(A, noise(A)), cfg)
+
     def test_window_size_does_not_change_samples(self, pi4_spec, monkeypatch):
         cfg = SimConfig(T=1.0, dt=0.01, n_traj=32, seed=13)
         baseline = simulate_epr(pi4_spec, cfg).samples
