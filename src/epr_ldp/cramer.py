@@ -13,8 +13,10 @@ per spectrum.  The rate function is evaluated in closed form through the
 substitution ell: I(x) = lambda(ell0(x)) x + F(ell0(x)) where ell0(x) is the
 unique root in [-1, m) of |x| = sqrt(1+ell) sum_k beta_k^2 / sqrt(alpha_k^2 -
 ell beta_k^2), found per level by one safeguarded scalar Newton iteration
-on Python floats; an independent Legendre-search oracle (grid + golden
-section on lambda x - Lambda(lambda)) cross-checks it.
+on Python floats.  An independent Legendre-search oracle cross-checks it:
+the maximum of the concave lambda x - Lambda(lambda) over a 65-point grid
+on [a, b], polished on the two grid cells around it by Brent's
+derivative-free minimiser (parabolic steps, golden-section fallback).
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ _RADICAND_CLAMP = 1e-14
 _ELL_SHIFT = 1e-15
 _NEWTON_TOL = 1e-8  # a logit step this small lands within rounding of the root
 _RESIDUAL_TOL = 1e-12  # absolute floor of the accepted |x|(ell0) - |x|
-_LEGENDRE_GRID = 2001  # legendre_oracle's coarse grid: >= 1000 points keep it within ~1e-6
+_LEGENDRE_GRID = 65  # legendre_oracle's coarse grid: f is concave, so any grid brackets its maximum
+_BRENT_RTOL = 1.5e-8  # ~sqrt(eps): past it the objective's values tie within rounding
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,7 +150,8 @@ def _cramer_values(ch: _Channels, lambdas) -> np.ndarray:
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if np.isnan(lambdas).any():
         raise DomainError("lambda is NaN")
-    r, inside = _radicands(ch, 4.0 * lambdas * (1.0 + lambdas))
+    with np.errstate(over="ignore"):  # ell or ell beta_k^2 = +inf only far outside [a, b]
+        r, inside = _radicands(ch, 4.0 * lambdas * (1.0 + lambdas))
     return np.where(inside, -_F(ch, r), math.inf)
 
 
@@ -277,13 +282,19 @@ def rate(x: float, spectrum: Spectrum) -> RatePoint:
 
 def legendre_oracle(x: float, spectrum: Spectrum) -> float:
     """Independent Legendre-transform search sup_{lambda in [a,b]}
-    (lambda x - Lambda(lambda)): a coarse grid of _LEGENDRE_GRID points,
-    then golden-section polish.
+    (lambda x - Lambda(lambda)): the best of _LEGENDRE_GRID grid points,
+    polished on the two grid cells around it (they bracket the maximum, the
+    objective being concave) by Brent's method (Algorithms for Minimization
+    without Derivatives, 1973, ch. 5) to 1.5e-8 min(1, m) max(1, |lambda|)
+    or 4 ulp of lambda: a median of about 10 objective evaluations, up to
+    ~80 where the maximum sits within rounding of an end of [a, b].
 
-    Evaluates only grid/golden points, so the result never exceeds the true
-    supremum; it is within ~1e-6 of it.  It never calls the ell0 solver.
-    A level that is not a finite real number raises :class:`DomainError`,
-    as in :func:`rate`.
+    Returns the largest value at a point it evaluated, so the result never
+    exceeds the true supremum; it is within ~1e-6 of it.  It is
+    derivative-free and never calls the ell0 solver.  Where lambda x
+    overflows on the grid (|x| near the double range) the value is +inf.  A
+    level that is not a finite real number raises :class:`DomainError`, as
+    in :func:`rate`.
     """
     x = check_real("EPR level x", x)
     if not math.isfinite(x):
@@ -293,30 +304,53 @@ def legendre_oracle(x: float, spectrum: Spectrum) -> float:
     # lambda x - Lambda(lambda) = lambda x + F at m - ell = 4 (b - lambda)(lambda - a)
     # >= 0: exact near both endpoints, as in _level, so no clamp is needed
     grid = np.linspace(a, b, _LEGENDRE_GRID)
-    vals = grid * x + _F(ch, ch.gap + np.multiply.outer(4.0 * (b - grid) * (grid - a), ch.beta2))
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    lo, hi = grid[[max(i - 1, 0), min(i + 1, _LEGENDRE_GRID - 1)]].tolist()
+    radicands = ch.gap + np.multiply.outer(4.0 * (b - grid) * (grid - a), ch.beta2)
+    with np.errstate(over="ignore"):  # lambda x is +-inf past the double range
+        vals = grid * x + _F(ch, radicands)
+    best = float(np.max(vals))
+    if best == math.inf:
+        return best
 
-    def f(lam: float) -> float:
-        return lam * x + _F_at(ch, 4.0 * (b - lam) * (lam - a))
+    def g(lam: float) -> float:  # minimised: -(lambda x - Lambda(lambda))
+        return -(lam * x + _F_at(ch, 4.0 * (b - lam) * (lam - a)))
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    fc, fd, width = f(c), f(d), hi - lo
+    # Brent: parabolic steps through the three best points lam, w and v, a golden-
+    # section step where the parabola leaves [lo, hi] or fails to halve the step
+    # before last.  Starting in the middle of three grid points keeps lam strictly
+    # inside [lo, hi], which then shrinks on every step until rounding stops it.
+    i = min(max(int(np.argmax(vals)), 1), _LEGENDRE_GRID - 2)
+    (lo, lam, hi), (f_lo, f_lam, f_hi) = grid[i - 1:i + 2].tolist(), (-vals[i - 1:i + 2]).tolist()
+    (w, fw), (v, fv) = sorted(((lo, f_lo), (hi, f_hi)), key=lambda p: p[1])
+    d = e = hi - lo
+    rtol = _BRENT_RTOL * min(1.0, ch.dom.m)  # Lambda bends on the scale of m as m -> 0
     for _ in range(100):
-        if fc > fd:
-            hi, d, fd, c = d, c, fc, d - invphi * (d - lo)
-            fc = f(c)
-        else:
-            lo, c, fc, d = c, d, fd, c + invphi * (hi - c)
-            fd = f(d)
-        # Lambda bends on the scale of b ~ m/4 next to b, far below 1 as m -> 0;
-        # a bracket that no longer shrinks has reached the float spacing
-        if hi - lo <= 1e-14 * max(1.0, abs(hi)) * min(1.0, ch.dom.m) or hi - lo >= width:
+        mid, tol = 0.5 * (lo + hi), max(rtol * max(1.0, abs(lam)), 4.0 * math.ulp(lam))
+        if abs(lam - mid) <= 2.0 * tol - 0.5 * (hi - lo):
             break
-        width = hi - lo
-    return max(best, fc, fd)
+        r, q = (lam - w) * (f_lam - fv), (lam - v) * (f_lam - fw)
+        p, q = (lam - v) * q - (lam - w) * r, 2.0 * (q - r)
+        p, q = (-p, q) if q > 0.0 else (p, -q)
+        if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (lo - lam) < p < q * (hi - lam):
+            e, d = d, p / q
+            if min(lam + d - lo, hi - lam - d) < 2.0 * tol:
+                d = tol if lam < mid else -tol
+        else:
+            e = (lo if lam >= mid else hi) - lam
+            d = _GOLDEN * e
+        u = lam + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu, width = g(u), hi - lo
+        if fu <= f_lam:
+            lo, hi = (lo, lam) if u < lam else (lam, hi)
+            (v, fv), (w, fw), (lam, f_lam) = (w, fw), (lam, f_lam), (u, fu)
+        else:
+            lo, hi = (u, hi) if u < lam else (lo, u)
+            if fu <= fw or w == lam:
+                (v, fv), (w, fw) = (w, fw), (u, fu)
+            elif fu <= fv or v == lam or v == w:
+                v, fv = u, fu
+        if hi - lo >= width:  # the bracket stopped shrinking at the float spacing
+            break
+    return max(best, -f_lam)
 
 
 def symmetry_residuals(spectrum: Spectrum, lambda_grid: Sequence[float],
@@ -328,7 +362,8 @@ def symmetry_residuals(spectrum: Spectrum, lambda_grid: Sequence[float],
     res1 = res2 = 0.0
     if lam.size:
         v1, v2 = _cramer_values(ch, lam), _cramer_values(ch, -1.0 - lam)
-        res1 = float(np.max(np.where(np.isinf(v1) & np.isinf(v2), 0.0, np.abs(v1 - v2))))
+        # equal values (+inf on both sides outside [a, b]) differ by 0, not inf - inf
+        res1 = float(np.max(np.abs(np.subtract(v1, v2, out=np.zeros_like(v1), where=v1 != v2))))
     for x in xs.tolist():
         res2 = max(res2, abs(_solve(ch, x)[1] - _solve(ch, -x)[1] + x))
     return res1, res2

@@ -438,12 +438,14 @@ def simulate_epr(spec: SystemSpec, config: SimConfig) -> EprEnsemble:
     the Ito sum plus the trapezoid time integral directly.  Both need the
     commuting noise of the model: a Q that fails
     :func:`~epr_ldp.model.validate_system`'s ``scale``, ``q_symmetric``,
-    ``q_spd`` or ``aq_commute`` check raises :class:`DomainError`.
+    ``q_spd`` or ``aq_commute`` check raises :class:`DomainError`, and so
+    does a drift that fails its ``stability`` check (after the start is
+    resolved, so a stationary start still raises its own error first).
     """
-    failing = [c.name for c in validate_system(spec).failing()
-               if c.name in ("scale", "q_symmetric", "q_spd", "aq_commute")]
-    if failing:
-        raise DomainError(f"system fails validation: {', '.join(failing)}")
+    failing = [c.name for c in validate_system(spec).failing()]
+    noise = [n for n in failing if n in ("scale", "q_symmetric", "q_spd", "aq_commute")]
+    if noise:
+        raise DomainError(f"system fails validation: {', '.join(noise)}")
     h, n_steps = _step_grid(spec, config)
     A = spec.A
     N = A - A.T
@@ -459,6 +461,8 @@ def simulate_epr(spec: SystemSpec, config: SimConfig) -> EprEnsemble:
         start = _stationary_root(spec)
     else:
         start = _fixed_start(config.start, spec.dim)
+    if "stability" in failing:
+        raise DomainError("system fails validation: stability")
 
     if config.scheme == "exact_ou":
         E, root = _exact_step_matrices(spec, 0.0, spec.Q, h)

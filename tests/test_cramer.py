@@ -1,7 +1,9 @@
 """Scaled cumulant-generating function, rate function, and their symmetries."""
 
+import dataclasses
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -425,18 +427,23 @@ class TestSolverCost:
         assert worst <= 12
 
     def test_golden_section_stops_when_the_bracket_stops_shrinking(self, monkeypatch):
-        # 2 + one F evaluation per golden-section iteration; a bracket stuck
-        # at the float spacing ran all 100 iterations
+        # one F evaluation per Brent step.  At theta = pi/2 - 1e-7 (m = 1e-14)
+        # the optimum sits ~1e-15 from an end of a 1/64-wide grid cell, which
+        # the golden steps walk down to; a tolerance below the float spacing
+        # there ran into the 100-step cap
         calls = []
         F = cramer_module._F_at
         monkeypatch.setattr(cramer_module, "_F_at", lambda *a: calls.append(1) or F(*a))
-        for spec in self._systems():
+        edge = math.pi / 2 - 1e-7
+        counts = []
+        for spec in (*self._systems(), magnetic_example(edge), magnetic_example(-edge)):
             sp = spectral_decompose(spec)
             mbar = mean_epr(sp)
-            for x in np.linspace(-3.0 * mbar, 3.0 * mbar, 31)[3::6]:
+            for x in [*np.linspace(-3.0 * mbar, 3.0 * mbar, 31)[3::6], -10.0 * mbar, 10.0 * mbar]:
                 calls.clear()
                 legendre_oracle(float(x), sp)
-                assert len(calls) < 100
+                counts.append(len(calls))
+        assert max(counts) <= 90
 
 
 class TestLegendreAgreement:
@@ -453,6 +460,88 @@ class TestLegendreAgreement:
             closed = rate(float(x), sp).I
             searched = legendre_oracle(float(x), sp)
             assert abs(closed - searched) <= 1e-6 * (1.0 + closed)
+
+
+class TestLegendreIndependence:
+    # values of an earlier, independent search: a 2001-point grid polished by
+    # golden section; levels are in units of the mean EPR except on pi4
+    PINNED = [
+        ("pi4", -2.0 * SQRT2, 2.943174758686337), ("pi4", -1.0, 1.0176380902050413),
+        ("pi4", 0.0, 0.2928932188134523), ("pi4", 0.5, 0.10355339059327359),
+        ("pi4", SQRT2, 2.7564544827791633e-17), ("pi4", 3.0, 0.1381010987251674),
+        ("d5", -2.0, 10.799508830289241), ("d5", -0.5, 2.789230402957668),
+        ("d5", 1.5, 0.07020497950456711),
+        ("edge", -1.5, 29999999.964114033), ("edge", 2.0, 2.5000000029904596e-08),
+    ]
+
+    def test_agrees_without_the_ell0_solver(self, pi4_spectrum, monkeypatch):
+        spectra = {"pi4": pi4_spectrum, "d5": random_spectrum(20260823, d=5),
+                   "edge": spectral_decompose(magnetic_example(math.pi / 2 - 1e-7))}
+        for sp in spectra.values():
+            cramer_domain(sp)  # the per-spectrum constants evaluate two levels
+        scale = {name: 1.0 if name == "pi4" else mean_epr(sp) for name, sp in spectra.items()}
+
+        def refuse(*args):
+            raise AssertionError("legendre_oracle called the ell0 solver")
+
+        monkeypatch.setattr(cramer_module, "_solve", refuse)
+        monkeypatch.setattr(cramer_module, "_level", refuse)
+        for name, k, pinned in self.PINNED:
+            searched = legendre_oracle(k * scale[name], spectra[name])
+            assert abs(searched - pinned) <= 1e-13 * (1.0 + pinned), (name, k)
+
+
+_EXTREMES = [s * v for v in (0.0, 1e-300, 1.0, 6e153, 7e153, 1e300, 1.7e308, math.inf)
+             for s in (1.0, -1.0)] + [math.nan]
+
+
+class TestExtremeArguments:
+    @pytest.mark.filterwarnings("error")
+    def test_huge_arguments_without_warnings(self):
+        sp = spectral_decompose(magnetic_example(0.7))
+        for lam in (6e153, 7e153, -7e153, 1e300, math.inf, -math.inf):
+            assert cramer(lam, sp) == math.inf
+            for with_derivative in (False, True):
+                assert cramer_curve(sp, [lam, 0.1], with_derivative).values[0] == math.inf
+        assert symmetry_residuals(sp, [math.inf, -math.inf, 7e153], []) == (0.0, 0.0)
+        assert legendre_oracle(1.7e308, sp) == pytest.approx(cramer_domain(sp).b * 1.7e308,
+                                                             rel=1e-15)
+        assert legendre_oracle(-1.7e308, sp) == math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 6),
+        style=st.sampled_from(["identity", "scalar", "poly"]),
+        lam=st.sampled_from(_EXTREMES),
+        x=st.sampled_from(_EXTREMES),
+    )
+    def test_property_value_or_library_error(self, seed, d, style, lam, x):
+        # each public evaluation returns a NaN-free value or raises EprLdpError;
+        # any warning is an error (set in the body: hypothesis warns on its own)
+        sp = spectral_decompose(random_system(np.random.default_rng(seed), d, style))
+        dom = cramer_domain(sp)
+        calls = [
+            lambda: [cramer(lam, sp)],
+            lambda: cramer_curve(sp, [lam]).values,
+            lambda: dataclasses.astuple(rate(x, sp)),
+            lambda: [legendre_oracle(x, sp)],
+            lambda: symmetry_residuals(sp, [lam], [x]),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                try:
+                    out = call()
+                except EprLdpError:
+                    continue
+                assert not np.isnan(out).any()
+            try:
+                slope = cramer_curve(sp, [lam], with_derivative=True).derivative[0]
+            except EprLdpError:
+                return
+        # the documented NaN of Lambda' is outside [a, b] only
+        assert math.isnan(slope) == (not dom.a <= lam <= dom.b)
 
 
 class TestSmallChannels:

@@ -242,6 +242,13 @@ class TestSimulateEpr:
         with pytest.raises(DomainError, match=failing):
             simulate_epr(SystemSpec(A, noise(A)), cfg)
 
+    @pytest.mark.parametrize("scheme", ["exact_ou", "euler_maruyama"])
+    def test_unstable_drift_refused_from_a_fixed_start(self, scheme):
+        # the Euler path never decomposes A, so only the stability verdict stops it
+        cfg = SimConfig(T=1.0, dt=0.01, n_traj=4, seed=3, scheme=scheme, start=(1.0, 0.0))
+        with pytest.raises(DomainError, match="stability"):
+            simulate_epr(SystemSpec(np.array([[0.5, 1.0], [-1.0, 0.5]])), cfg)
+
     def test_window_size_does_not_change_samples(self, pi4_spec, monkeypatch):
         cfg = SimConfig(T=1.0, dt=0.01, n_traj=32, seed=13)
         baseline = simulate_epr(pi4_spec, cfg).samples
