@@ -218,7 +218,9 @@ def _channel_closed_form(
 
 
 def _channel_terms(spectrum: Spectrum, theta: float, T: float) -> Optional[list]:
-    """(k, alpha_k, log w_k, p_k) per beta != 0 channel, or None at +inf.
+    """(k, alpha_k, log w_k, p_k) per conjugate pair (its beta_k > 0 member,
+    counted twice: only beta^2 and |<x, U_k>|^2 = |<x, conj U_k>|^2 enter),
+    or None at +inf.
 
     With c = |alpha| T, y = -mu^2 T^2 = x^2 and y_1 = (omega_1 T)^2,
     theta gamma_1 - 1 = (y - y_1)/(c^2 + y_1), and b = cos x + c sin x/x falls
@@ -235,7 +237,7 @@ def _channel_terms(spectrum: Spectrum, theta: float, T: float) -> Optional[list]
     """
     terms, tie = [], False
     for k, (alpha, beta) in enumerate(spectrum.pairs):
-        if beta == 0.0:
+        if not beta > 0.0:
             continue
         c = -float(alpha) * T
         y = 2.0 * (4.0 * theta * T * float(beta)) * (float(beta) * T) - c * c
@@ -277,8 +279,9 @@ def conditional_mgf(q: MgfQuery, spec: SystemSpec) -> float:
     if terms is None:
         return math.inf
     ov = _overlaps_sq(vec, spectrum)
-    # p is 0 only where theta beta^2 underflows; 0 * inf would be NaN
-    log_mgf = sum(0.5 * ((p * ov[k] if p else 0.0) - log_w) for k, _, log_w, p in terms)
+    # each pair counts twice, which cancels the exponent's 1/2; p is 0 only where
+    # theta beta^2 underflows (0 * inf would be NaN)
+    log_mgf = sum((p * ov[k] if p else 0.0) - log_w for k, _, log_w, p in terms)
     if log_mgf > _LOG_HUGE:
         return math.inf
     return math.exp(log_mgf)
@@ -314,7 +317,7 @@ def cramer_finite_T(
         if ratio >= 1.0:
             return math.inf
         total += log_w + math.log1p(-ratio)
-    return -total / (2.0 * T)
+    return -total / T  # each pair counts twice, which cancels the 1/(2T)
 
 
 def conditional_mgf_series(q: MgfQuery, spec: SystemSpec) -> float:

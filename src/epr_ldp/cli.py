@@ -24,14 +24,8 @@ import numpy as np
 from .chaos import MgfQuery, conditional_mgf, cramer_finite_T
 from .cramer import cramer_curve, cramer_domain, rate
 from .errors import ConfigError, DomainError, EprLdpError
-from .model import (
-    SystemSpec,
-    check_integer,
-    magnetic_example,
-    mean_epr,
-    spectral_decompose,
-    validate_system,
-)
+from .model import (SystemSpec, check_integer, magnetic_example, mean_epr, spectral_decompose,
+                    validate_system)
 from .montecarlo import SimConfig, empirical_mgf, simulate_epr
 from .spectral import kernel_spectrum, nystrom_spectrum
 from .verify import run_verification
@@ -309,24 +303,16 @@ def cmd_validate(cfg: RunConfig, outdir: str) -> int:
 def cmd_curves(cfg: RunConfig, outdir: str) -> int:
     sp = spectral_decompose(cfg.system)
     dom = cramer_domain(sp)  # refuses a reversible drift
-    if cfg.lambda_grid is not None:
-        lam_grid = cfg.lambda_grid.points()
-    else:
-        lam_grid = np.linspace(dom.a, dom.b, 101)
+    lam_grid = (cfg.lambda_grid.points() if cfg.lambda_grid is not None
+                else np.linspace(dom.a, dom.b, 101))
     curve = cramer_curve(sp, lam_grid, with_derivative=True)
     lam_rows = [
         (l, v, dv, bool(np.isfinite(v)))
         for l, v, dv in zip(curve.lambda_grid, curve.values, curve.derivative)
     ]
-    if cfg.x_grid is not None:
-        x_grid = cfg.x_grid.points()
-    else:
-        xm = 3.0 * mean_epr(sp)
-        x_grid = np.linspace(-xm, xm, 121)
-    rate_rows = []
-    for x in x_grid:
-        pt = rate(float(x), sp)
-        rate_rows.append((pt.x, pt.I, pt.ell0, pt.residual))
+    xm = 3.0 * mean_epr(sp)
+    x_grid = cfg.x_grid.points() if cfg.x_grid is not None else np.linspace(-xm, xm, 121)
+    rate_rows = [(pt.x, pt.I, pt.ell0, pt.residual) for pt in (rate(float(x), sp) for x in x_grid)]
     _emit(cfg, outdir, "curves", [
         ("_lambda", "lambda_curve", "lambda,Lambda,Lambda_prime,in_domain", lam_rows),
         ("_rate", "rate_curve", "x,I,ell0,residual", rate_rows)])
@@ -404,10 +390,8 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
 
 def cmd_verify(cfg: Optional[RunConfig], outdir: str) -> int:
     report = run_verification()
-    path = os.path.join(
-        cfg.out_path if cfg is not None and cfg.out_path else outdir,
-        "verify.json",
-    )
+    base = cfg.out_path if cfg is not None and cfg.out_path else outdir
+    path = os.path.join(base, "verify.json")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if cfg is not None:
         report = {"fingerprint": cfg.fingerprint(), **report}
@@ -433,10 +417,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (default: "
                    f"${OUTDIR_ENV} or the working directory)")
     p.add_argument("--seed", type=int, help="override mc.seed")
-    p.add_argument(
-        "command",
-        choices=["validate", "curves", "spectrum", "mgf", "simulate", "verify"],
-    )
+    p.add_argument("command", choices=[*_COMMANDS, "verify"])
     return p
 
 
@@ -453,14 +434,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     outdir = args.out or os.environ.get(OUTDIR_ENV) or os.getcwd()
     try:
+        cfg = None if args.config is None else load_config(args.config, {"seed": args.seed})
         if args.command == "verify":
-            cfg = None
-            if args.config is not None:
-                cfg = load_config(args.config, {"seed": args.seed})
             return cmd_verify(cfg, outdir)
-        if args.config is None:
+        if cfg is None:
             raise ConfigError(f"command {args.command!r} requires --config")
-        cfg = load_config(args.config, {"seed": args.seed})
         if args.command != "validate":
             failing = [c.name for c in validate_system(cfg.system).failing()
                        if c.severity == "error"]

@@ -9,14 +9,16 @@ ell(lambda) = 4 lambda (1 + lambda),
 on the closed interval [a, b] determined by m = min_{beta_k != 0}
 alpha_k^2 / beta_k^2 via a,b = -1/2 -/+ 1/2 sqrt(1+m), and +infinity
 outside.  Only the rotating channels enter, through constants computed once
-per spectrum.  The rate function is evaluated in closed form through the
-substitution ell: I(x) = lambda(ell0(x)) x + F(ell0(x)) where ell0(x) is the
-unique root in [-1, m) of |x| = sqrt(1+ell) sum_k beta_k^2 / sqrt(alpha_k^2 -
-ell beta_k^2), found per level by one safeguarded scalar Newton iteration
-on Python floats.  An independent Legendre-search oracle cross-checks it:
-the maximum of the concave lambda x - Lambda(lambda) over a 65-point grid
-on [a, b], polished on the two grid cells around it by Brent's
-derivative-free minimiser (parabolic steps, golden-section fallback).
+per spectrum, one row per conjugate pair (both members add the same term).
+The rate function is evaluated in closed form through the substitution
+ell: I(x) = lambda(ell0(x)) x + F(ell0(x)) where ell0(x) is the unique root
+in [-1, m) of |x| = sqrt(1+ell) sum_k beta_k^2 / sqrt(alpha_k^2 - ell
+beta_k^2), found per |x| by one safeguarded scalar Newton iteration on
+Python floats (x and -x differ only in the branch of lambda).  An
+independent Legendre-search oracle cross-checks it: the maximum of the
+concave lambda x - Lambda(lambda) over a 65-point grid on [a, b], polished
+on the two grid cells around it by Brent's derivative-free minimiser
+(parabolic steps, golden-section fallback).
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ _RESIDUAL_TOL = 1e-12  # absolute floor of the accepted |x|(ell0) - |x|
 _LEGENDRE_GRID = 65  # legendre_oracle's coarse grid: f is concave, so any grid brackets its maximum
 _BRENT_RTOL = 1.5e-8  # ~sqrt(eps): past it the objective's values tie within rounding
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+# i/64 for i = 0..64: a + (b - a) * _LEGENDRE_STEPS is np.linspace(a, b, 65) bit for bit
+_LEGENDRE_STEPS = np.arange(_LEGENDRE_GRID) / (_LEGENDRE_GRID - 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,11 +81,12 @@ class RatePoint:
 
 
 class _Channels:
-    """Constants of the rotating channels of one spectrum; a real channel
-    adds sqrt(alpha^2) + alpha = 0 to Lambda and nothing to the sums."""
+    """Constants of the rotating channels of one spectrum, one row per
+    conjugate pair (its beta > 0 member, weighted by 2); a real channel adds
+    sqrt(alpha^2) + alpha = 0 to Lambda and nothing to the sums."""
 
     def __init__(self, spectrum: Spectrum) -> None:
-        rot = spectrum.betas != 0.0
+        rot = spectrum.betas > 0.0
         if not np.any(rot):
             raise ReversibilityError(
                 "the drift is reversible (A is symmetric), so the entropy production "
@@ -92,7 +97,7 @@ class _Channels:
         # b = (sqrt(1+m) - 1)/2, written so it stays exact for m far below 1
         b = 0.5 * m / (1.0 + math.sqrt(1.0 + m))
         self.dom = CramerDomain(m=m, a=-1.0 - b, b=b)
-        self.alpha_sum = float(np.sum(spectrum.alphas[rot]))
+        self.alpha_sum = float(np.sum(spectrum.alphas[rot]))  # over the pairs
         # Radicands within `clamp` of 0 are 0.  1e-14 alpha_k^2 bounds the
         # rounding of alpha_k^2 - ell beta_k^2 where it is near 0 (there
         # ell beta_k^2 <= alpha_k^2), and 1e-15 beta_k^2 the shift of ell when
@@ -102,8 +107,8 @@ class _Channels:
         self.clamp = _RADICAND_CLAMP * self.alpha2 + _ELL_SHIFT * self.beta2
         # alpha_k^2 - m beta_k^2, exactly 0 on the channels that set m.
         self.gap = np.where(ratio == m, 0.0, np.maximum(self.alpha2 - m * self.beta2, 0.0))
-        # (gap_k, beta_k^2) as Python floats: _level's and _F_at's sums over d/2
-        # channels cost less in Python arithmetic than in numpy dispatch.
+        # (gap_k, beta_k^2) per pair as Python floats: _level's and _F_at's sums
+        # over d/2 pairs cost less in Python arithmetic than in numpy dispatch.
         self.pairs = tuple(zip(self.gap.tolist(), self.beta2.tolist()))
         # ell0's first upper bracket, as m - ell, and |x| there and at ell = (m - 1)/2.
         top, mid = (m * (1.0 - 1e-15) if m > 0 else m - 1e-15), 0.5 * (m - 1.0)
@@ -125,10 +130,28 @@ def cramer_domain(spectrum: Spectrum) -> CramerDomain:
     return _channels(spectrum).dom
 
 
-def _radicands(ch: _Channels, ell) -> tuple[np.ndarray, np.ndarray]:
-    """alpha_k^2 - ell beta_k^2 (one row per ell) with values within the
-    channel's clamp of 0 set to exactly 0, and whether each row lies in the
-    domain (no radicand below minus the clamp; False for a NaN ell).
+def _F(ch: _Channels, roots) -> np.ndarray:
+    """F(ell) = sum_pairs (sqrt(r_k) + alpha_k) = -Lambda(lambda) from the roots sqrt(r_k)."""
+    return roots.sum(axis=-1) + ch.alpha_sum
+
+
+def _real_grid(name: str, values) -> np.ndarray:
+    """``values`` as a float array; :class:`DomainError` unless its dtype is real."""
+    try:
+        grid = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting
+        raise DomainError(f"{name} is not an array of real numbers: {exc}") from exc
+    if grid.dtype.kind not in "fiu":
+        raise DomainError(f"{name} must hold real numbers, got dtype {grid.dtype}")
+    return grid.astype(float, copy=False)
+
+
+def _cramer_values(ch: _Channels, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda on the float array ``grid`` (+inf outside [a, b]; NaN raises)
+    and the roots sqrt(r_k) of the radicands r_k = alpha_k^2 - ell beta_k^2,
+    one row per lambda, with values within the channel's clamp of 0 set to
+    exactly 0.  lambda lies in the domain when no radicand is below minus
+    the clamp.
 
     At the domain endpoints the minimizing channel's radicand is exactly 0
     analytically but lands a few ulps off in floats; the two-sided clamp
@@ -137,89 +160,81 @@ def _radicands(ch: _Channels, ell) -> tuple[np.ndarray, np.ndarray]:
     Deciding membership on the radicands admits the 1-ulp excursions of
     fl(-1-lambda) past the float endpoints.
     """
-    r = ch.alpha2 - np.multiply.outer(ell, ch.beta2)
-    return np.where(r <= ch.clamp, 0.0, r), (r >= -ch.clamp).all(axis=-1)
-
-
-def _F(ch: _Channels, radicands) -> np.ndarray:
-    """F(ell) = 1/2 sum_k (sqrt(r_k) + alpha_k) = -Lambda(lambda) from the radicands r_k."""
-    return 0.5 * (np.sqrt(radicands).sum(axis=-1) + ch.alpha_sum)
-
-
-def _cramer_values(ch: _Channels, lambdas) -> np.ndarray:
-    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    if np.isnan(lambdas).any():
+    if np.isnan(grid).any():
         raise DomainError("lambda is NaN")
     with np.errstate(over="ignore"):  # ell or ell beta_k^2 = +inf only far outside [a, b]
-        r, inside = _radicands(ch, 4.0 * lambdas * (1.0 + lambdas))
-    return np.where(inside, -_F(ch, r), math.inf)
+        r = ch.alpha2 - np.multiply.outer(4.0 * grid * (1.0 + grid), ch.beta2)
+    roots = np.sqrt(np.where(r <= ch.clamp, 0.0, r))
+    return np.where((r >= -ch.clamp).all(axis=-1), -_F(ch, roots), math.inf), roots
 
 
 def cramer(lam: float, spectrum: Spectrum) -> float:
     """Cramer function Lambda(lambda); +inf outside [a, b]."""
     lam = check_real("lambda", lam)
-    return float(_cramer_values(_channels(spectrum), lam)[0])
+    return float(_cramer_values(_channels(spectrum), np.array([lam]))[0][0])
 
 
 def cramer_curve(spectrum: Spectrum, lambdas: Sequence[float],
                  with_derivative: bool = False) -> CramerCurve:
-    """Evaluate Lambda on a grid and, with ``with_derivative``, in one array
-    expression Lambda' = (1+2 lambda) sum_k beta_k^2 / sqrt(alpha_k^2 -
-    4 lambda(1+lambda) beta_k^2), which diverges toward a and b (steepness)."""
+    """Evaluate Lambda on a grid and, with ``with_derivative``, from the same
+    radicands Lambda' = (1+2 lambda) sum_k beta_k^2 / sqrt(alpha_k^2 -
+    4 lambda(1+lambda) beta_k^2), which diverges toward a and b (steepness).
+    A grid whose dtype is not real raises :class:`DomainError`."""
     ch = _channels(spectrum)
-    grid = np.asarray(lambdas, dtype=float)
+    grid = _real_grid("lambda grid", lambdas)
+    values, roots = _cramer_values(ch, grid)
     deriv = None
     if with_derivative:
         deriv = np.full(grid.shape, math.nan)
         interior = (grid > ch.dom.a) & (grid < ch.dom.b)
-        lam = grid[interior]
-        r, _ = _radicands(ch, 4.0 * lam * (1.0 + lam))
         with np.errstate(divide="ignore"):  # +-inf where a radicand clamps to 0
-            deriv[interior] = (1.0 + 2.0 * lam) * (ch.beta2 / np.sqrt(r)).sum(axis=-1)
+            deriv[interior] = ((2.0 * (1.0 + 2.0 * grid[interior]))
+                               * (ch.beta2 / roots[interior]).sum(axis=-1))
         deriv[grid == ch.dom.a] = -math.inf
         deriv[grid == ch.dom.b] = math.inf
-    return CramerCurve(lambda_grid=grid, values=_cramer_values(ch, grid), derivative=deriv)
+    return CramerCurve(lambda_grid=grid, values=values, derivative=deriv)
 
 
 def _level(ch: _Channels, w: float, v: float) -> tuple[float, float, float]:
-    """|x| = sqrt(w) S at 1 + ell = w, m - ell = v, S = sum_k beta_k^2 / sqrt(r_k)
-    and D = 2 v dS/dell, with r_k = (alpha_k^2 - m beta_k^2) + beta_k^2 v exact
-    and D finite up to the pole at ell = m."""
+    """|x| = 2 sqrt(w) S at 1 + ell = w, m - ell = v, S = sum_pairs beta_k^2 /
+    sqrt(r_k) and D = 2 v dS/dell, with r_k = (alpha_k^2 - m beta_k^2) +
+    beta_k^2 v exact and D finite up to the pole at ell = m."""
     S = D = 0.0
     for gap, b2 in ch.pairs:
         r = gap + v * b2
         q = b2 / math.sqrt(r)
         S += q
         D += q * (v * b2 / r)
-    return math.sqrt(w) * S, S, D
+    return 2.0 * math.sqrt(w) * S, S, D
 
 
 def _F_at(ch: _Channels, v: float) -> float:
-    """F = 1/2 sum_k (sqrt(r_k) + alpha_k) = -Lambda at m - ell = v, with the
-    radicands r_k = (alpha_k^2 - m beta_k^2) + beta_k^2 v of :func:`_level`."""
-    return 0.5 * (sum(math.sqrt(gap + v * b2) for gap, b2 in ch.pairs) + ch.alpha_sum)
+    """F = -Lambda at m - ell = v, with the radicands r_k = (alpha_k^2 -
+    m beta_k^2) + beta_k^2 v of :func:`_level`."""
+    return sum(math.sqrt(gap + v * b2) for gap, b2 in ch.pairs) + ch.alpha_sum
 
 
-def _solve(ch: _Channels, x: float) -> tuple[float, float, float]:
-    """ell0, I and the residual |x|(ell0) - |x| at one level x.
+def _solve(ch: _Channels, t: float) -> tuple[float, float, float, float, float]:
+    """ell0, lambda(ell0) for x >= 0 and x < 0, F(ell0) and the residual
+    |x|(ell0) - t, shared by the levels x = +-t.
 
-    x = 0 (|x| within 1e-12 of the level scale |x|(ell = (m-1)/2))
-    short-circuits to ell0 = -1 exactly.  Otherwise the bracket [-1, hi]
-    starts at m - hi = 1e-15 m, divided by 16 while |x|(hi) < |x| (|x|
-    diverges at m; once beta_k^2 (m - hi) underflows, the level raises
-    :class:`DomainError`).  Newton steps are taken on log |x| in
-    the logit coordinate z = log((1+ell)/(m-ell)), nearly linear with slope
-    1/2 at both ends (exactly so for a single rotation pair); the start is
-    that line through ell = (m-1)/2, or hi if it lies past hi or underflows
-    to ell = -1.  A step that leaves the bracket is replaced by bisection.
-    The iterate and both ends are carried as 1 + ell and m - ell, which
-    resolve ell0 near -1 and near m far below one ulp of ell.
+    t = 0 (within 1e-12 of the level scale |x|(ell = (m-1)/2)) short-circuits
+    to ell0 = -1 exactly, with both lambdas 0 (I = F(-1)).  Otherwise the
+    bracket [-1, hi] starts at m - hi = 1e-15 m, divided by 16 while |x|(hi)
+    < |x| (|x| diverges at m; once beta_k^2 (m - hi) underflows, the level
+    raises :class:`DomainError`).  Newton steps are taken on log |x| in the
+    logit coordinate z = log((1+ell)/(m-ell)), nearly linear with slope 1/2
+    at both ends (exactly so for a single rotation pair); the start is that
+    line through ell = (m-1)/2, or hi if it lies past hi or underflows to
+    ell = -1.  A step that leaves the bracket is replaced by bisection.  The
+    iterate and both ends are carried as 1 + ell and m - ell, which resolve
+    ell0 near -1 and near m far below one ulp of ell.
     """
-    t, m = abs(x), ch.dom.m
+    m = ch.dom.m
     if not math.isfinite(t):
         raise DomainError("EPR level x must be finite")
     if t <= 1e-12 * ch.level_mid:
-        return -1.0, _F_at(ch, 1.0 + m), 0.0
+        return -1.0, 0.0, 0.0, _F_at(ch, 1.0 + m), 0.0
     v_hi, g = ch.v_top, ch.top_level
     while g < t:
         if v_hi / 16.0 * min(b2 for _, b2 in ch.pairs) == 0.0:
@@ -253,17 +268,22 @@ def _solve(ch: _Channels, x: float) -> tuple[float, float, float]:
             w, v = 0.5 * (w_lo + w_hi), 0.5 * (v_lo + v_hi)
     resid = _level(ch, w, v)[0] - t
     if not abs(resid) <= max(_RESIDUAL_TOL, 1e-9 * max(1.0, t)):
-        raise NumericError(f"ell0 solve residual {resid:.3e} above tolerance at x={x}")
+        raise NumericError(f"ell0 solve residual {resid:.3e} above tolerance at |x|={t}")
     # lambda's + branch as ell0 / (2 (1 + sqrt(1+ell0))) and F from the unclamped
     # radicands at v = m - ell0 stay exact when alpha^2 and ell0 are far below 1.
     ell, root = (w - 1.0 if w < v else m - v), math.sqrt(1.0 + m - v)
-    lam = ell / (2.0 * (1.0 + root)) if x >= 0 else -0.5 * (1.0 + root)
-    lx, F = lam * x, _F_at(ch, v)
+    return ell, ell / (2.0 * (1.0 + root)), -0.5 * (1.0 + root), _F_at(ch, v), resid
+
+
+def _rate_at(ch: _Channels, x: float, solved: tuple) -> float:
+    """I(x) = lambda x + F from ``_solve(ch, |x|)``, on x's branch of lambda."""
+    _, lam_pos, lam_neg, F, _ = solved
+    lx = (lam_pos if x >= 0 else lam_neg) * x
     I = lx + F
     # at the mean EPR, I and F cancel to the rounding of lambda x, sqrt(r_k) and alpha_k
-    if I < -1e-10 * (abs(lx) + abs(F) + abs(ch.alpha_sum)):
+    if I < -1e-10 * (abs(lx) + abs(F) + 2.0 * abs(ch.alpha_sum)):
         raise NumericError(f"rate evaluated negative ({I:.3e}) at x={x}")
-    return ell, max(I, 0.0), resid
+    return max(I, 0.0)
 
 
 def rate(x: float, spectrum: Spectrum) -> RatePoint:
@@ -271,13 +291,15 @@ def rate(x: float, spectrum: Spectrum) -> RatePoint:
 
     x = 0 (|x| within 1e-12 of the system's level scale) short-circuits to
     ell0 = -1 exactly; otherwise one scalar safeguarded Newton iteration
-    (``_solve``) solves for ell0(x).  A residual above max(1e-12, 1e-9
+    (``_solve``) solves for ell0(|x|).  A residual above max(1e-12, 1e-9
     max(1, |x|)) or a rate below -1e-10 (|lambda x| + |F| + |sum alpha_k|)
     raises :class:`NumericError`; a level that is not a finite real number,
     or too large to resolve ell0 below m, raises :class:`DomainError`.
     """
     x = check_real("EPR level x", x)
-    return RatePoint(x, *_solve(_channels(spectrum), x))
+    ch = _channels(spectrum)
+    solved = _solve(ch, abs(x))
+    return RatePoint(x, solved[0], _rate_at(ch, x, solved), solved[4])
 
 
 def legendre_oracle(x: float, spectrum: Spectrum) -> float:
@@ -303,10 +325,11 @@ def legendre_oracle(x: float, spectrum: Spectrum) -> float:
     a, b = ch.dom.a, ch.dom.b
     # lambda x - Lambda(lambda) = lambda x + F at m - ell = 4 (b - lambda)(lambda - a)
     # >= 0: exact near both endpoints, as in _level, so no clamp is needed
-    grid = np.linspace(a, b, _LEGENDRE_GRID)
+    grid = a + (b - a) * _LEGENDRE_STEPS
+    grid[-1] = b
     radicands = ch.gap + np.multiply.outer(4.0 * (b - grid) * (grid - a), ch.beta2)
     with np.errstate(over="ignore"):  # lambda x is +-inf past the double range
-        vals = grid * x + _F(ch, radicands)
+        vals = grid * x + _F(ch, np.sqrt(radicands))
     best = float(np.max(vals))
     if best == math.inf:
         return best
@@ -356,14 +379,18 @@ def legendre_oracle(x: float, spectrum: Spectrum) -> float:
 def symmetry_residuals(spectrum: Spectrum, lambda_grid: Sequence[float],
                        x_grid: Sequence[float]) -> tuple[float, float]:
     """Fluctuation-symmetry residuals (max |Lambda(l) - Lambda(-1-l)|,
-    max |I(x) - I(-x) + x|) over the given grids; empty grids give 0."""
-    lam, xs = (np.asarray(grid, dtype=float) for grid in (lambda_grid, x_grid))
+    max |I(x) - I(-x) + x|) over the given grids, both read flat; empty
+    grids give 0.  Each |x| is solved for ell0 once.  A grid whose dtype is
+    not real raises :class:`DomainError`."""
+    lam, xs = (_real_grid(name, grid).ravel() for name, grid in
+               (("lambda grid", lambda_grid), ("x grid", x_grid)))
     ch = _channels(spectrum)
     res1 = res2 = 0.0
     if lam.size:
-        v1, v2 = _cramer_values(ch, lam), _cramer_values(ch, -1.0 - lam)
+        v1, v2 = _cramer_values(ch, np.stack((lam, -1.0 - lam)))[0]
         # equal values (+inf on both sides outside [a, b]) differ by 0, not inf - inf
         res1 = float(np.max(np.abs(np.subtract(v1, v2, out=np.zeros_like(v1), where=v1 != v2))))
     for x in xs.tolist():
-        res2 = max(res2, abs(_solve(ch, x)[1] - _solve(ch, -x)[1] + x))
+        solved = _solve(ch, abs(x))
+        res2 = max(res2, abs(_rate_at(ch, x, solved) - _rate_at(ch, -x, solved) + x))
     return res1, res2

@@ -53,15 +53,24 @@ _VALIDATE_TOL = 1e-10
 _MIN_NORM, _MAX_NORM = 1e-150, 1e150
 
 
-def _scale_error(spec: "SystemSpec") -> Optional[tuple[str, float, float]]:
-    """(name, Frobenius norm, violated bound) of the first of A and Q whose
-    norm lies outside [_MIN_NORM, _MAX_NORM], or None."""
-    for name, M in (("A", spec.A), ("Q", spec.Q)):
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(M))
+def _fro(x: np.ndarray) -> float:
+    """Frobenius norm of a real array: np.linalg.norm's bits, not its dispatch."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def _scale_error(spec: "SystemSpec") -> tuple[tuple[float, float], Optional[tuple]]:
+    """The Frobenius norms of A and Q (+inf past the double range) and
+    (name, norm, violated bound) of the first of them outside [_MIN_NORM,
+    _MAX_NORM], or None; anything but a spec raises :class:`DataError`."""
+    if not isinstance(spec, SystemSpec):
+        raise DataError(f"expected a SystemSpec, got {type(spec).__name__}")
+    with np.errstate(over="ignore"):
+        norms = _fro(spec.A), _fro(spec.Q)
+    for name, norm in zip("AQ", norms):
         if not _MIN_NORM <= norm <= _MAX_NORM:
-            return name, norm, _MAX_NORM if norm > 1.0 else _MIN_NORM
-    return None
+            return norms, (name, norm, _MAX_NORM if norm > 1.0 else _MIN_NORM)
+    return norms, None
 
 
 def _as_square_matrix(value, name: str) -> np.ndarray:
@@ -181,10 +190,11 @@ class ValidationReport:
         }
 
 
-def _sym_sqrt(Q: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root of (the symmetric part of) Q."""
+def _sym_eig_sqrt(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of the symmetric part of Q and its symmetric
+    PSD square root, from one eigensolve."""
     w, V = np.linalg.eigh((Q + Q.T) / 2.0)
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+    return w, (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
 def validate_system(spec: SystemSpec) -> ValidationReport:
@@ -202,43 +212,41 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
     range overflows or underflows them.  An A or a Q whose Frobenius norm
     lies outside [1e-150, 1e150] (which :func:`spectral_decompose` refuses)
     is reported by a failing ``scale`` check alone, before any product of
-    matrices can overflow.
+    matrices can overflow.  Anything but a :class:`SystemSpec` raises
+    :class:`DataError`.
     """
+    (norm_A, norm_Q), bad = _scale_error(spec)
     A, Q, tol = spec.A, spec.Q, _VALIDATE_TOL
-    bad = _scale_error(spec)
     if bad is not None:
         return ValidationReport((CheckResult("scale", False, bad[1], bad[2]),))
-    norm_A = np.linalg.norm(A)
-    M = A + A.T
-    N = A - A.T
-    sqrt_Q = _sym_sqrt(Q)
+    M, N = A + A.T, A - A.T
+    norm_M, norm_N = _fro(M), _fro(N)
+    q_eigs, sqrt_Q = _sym_eig_sqrt(Q)
 
-    def comm(name: str, F: np.ndarray, G: np.ndarray) -> CheckResult:
+    def comm(name: str, F: np.ndarray, norm_F: float,
+             G: np.ndarray, norm_G: float) -> CheckResult:
         # ||FG - GF|| against tol ||F|| ||G||, both taken with F and G scaled
         # by exact powers of two to norm < 1, so nothing overflows or underflows
-        e, f = math.frexp(np.linalg.norm(F))[1], math.frexp(np.linalg.norm(G))[1]
+        e, f = math.frexp(norm_F)[1], math.frexp(norm_G)[1]
         F, G = np.ldexp(F, -e), np.ldexp(G, -f)
-        res = float(np.linalg.norm(F @ G - G @ F))
-        thr = tol * float(np.linalg.norm(F) * np.linalg.norm(G))
+        res = _fro(F @ G - G @ F)
+        thr = tol * (math.ldexp(norm_F, -e) * math.ldexp(norm_G, -f))
         return CheckResult(name, res <= thr, math.ldexp(res, e + f), math.ldexp(thr, e + f))
 
-    checks = [comm("normality", A, A.T)]
-    res = float(np.linalg.norm(Q - Q.T))
-    thr = tol * float(np.linalg.norm(Q))
-    checks.append(CheckResult("q_symmetric", res <= thr, res, thr))
-    min_eig = float(np.linalg.eigvalsh((Q + Q.T) / 2.0)[0])
-    checks.append(CheckResult("q_spd", min_eig > 0.0, min_eig, 0.0))
-    checks.append(comm("aq_commute", A, Q))
+    asym_Q, min_eig = _fro(Q - Q.T), float(q_eigs[0])
     max_real = float(np.max(np.real(np.linalg.eigvals(A))))
-    checks.append(CheckResult("stability", max_real < 0.0, max_real, 0.0))
-    res = float(np.linalg.norm(N))
-    thr = tol * float(norm_A)
-    checks.append(
-        CheckResult("not_symmetric", res > thr, res, thr, severity="warning")
-    )
-    checks += [comm("commute_n_q", N, Q), comm("commute_m_sqrtq", M, sqrt_Q),
-               comm("commute_a_m", A, M)]
-    return ValidationReport(tuple(checks))
+    thr_Q, thr_N = tol * norm_Q, tol * norm_A
+    return ValidationReport((
+        comm("normality", A, norm_A, A.T, norm_A),
+        CheckResult("q_symmetric", asym_Q <= thr_Q, asym_Q, thr_Q),
+        CheckResult("q_spd", min_eig > 0.0, min_eig, 0.0),
+        comm("aq_commute", A, norm_A, Q, norm_Q),
+        CheckResult("stability", max_real < 0.0, max_real, 0.0),
+        CheckResult("not_symmetric", norm_N > thr_N, norm_N, thr_N, severity="warning"),
+        comm("commute_n_q", N, norm_N, Q, norm_Q),
+        comm("commute_m_sqrtq", M, norm_M, sqrt_Q, _fro(sqrt_Q)),
+        comm("commute_a_m", A, norm_A, M, norm_M),
+    ))
 
 
 def check_inputs(T: float, **values) -> None:
@@ -319,22 +327,22 @@ def spectral_decompose(spec: SystemSpec) -> Spectrum:
     the large-deviation objects of :mod:`epr_ldp.cramer` refuse it, with
     :class:`ReversibilityError`.  Computed once per spec and cached on it
     (the spec is frozen and A is read-only, so the cache cannot go stale);
-    every call returns the same :class:`Spectrum`.
+    every call returns the same :class:`Spectrum`.  Anything but a
+    :class:`SystemSpec` raises :class:`DataError` (from :func:`_decompose`).
     """
-    if "_channels" not in vars(spec):
+    if "_channels" not in getattr(spec, "__dict__", ()):
         object.__setattr__(spec, "_channels", _decompose(spec))
     return spec._channels
 
 
 def _decompose(spec: SystemSpec) -> Spectrum:
     """Uncached :func:`spectral_decompose`."""
-    bad = _scale_error(spec)
+    norms, bad = _scale_error(spec)
     if bad is not None:
         name, norm, bound = bad
         side = "exceeds" if bound == _MAX_NORM else "is below"
         raise DomainError(f"|{name}| = {norm:.3g} {side} {bound:g}; rescale time or state")
-    A = spec.A
-    norm_a = float(np.linalg.norm(A))
+    A, norm_a = spec.A, norms[0]
     scale = (1.0 + norm_a) * min(1.0, norm_a)
     beta_tol = 1e-12 * scale
     M, N = A + A.T, A - A.T
@@ -362,11 +370,11 @@ def _decompose(spec: SystemSpec) -> Spectrum:
                 # it is the range of its real orthogonal projector.
                 P = (Z[:, real] @ Z[:, real].conj().T).real
                 W = Vg @ np.linalg.eigh(P)[1][:, -int(real.sum()):]
-            channels += [(a.real, 0.0, U) for a, U in zip(*_split_by_m(A, W))]
+            channels += [(a.real, 0.0, U) for a, U in zip(*_split_by_m(A, M, W))]
         # betas within 1e-8 s form one run, which M splits better
         pos = np.flatnonzero(b > beta_tol)
         for run in _cluster_by_gap(b[pos], 1e-8 * scale):
-            for a, U in zip(*_split_by_m(A, Vg @ Z[:, pos[run]])):
+            for a, U in zip(*_split_by_m(A, M, Vg @ Z[:, pos[run]])):
                 channels.append((a.real, a.imag, U))
                 channels.append((a.real, -a.imag, U.conj()))
 
@@ -385,12 +393,13 @@ def _decompose(spec: SystemSpec) -> Spectrum:
     return Spectrum(pairs=pairs, vectors=vectors)
 
 
-def _split_by_m(A: np.ndarray, W: np.ndarray) -> tuple[list[complex], list[np.ndarray]]:
+def _split_by_m(A: np.ndarray, M: np.ndarray,
+                W: np.ndarray) -> tuple[list[complex], list[np.ndarray]]:
     """Orthonormal columns W spanning channels of one beta, rotated onto
-    the eigenvectors of M restricted to span(W), with each column's
+    the eigenvectors of M = A + A' restricted to span(W), with each column's
     Rayleigh quotient U* A U = alpha + i beta."""
     if W.shape[1] > 1:
-        W = W @ np.linalg.eigh(W.conj().T @ (A + A.T) @ W)[1]
+        W = W @ np.linalg.eigh(W.conj().T @ M @ W)[1]
     a = np.sum(W.conj() * (A @ W), axis=0)
     return a.astype(complex).tolist(), [np.array(u, dtype=complex) for u in W.T]
 

@@ -41,15 +41,8 @@ from typing import Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
-from .model import (
-    SystemSpec,
-    _sym_sqrt,
-    check_inputs,
-    check_integer,
-    check_real,
-    spectral_decompose,
-    validate_system,
-)
+from .model import (SystemSpec, _sym_eig_sqrt, check_inputs, check_integer, check_real,
+                    spectral_decompose, validate_system)
 
 __all__ = [
     "SimConfig",
@@ -133,15 +126,7 @@ class SimConfig:
 
     def fingerprint(self) -> str:
         """sha256[:16] of the canonical JSON of the fields."""
-        payload = {
-            "T": self.T,
-            "dt": self.dt,
-            "n_traj": self.n_traj,
-            "seed": self.seed,
-            "scheme": self.scheme,
-            "start": list(self.start) if not isinstance(self.start, str) else self.start,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -283,10 +268,10 @@ def _stationary_root(spec: SystemSpec) -> np.ndarray:
         gamma = np.linalg.solve(A + A.T, -spec.Q)  # = -M^{-1} Q (commuting)
     except np.linalg.LinAlgError as exc:
         raise NumericError("symmetric part M is singular") from exc
-    w, V = np.linalg.eigh((gamma + gamma.T) / 2.0)
+    w, root = _sym_eig_sqrt(gamma)
     if not w[0] > 0.0:
         raise NumericError("stationary covariance is not positive definite")
-    return (V * np.sqrt(w)) @ V.T
+    return root
 
 
 def _exact_step_matrices(
@@ -309,10 +294,9 @@ def _exact_step_matrices(
     try:
         root = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(sigma)
-        if np.min(w) < -1e-12 * max(1.0, float(np.max(np.abs(w)))):
+        w, root = _sym_eig_sqrt(sigma)
+        if w[0] < -1e-12 * max(1.0, float(np.max(np.abs(w)))):
             raise NumericError("step covariance is not positive semidefinite")
-        root = V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
     return E, root
 
 
@@ -469,7 +453,7 @@ def simulate_epr(spec: SystemSpec, config: SimConfig) -> EprEnsemble:
         K = np.linalg.solve(spec.Q, N)
         acc = _over_ranges(_exact_ou_steps, config, n_steps, start, E, root, K)
     else:
-        sqrt_q = _sym_sqrt(spec.Q)
+        sqrt_q = _sym_eig_sqrt(spec.Q)[1]
         C = np.linalg.solve(sqrt_q, N)  # Q^{-1/2} N
         acc = _over_ranges(_euler_steps, config, n_steps, start, h, A, sqrt_q, C)
     samples = acc / config.T

@@ -22,12 +22,7 @@ from .chaos import (MgfQuery, _channel_closed_form, conditional_mgf, cramer_fini
                     cramer_finite_T_series)
 from .cramer import cramer, cramer_domain, legendre_oracle, rate, symmetry_residuals
 from .errors import DomainError
-from .model import (
-    SystemSpec,
-    magnetic_example,
-    mean_epr,
-    spectral_decompose,
-)
+from .model import SystemSpec, magnetic_example, mean_epr, spectral_decompose
 from .spectral import (_nystrom_blocks, _nystrom_eigvals, kernel_spectrum, nystrom_spectrum,
                        spectrum_gamma_tail, trace_closed_form)
 from .testing import random_system

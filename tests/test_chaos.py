@@ -126,6 +126,63 @@ class TestLinearCoefficients:
         assert np.allclose(np.abs(g[:32]), np.abs(g[32:]), rtol=1e-12)
 
 
+class TestPairFolding:
+    """``_channel_terms`` keeps one term per conjugate pair and counts it
+    twice; the reference sums the closed form over every beta != 0 entry of
+    ``sp.pairs`` with the factors 1/2 and 1/(2T)."""
+
+    @staticmethod
+    def _reference(spec, x, theta, lam, T):
+        sp = spectral_decompose(spec)
+        ov = np.abs(x @ sp.vectors) ** 2
+        terms = [(k, a, *chaos._channel_closed_form(a, b, t, T))
+                 for t in (theta, 0.5 * lam * (1.0 + lam))
+                 for k, (a, b) in enumerate(sp.pairs) if b != 0.0]
+        half = len(terms) // 2
+        log_mgf = sum(0.5 * (p * ov[k] - log_w) for k, _, log_w, p in terms[:half])
+        if any(p >= -2.0 * a for _, a, _, p in terms[half:]):  # the stationary average diverges
+            return math.exp(log_mgf), math.inf
+        total = sum(log_w + math.log1p(p / (2.0 * a)) for _, a, log_w, p in terms[half:])
+        return math.exp(log_mgf), -total / (2.0 * T)
+
+    @staticmethod
+    def _systems():
+        for theta in (-1.2, 0.3, 1.4):
+            yield magnetic_example(theta)
+            yield magnetic_example(theta, extended=True)
+        rng = np.random.default_rng(25)
+        for d in range(2, 9):
+            for style in ("identity", "scalar", "poly"):
+                yield random_system(rng, d, style)
+
+    def test_matches_all_channel_sums(self):
+        rng = np.random.default_rng(7)
+        for spec in self._systems():
+            sp = spectral_decompose(spec)
+            single = sum(b > 0.0 for _, b in sp.pairs) == 1
+            x = rng.standard_normal(spec.dim)
+            for T, ratio in ((0.3, 0.4), (2.0, -3.0), (2.0, 0.8), (40.0, 0.5)):
+                theta = ratio / kernel_spectrum(sp, T, 1).gamma_max  # below 1/gamma_1
+                # Lambda_T's own theta, lam (1 + lam) / 2, is theta / 4 (or -0.105)
+                lam = 0.5 * (math.sqrt(1.0 + 2.0 * theta) - 1.0) if ratio > 0.0 else -0.3
+                got = (conditional_mgf(MgfQuery(x=x, theta=theta, T=T), spec),
+                       cramer_finite_T(lam, spec, T))
+                want = self._reference(spec, x, theta, lam, T)
+                if single:
+                    assert got == want
+                else:
+                    assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+    def test_conjugate_overlaps_are_equal(self):
+        rng = np.random.default_rng(8)
+        for spec in self._systems():
+            sp = spectral_decompose(spec)
+            ov = chaos._overlaps_sq(rng.standard_normal(spec.dim), sp)
+            for k, (_, b) in enumerate(sp.pairs):
+                if b > 0.0:
+                    assert sp.pairs[k + 1][1] == -b and ov[k] == ov[k + 1]
+
+
 class TestConditionalMgf:
     def q(self, theta, lam=0.0, T=1.0, j_max=200, x=X0):
         return MgfQuery(x=x, theta=theta, lam=lam, T=T, j_max=j_max)

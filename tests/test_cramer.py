@@ -19,7 +19,8 @@ from epr_ldp.cramer import (
     symmetry_residuals,
 )
 from epr_ldp.errors import DomainError, EprLdpError, ReversibilityError
-from epr_ldp.model import SystemSpec, magnetic_example, mean_epr, spectral_decompose
+from epr_ldp.model import (Spectrum, SystemSpec, magnetic_example, mean_epr, spectral_decompose,
+                           validate_system)
 from epr_ldp.testing import random_system
 
 SQRT2 = math.sqrt(2.0)
@@ -493,6 +494,9 @@ class TestLegendreIndependence:
 
 _EXTREMES = [s * v for v in (0.0, 1e-300, 1.0, 6e153, 7e153, 1e300, 1.7e308, math.inf)
              for s in (1.0, -1.0)] + [math.nan]
+# wrongly typed grids and specs: each must raise EprLdpError, not a raw Python error
+_BAD_GRIDS = [["a"], [1j], [object()], [[1.0], [1.0, 2.0]], [True], [1.0, None], "abc"]
+_BAD_SPECS = ["abc", None, 1.0, [[-1.0]], np.eye(2)]
 
 
 class TestExtremeArguments:
@@ -515,8 +519,10 @@ class TestExtremeArguments:
         style=st.sampled_from(["identity", "scalar", "poly"]),
         lam=st.sampled_from(_EXTREMES),
         x=st.sampled_from(_EXTREMES),
+        bad_grid=st.sampled_from(_BAD_GRIDS),
+        bad_spec=st.sampled_from(_BAD_SPECS),
     )
-    def test_property_value_or_library_error(self, seed, d, style, lam, x):
+    def test_property_value_or_library_error(self, seed, d, style, lam, x, bad_grid, bad_spec):
         # each public evaluation returns a NaN-free value or raises EprLdpError;
         # any warning is an error (set in the body: hypothesis warns on its own)
         sp = spectral_decompose(random_system(np.random.default_rng(seed), d, style))
@@ -527,6 +533,12 @@ class TestExtremeArguments:
             lambda: dataclasses.astuple(rate(x, sp)),
             lambda: [legendre_oracle(x, sp)],
             lambda: symmetry_residuals(sp, [lam], [x]),
+            lambda: symmetry_residuals(sp, [[lam]], [[x, -x]]),  # grids read flat
+            lambda: cramer_curve(sp, bad_grid, with_derivative=True).values,
+            lambda: symmetry_residuals(sp, bad_grid, []),
+            lambda: symmetry_residuals(sp, [], bad_grid),
+            lambda: [spectral_decompose(bad_spec).dim],
+            lambda: [validate_system(bad_spec).passed],
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -542,6 +554,126 @@ class TestExtremeArguments:
                 return
         # the documented NaN of Lambda' is outside [a, b] only
         assert math.isnan(slope) == (not dom.a <= lam <= dom.b)
+
+
+class TestPairFolding:
+    """The long-run layer keeps one row per conjugate pair and counts it
+    twice.  The reference below runs the same solver and grids with every
+    entry of ``sp.pairs`` as its own row and the unfolded sums 1/2 sum_k
+    over all of them: on a spectrum whose betas are made positive no member
+    is dropped, and ``_level``, ``_F_at`` and ``_F`` are replaced by the
+    all-channel sums."""
+
+    @staticmethod
+    def _level_all(ch, w, v):
+        S = D = 0.0
+        for gap, b2 in ch.pairs:
+            r = gap + v * b2
+            q = b2 / math.sqrt(r)
+            S += q
+            D += q * (v * b2 / r)
+        return math.sqrt(w) * S, S, D
+
+    @staticmethod
+    def _F_at_all(ch, v):
+        return 0.5 * (sum(math.sqrt(gap + v * b2) for gap, b2 in ch.pairs) + ch.alpha_sum)
+
+    @staticmethod
+    def _F_all(ch, roots):
+        return 0.5 * (roots.sum(axis=-1) + ch.alpha_sum)
+
+    @staticmethod
+    def _evaluate(sp):
+        dom = cramer_domain(sp)
+        lams = np.linspace(dom.a, dom.b, 41)
+        mbar = mean_epr(sp)
+        xs = [float(x) for x in np.linspace(-3.0 * mbar, 3.0 * mbar, 13)] + [10.0 * mbar]
+        curve = cramer_curve(sp, lams, with_derivative=True)
+        return {
+            "cramer": [cramer(float(l), sp) for l in lams[::5]],
+            "values": curve.values.tolist(),
+            "rate": [dataclasses.astuple(rate(x, sp))[1:3] for x in xs],
+            "legendre": [legendre_oracle(x, sp) for x in xs[1::3]],
+            "symmetry": list(symmetry_residuals(sp, lams, xs)),
+        }, curve.derivative
+
+    def _reference(self, sp, monkeypatch):
+        unfolded = Spectrum(pairs=tuple((a, abs(b)) for a, b in sp.pairs), vectors=sp.vectors)
+        with monkeypatch.context() as mp:
+            mp.setattr(cramer_module, "_level", self._level_all)
+            mp.setattr(cramer_module, "_F_at", self._F_at_all)
+            mp.setattr(cramer_module, "_F", self._F_all)
+            values, _ = self._evaluate(unfolded)
+        ch = cramer_module._channels(unfolded)
+        lams = np.linspace(ch.dom.a, ch.dom.b, 41)[1:-1]
+        roots = cramer_module._cramer_values(ch, lams)[1]
+        return values, (1.0 + 2.0 * lams) * (ch.beta2 / roots).sum(axis=-1)
+
+    @staticmethod
+    def _single_pair_systems():
+        for theta in (-1.4, -0.3, 0.785, 1.45, math.pi / 2 - 1e-7):
+            yield magnetic_example(theta)
+            yield magnetic_example(theta, extended=True)
+        rng = np.random.default_rng(25)
+        for d in (2, 3):
+            for style in ("identity", "scalar", "poly"):
+                yield random_system(rng, d, style)
+
+    def test_single_pair_bit_identical_to_all_channel_sums(self, monkeypatch):
+        for spec in self._single_pair_systems():
+            sp = spectral_decompose(spec)
+            assert sum(b > 0.0 for _, b in sp.pairs) == 1
+            folded, slope_folded = self._evaluate(sp)
+            reference, slope_reference = self._reference(sp, monkeypatch)
+            assert folded == reference
+            assert np.array_equal(slope_folded[1:-1], slope_reference)
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+    def test_many_pairs_agree_with_all_channel_sums(self, d, monkeypatch):
+        rng = np.random.default_rng(2500 + d)
+        for style in ("identity", "scalar", "poly"):
+            sp = spectral_decompose(random_system(rng, d, style))
+            folded, slope_folded = self._evaluate(sp)
+            reference, slope_reference = self._reference(sp, monkeypatch)
+            for key in folded:
+                got, want = np.array(folded[key]), np.array(reference[key])
+                assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want))), key
+            got = slope_folded[1:-1]
+            assert np.all(np.abs(got - slope_reference) <= 1e-14 * (1.0 + np.abs(slope_reference)))
+
+    def test_symmetry_residual_is_the_rate_difference(self):
+        for spec in (magnetic_example(0.6), magnetic_example(-1.2, extended=True),
+                     random_system(np.random.default_rng(3), 6, "poly")):
+            sp = spectral_decompose(spec)
+            mbar = mean_epr(sp)
+            xs = [float(x) for x in np.linspace(-3.0 * mbar, 3.0 * mbar, 31)]
+            worst = max(abs(rate(x, sp).I - rate(-x, sp).I + x) for x in xs)
+            assert symmetry_residuals(sp, [], xs) == (0.0, worst)
+
+    def test_symmetry_residuals_solve_each_level_once(self, monkeypatch):
+        sp = spectral_decompose(random_system(np.random.default_rng(5), 5, "scalar"))
+        cramer_domain(sp)  # the per-spectrum constants evaluate two levels
+        calls = []
+        level = cramer_module._level
+        monkeypatch.setattr(cramer_module, "_level", lambda *a: calls.append(1) or level(*a))
+        mbar = mean_epr(sp)
+        for x in (0.3 * mbar, -1.7 * mbar, 2.9 * mbar):
+            calls.clear()
+            rate(x, sp)
+            per_rate = len(calls)
+            calls.clear()
+            symmetry_residuals(sp, [], [x])
+            assert len(calls) == per_rate > 0
+
+    def test_legendre_grid_is_linspace(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            m = 10.0 ** rng.uniform(-14, 8)
+            b = 0.5 * m / (1.0 + math.sqrt(1.0 + m))
+            a = -1.0 - b
+            grid = a + (b - a) * cramer_module._LEGENDRE_STEPS
+            grid[-1] = b
+            assert np.array_equal(grid, np.linspace(a, b, cramer_module._LEGENDRE_GRID))
 
 
 class TestSmallChannels:

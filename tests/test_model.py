@@ -64,6 +64,22 @@ class TestSystemSpec:
 
 
 class TestValidation:
+    def test_frobenius_norm_is_numpys(self):
+        rng = np.random.default_rng(3)
+        for shape in ((1, 1), (2, 2), (3, 3), (8, 8), (5,), (4, 6)):
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-140, 140)
+            for view in (x, x.T, x[::-1], np.asfortranarray(x)):
+                assert model._fro(view) == float(np.linalg.norm(view))
+
+    def test_q_spd_from_the_square_root_eigensolve(self):
+        A = magnetic_example(0.4).A
+        M = A + A.T
+        Q = 1.5 * np.eye(2) - 0.4 * M + 0.1 * (M @ M)
+        check = {c.name: c for c in validate_system(SystemSpec(A, Q)).checks}["q_spd"]
+        w, root = model._sym_eig_sqrt(Q)
+        assert check.residual == w[0] and check.passed
+        assert np.allclose(root @ root, Q, rtol=1e-13, atol=0.0)
+
     def test_magnetic_passes_all_checks(self, pi4_spec):
         report = validate_system(pi4_spec)
         assert report.passed

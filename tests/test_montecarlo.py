@@ -19,7 +19,7 @@ from epr_ldp.cramer import cramer_domain
 from epr_ldp.errors import ConfigError, DomainError, NumericError
 from epr_ldp.model import (
     SystemSpec,
-    _sym_sqrt,
+    _sym_eig_sqrt,
     magnetic_example,
     spectral_decompose,
 )
@@ -64,7 +64,7 @@ def reference_epr(spec, config):
                 acc -= np.sum((X @ K) * X_next, axis=1)
                 X = X_next
         return acc / config.T
-    sqrt_q = _sym_sqrt(spec.Q)
+    sqrt_q = _sym_eig_sqrt(spec.Q)[1]
     C = np.linalg.solve(sqrt_q, N)
     sqrt_h = math.sqrt(h)
     ito = np.zeros(config.n_traj)
