@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -23,10 +22,10 @@ import numpy as np
 
 from .chaos import MgfQuery, conditional_mgf, cramer_finite_T
 from .cramer import cramer_curve, cramer_domain, rate
-from .errors import ConfigError, DomainError, EprLdpError
-from .model import (SystemSpec, check_integer, magnetic_example, mean_epr, spectral_decompose,
-                    validate_system)
-from .montecarlo import SimConfig, empirical_mgf, simulate_epr
+from .errors import ConfigError, EprLdpError
+from .model import (SystemSpec, _require_valid, check_integer, magnetic_example, mean_epr,
+                    spectral_decompose, validate_system)
+from .montecarlo import SimConfig, _fingerprint, empirical_mgf, simulate_epr
 from .spectral import kernel_spectrum, nystrom_spectrum
 from .verify import run_verification
 
@@ -151,8 +150,7 @@ class RunConfig:
     resolved: dict
 
     def fingerprint(self) -> str:
-        blob = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return _fingerprint(self.resolved)
 
 
 def _build_system(section) -> SystemSpec:
@@ -440,10 +438,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if cfg is None:
             raise ConfigError(f"command {args.command!r} requires --config")
         if args.command != "validate":
-            failing = [c.name for c in validate_system(cfg.system).failing()
-                       if c.severity == "error"]
-            if failing:
-                raise DomainError(f"system fails validation: {', '.join(failing)}")
+            _require_valid(cfg.system)
         return _COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

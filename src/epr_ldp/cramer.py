@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericError, ReversibilityError
-from .model import Spectrum, check_real
+from .model import Spectrum, check_real, check_type
 
 __all__ = [
     "CramerDomain", "CramerCurve", "RatePoint", "cramer_domain", "cramer",
@@ -119,8 +119,8 @@ class _Channels:
 
 def _channels(spectrum: Spectrum) -> _Channels:
     """The rotating channels' constants, computed once per spectrum and kept
-    on it (the spectrum is frozen, so they cannot go stale)."""
-    if "_cramer_channels" not in vars(spectrum):
+    on it (the spectrum is frozen, so they cannot go stale); a non-Spectrum is a DataError."""
+    if "_cramer_channels" not in vars(check_type(spectrum, Spectrum)):
         object.__setattr__(spectrum, "_cramer_channels", _Channels(spectrum))
     return spectrum._cramer_channels
 

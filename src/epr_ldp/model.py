@@ -63,8 +63,7 @@ def _scale_error(spec: "SystemSpec") -> tuple[tuple[float, float], Optional[tupl
     """The Frobenius norms of A and Q (+inf past the double range) and
     (name, norm, violated bound) of the first of them outside [_MIN_NORM,
     _MAX_NORM], or None; anything but a spec raises :class:`DataError`."""
-    if not isinstance(spec, SystemSpec):
-        raise DataError(f"expected a SystemSpec, got {type(spec).__name__}")
+    check_type(spec, SystemSpec)
     with np.errstate(over="ignore"):
         norms = _fro(spec.A), _fro(spec.Q)
     for name, norm in zip("AQ", norms):
@@ -247,6 +246,31 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
         comm("commute_m_sqrtq", M, norm_M, sqrt_Q, _fro(sqrt_Q)),
         comm("commute_a_m", A, norm_A, M, norm_M),
     ))
+
+
+def _require_valid(spec: SystemSpec) -> None:
+    """The admission rule of the paths that read Q (CLI, ``simulate_epr``): a
+    :class:`DomainError` naming every failing error check of :func:`validate_system`."""
+    failing = [c.name for c in validate_system(spec).failing() if c.severity == "error"]
+    if failing:
+        raise DomainError(f"system fails validation: {', '.join(failing)}")
+
+
+def check_type(value, cls: type):
+    """``value``; :class:`DataError` unless it is a ``cls`` (a spectrum, a spec)."""
+    if not isinstance(value, cls):
+        raise DataError(f"expected {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def check_start(spec: SystemSpec, x, error: type = DimensionError) -> tuple[Spectrum, np.ndarray]:
+    """The admission rule of the Q-free paths: the spec's spectrum, with every refusal of
+    :func:`spectral_decompose`, and x as a flat float array (``error`` unless of length d)."""
+    spectrum = spectral_decompose(spec)
+    vec = np.asarray(x, dtype=float).reshape(-1)
+    if vec.shape != (spectrum.dim,):
+        raise error(f"start vector has shape {np.asarray(x).shape}, expected ({spectrum.dim},)")
+    return spectrum, vec
 
 
 def check_inputs(T: float, **values) -> None:
@@ -433,6 +457,5 @@ def magnetic_example(theta: float, extended: bool = False) -> SystemSpec:
 def mean_epr(spectrum: Spectrum) -> float:
     """Almost-sure long-run limit of the entropy production rate,
     sum_k beta_k^2 / |alpha_k|."""
-    alphas = spectrum.alphas
-    betas = spectrum.betas
-    return float(np.sum(betas**2 / np.abs(alphas)))
+    check_type(spectrum, Spectrum)
+    return float(np.sum(spectrum.betas**2 / np.abs(spectrum.alphas)))

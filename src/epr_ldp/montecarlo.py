@@ -41,8 +41,8 @@ from typing import Iterator, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
-from .model import (SystemSpec, _sym_eig_sqrt, check_inputs, check_integer, check_real,
-                    spectral_decompose, validate_system)
+from .model import (SystemSpec, _require_valid, _sym_eig_sqrt, check_inputs, check_integer,
+                    check_real, check_start, check_type, spectral_decompose)
 
 __all__ = [
     "SimConfig",
@@ -126,8 +126,13 @@ class SimConfig:
 
     def fingerprint(self) -> str:
         """sha256[:16] of the canonical JSON of the fields."""
-        blob = json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return _fingerprint(dataclasses.asdict(self))
+
+
+def _fingerprint(data) -> str:
+    """sha256[:16] of the canonical JSON of ``data``."""
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -152,12 +157,13 @@ class TailEstimate(NamedTuple):
     censored: bool
 
 
-def _step_grid(spec: SystemSpec, config: SimConfig) -> tuple[float, int]:
-    """The step h = T / n_steps nearest the requested (or default) dt."""
+def _step_grid(spec: SystemSpec, config: SimConfig,
+               a_norm: Optional[float] = None) -> tuple[float, int]:
+    """The step h = T / n_steps nearest the requested (or default) dt; a_norm is ||A||_2."""
     if config.dt is not None:
         h = config.dt
     else:
-        h = 1e-3 * min(1.0, 1.0 / float(np.linalg.norm(spec.A, 2)))
+        h = 1e-3 * min(1.0, 1.0 / (a_norm or float(np.linalg.norm(spec.A, 2))))
     n_steps = max(1, int(round(config.T / h)))
     return config.T / n_steps, n_steps
 
@@ -300,13 +306,6 @@ def _exact_step_matrices(
     return E, root
 
 
-def _fixed_start(x, d: int) -> np.ndarray:
-    vec = np.asarray(x, dtype=float).reshape(-1)
-    if vec.shape != (d,):
-        raise ConfigError(f"start has shape {vec.shape}, expected ({d},)")
-    return vec
-
-
 def _start_states(gens: list, start: np.ndarray) -> np.ndarray:
     """(d, len(gens)) starting states.  ``start`` is either a fixed (d,)
     state or the (d, d) symmetric root of Gamma, which maps the first d
@@ -419,23 +418,18 @@ def simulate_epr(spec: SystemSpec, config: SimConfig) -> EprEnsemble:
     midpoint rule for the remaining dX term is exact in expectation per
     step up to O(h) (the Ito/Stratonovich correction vanishes, N being
     skew).  euler_maruyama keeps the driving increments and accumulates
-    the Ito sum plus the trapezoid time integral directly.  Both need the
-    commuting noise of the model: a Q that fails
-    :func:`~epr_ldp.model.validate_system`'s ``scale``, ``q_symmetric``,
-    ``q_spd`` or ``aq_commute`` check raises :class:`DomainError`, and so
-    does a drift that fails its ``stability`` check (after the start is
-    resolved, so a stationary start still raises its own error first).
+    the Ito sum plus the trapezoid time integral directly.  Both need a
+    system of the model class: one that fails an error-severity check of
+    :func:`~epr_ldp.model.validate_system` raises :class:`DomainError`
+    naming every such check, before any work.
     """
-    failing = [c.name for c in validate_system(spec).failing()]
-    noise = [n for n in failing if n in ("scale", "q_symmetric", "q_spd", "aq_commute")]
-    if noise:
-        raise DomainError(f"system fails validation: {', '.join(noise)}")
-    h, n_steps = _step_grid(spec, config)
+    _require_valid(spec)
     A = spec.A
+    a_norm = float(np.linalg.norm(A, 2))
+    h, n_steps = _step_grid(spec, config, a_norm)
     N = A - A.T
     metadata = {"dt": h, "n_steps": n_steps, "scheme": config.scheme,
                 "warnings": []}
-    a_norm = float(np.linalg.norm(A, 2))
     if h > 0.1 / a_norm:
         metadata["warnings"].append(
             f"dt={h:g} exceeds 0.1/||A||={0.1 / a_norm:g}; "
@@ -444,9 +438,7 @@ def simulate_epr(spec: SystemSpec, config: SimConfig) -> EprEnsemble:
     if config.start == "stationary":
         start = _stationary_root(spec)
     else:
-        start = _fixed_start(config.start, spec.dim)
-    if "stability" in failing:
-        raise DomainError("system fails validation: stability")
+        start = check_start(spec, config.start, ConfigError)[1]
 
     if config.scheme == "exact_ou":
         E, root = _exact_step_matrices(spec, 0.0, spec.Q, h)
@@ -473,10 +465,10 @@ def simulate_z_integral(
 ) -> np.ndarray:
     """Samples of int_0^T |N Y_s|^2 ds for the tilted unit-noise process
     started at x, exact state steps and trapezoid time integration."""
-    start = _fixed_start(x, spec.dim)
-    check_inputs(config.T, lam=lam, x=start)
+    check_inputs(config.T, lam=lam, x=x)
+    spectrum, start = check_start(spec, x, ConfigError)
     h, n_steps = _step_grid(spec, config)
-    E, root = _exact_step_matrices(spec, lam, np.eye(spec.dim), h)
+    E, root = _exact_step_matrices(spec, lam, np.eye(spectrum.dim), h)
     acc = _over_ranges(_z_steps, config, n_steps, start, h, E, root, spec.A - spec.A.T)
     acc.setflags(write=False)
     return acc
@@ -492,7 +484,7 @@ def empirical_mgf(ensemble: EprEnsemble, lam: float) -> MgfEstimate:
     leave-one-out sum cancels to 0 (log -inf), drives the jackknife spread
     to infinity, which is the honest diagnostic near the domain boundary.
     """
-    check_inputs(ensemble.T, lam=lam)
+    check_inputs(check_type(ensemble, EprEnsemble).T, lam=lam)
     s = np.asarray(ensemble.samples, dtype=float)
     n = s.size
     if n == 0:
@@ -520,7 +512,7 @@ def empirical_mgf(ensemble: EprEnsemble, lam: float) -> MgfEstimate:
 def tail_estimate(ensemble: EprEnsemble, x_threshold: float) -> TailEstimate:
     """Empirical tail probability of e_p(T) past x_threshold and its
     log-rate -(1/T) log p; the tail side is chosen by the sample mean."""
-    check_inputs(ensemble.T, x_threshold=x_threshold)
+    check_inputs(check_type(ensemble, EprEnsemble).T, x_threshold=x_threshold)
     s = np.asarray(ensemble.samples, dtype=float)
     if s.size == 0:
         raise DomainError("empty ensemble")

@@ -53,7 +53,8 @@ import math
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .model import Spectrum, SystemSpec, check_inputs, check_integer, spectral_decompose
+from .model import (Spectrum, SystemSpec, check_inputs, check_integer, check_real, check_type,
+                    spectral_decompose)
 
 __all__ = [
     "KernelSpectrum",
@@ -132,7 +133,8 @@ def omega_roots(alpha: float, T: float, j_max: int) -> np.ndarray:
     (``_scaled_roots``), at most five steps for any alpha < 0 and any
     horizon T >= 1e-290; a shorter horizon raises :class:`DomainError`.
     """
-    return _scaled_roots(alpha, T, np.arange(1.0, _check_index(T, "j_max", j_max) + 1.0)) / T
+    j = np.arange(1.0, _check_index(T, "j_max", j_max) + 1.0)
+    return _scaled_roots(check_real("alpha", alpha), T, j) / T
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -190,7 +192,7 @@ def kernel_spectrum(spectrum: Spectrum, T: float, j_max: int = 200) -> KernelSpe
     the solver's minimum 1e-290 (shorter raises :class:`DomainError`) warns.
     """
     j = np.arange(1.0, _check_index(T, "j_max", j_max) + 1.0)
-    k = np.flatnonzero(spectrum.betas != 0.0)
+    k = np.flatnonzero(check_type(spectrum, Spectrum).betas != 0.0)
     distinct, which = np.unique(spectrum.alphas[k], return_inverse=True)
     roots = (_scaled_roots(distinct[:, None], T, j) / T)[which]
     alpha, beta = spectrum.alphas[k, None], spectrum.betas[k, None]
@@ -251,7 +253,7 @@ def kernel_eval(
     and never assembles this matrix; it stays as the independent route to
     the full Nystrom matrix.
     """
-    check_inputs(T, lam=lam)
+    check_inputs(T, lam=lam, u1=u1, u2=u2)
     if not (0 <= u1 <= T and 0 <= u2 <= T):
         raise DomainError("u1, u2 must lie in [0, T]")
     sp = spectral_decompose(spec)
@@ -342,11 +344,12 @@ def trace_closed_form(spec: SystemSpec, T: float) -> float:
 
     computed by direct matrix arithmetic, with e^{MT} - I = V diag(expm1(w T)) V'
     from M = V diag(w) V' (no channel or Sturm-Liouville input), so it can
-    serve as one side of the trace-identity cross-check.  A drift that is
-    not stable (an eigenvalue 2 alpha_k of M at or above 0) raises
-    :class:`DomainError`.
+    serve as one side of the trace-identity cross-check.  The spec must pass
+    ``spectral_decompose`` (no channel enters the value); a drift that is not
+    stable (an eigenvalue 2 alpha_k of M at or above 0) is a DomainError here too.
     """
     check_inputs(T)
+    spectral_decompose(spec)
     A = spec.A
     M, N = A + A.T, A - A.T  # Q-free: Gamma need not exist
     w, V = np.linalg.eigh(M)
@@ -419,7 +422,8 @@ def spectrum_gamma_tail(spectrum: Spectrum, T: float, j_start: int) -> float:
     of a conjugate pair share their tail (only beta^2 enters), so each pair
     is solved once and counted twice."""
     j_start = _check_index(T, "j_start", j_start)
-    return 2.0 * sum(gamma_tail(a, b, T, j_start) for a, b in spectrum.pairs if b > 0.0)
+    pairs = check_type(spectrum, Spectrum).pairs
+    return 2.0 * sum(gamma_tail(a, b, T, j_start) for a, b in pairs if b > 0.0)
 
 
 def _log_sin2_part(p: float, ell: float, v: float, dlt: float) -> float:

@@ -174,10 +174,13 @@ class TestStationarySampling:
         ids=["singular_m", "unstable_drift"],
     )
     def test_stationary_start_needs_stable_drift(self, A, match):
-        # the unstable drift's -Q M^{-1} = -I has a positive determinant
-        config = SimConfig(T=1.0, dt=0.1, n_traj=4)
+        # the unstable drift's -Q M^{-1} = -I has a positive determinant; the
+        # root's own guards stay, while simulate_epr refuses the system first
+        spec = SystemSpec(np.array(A))
         with pytest.raises(NumericError, match=match):
-            simulate_epr(SystemSpec(np.array(A)), config)
+            mc._stationary_root(spec)
+        with pytest.raises(DomainError, match="stability"):
+            simulate_epr(spec, SimConfig(T=1.0, dt=0.1, n_traj=4))
 
 
 class TestExactStep:
