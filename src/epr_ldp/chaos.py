@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import (Spectrum, SystemSpec, check_inputs, check_integer, check_start,
-                    spectral_decompose)
+                    check_type, spectral_decompose)
 from .spectral import (
     eigenfunction_norm_sq,
     kernel_spectrum,
@@ -262,7 +262,7 @@ def conditional_mgf(q: MgfQuery, spec: SystemSpec) -> float:
     +inf although the true MGF is finite, of order b^(-1/2).  A grid of
     9 900 cases around the threshold met it 138 times, all 1 to 4 ulp below.
     """
-    spectrum, vec = check_start(spec, q.x)
+    spectrum, vec = check_start(spec, check_type(q, MgfQuery).x)
     if not spectrum.has_rotation or q.theta == 0.0:
         return 1.0
     terms = _channel_terms(spectrum, q.theta, q.T)
@@ -323,7 +323,7 @@ def conditional_mgf_series(q: MgfQuery, spec: SystemSpec) -> float:
     g-quadratic carry truncation error (the latter's tail decays like j^-4
     and is left uncorrected).
     """
-    spectrum, vec = check_start(spec, q.x)
+    spectrum, vec = check_start(spec, check_type(q, MgfQuery).x)
     if not spectrum.has_rotation or q.theta == 0.0:
         return 1.0
     terms = _series_terms(spectrum, q.T, q.j_max, q.theta)

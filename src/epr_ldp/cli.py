@@ -23,8 +23,8 @@ import numpy as np
 from .chaos import MgfQuery, conditional_mgf, cramer_finite_T
 from .cramer import cramer_curve, cramer_domain, rate
 from .errors import ConfigError, EprLdpError
-from .model import (SystemSpec, _require_valid, check_integer, magnetic_example, mean_epr,
-                    spectral_decompose, validate_system)
+from .model import (SystemSpec, _require_valid, check_integer, check_real, magnetic_example,
+                    mean_epr, spectral_decompose, validate_system)
 from .montecarlo import SimConfig, _fingerprint, empirical_mgf, simulate_epr
 from .spectral import kernel_spectrum, nystrom_spectrum
 from .verify import run_verification
@@ -45,8 +45,6 @@ def format_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, str):
-        return value
     f = float(value)
     if math.isnan(f):
         return "nan"
@@ -88,30 +86,8 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _rows_to_json(header: str, rows) -> list:
-    names = header.split(",")
-    return [dict(zip(names, [_jsonable(v) for v in row])) for row in rows]
-
-
 # ---------------------------------------------------------------------------
 # configuration
-
-
-@dataclasses.dataclass(frozen=True)
-class GridSpec:
-    lo: float
-    hi: float
-    count: int
-
-    def points(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.count)
-
-
-def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
 
 
 def _section(data: dict, name: str) -> Optional[dict]:
@@ -121,26 +97,27 @@ def _section(data: dict, name: str) -> Optional[dict]:
     return value
 
 
-def _grid_from(d: Optional[dict], what: str) -> Optional[GridSpec]:
+def _grid_from(d: Optional[dict], what: str) -> Optional[np.ndarray]:
     if d is None:
         return None
     if not isinstance(d, dict) or not {"min", "max", "count"} <= d.keys():
         raise ConfigError(f"{what} must provide numeric min/max/count")
-    g = GridSpec(lo=_number(d["min"], f"{what}.min"), hi=_number(d["max"], f"{what}.max"),
-                 count=check_integer(f"{what}.count", d["count"], ConfigError))
-    if g.count < 1:
+    lo = check_real(f"{what}.min", d["min"], ConfigError)
+    hi = check_real(f"{what}.max", d["max"], ConfigError)
+    count = check_integer(f"{what}.count", d["count"], ConfigError)
+    if count < 1:
         raise ConfigError(f"{what}.count must be >= 1")
-    return g
+    return np.linspace(lo, hi, count)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Resolved run configuration (defaults applied, overrides folded in)."""
+    """Resolved run configuration (defaults applied, the seed override folded in)."""
 
     system: SystemSpec
     horizon: float
-    lambda_grid: Optional[GridSpec]
-    x_grid: Optional[GridSpec]
+    lambda_grid: Optional[np.ndarray]
+    x_grid: Optional[np.ndarray]
     j_max: int
     nystrom_nodes: int
     mc: dict
@@ -165,7 +142,8 @@ def _build_system(section) -> SystemSpec:
         extended = section.get("extended", False)
         if not isinstance(extended, bool):
             raise ConfigError(f"system.extended must be true or false, got {extended!r}")
-        return magnetic_example(float(section["theta"]), extended=extended)
+        theta = check_real("system.theta", section["theta"], ConfigError)
+        return magnetic_example(theta, extended=extended)
     if "matrix_A" not in section:
         raise ConfigError("system needs either 'matrix_A' or 'example'")
     A = np.asarray(section["matrix_A"], dtype=float)
@@ -178,24 +156,22 @@ def _mgf_from(section: Optional[dict]) -> Optional[dict]:
     ``theta`` as floats, each only where given."""
     if section is None:
         return None
-    out = {key: _number(section[key], f"mgf.{key}")
+    out = {key: check_real(f"mgf.{key}", section[key], ConfigError)
            for key in ("lambda", "theta") if section.get(key) is not None}
     if "x0" in section:
-        try:
-            out["x0"] = tuple(float(v) for v in section["x0"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"mgf.x0 must be a list of numbers, got {section['x0']!r}") from None
+        if not isinstance(section["x0"], list):
+            raise ConfigError(f"mgf.x0 must be a list of numbers, got {section['x0']!r}")
+        out["x0"] = tuple(check_real("mgf.x0", v, ConfigError) for v in section["x0"])
     return out
 
 
-def _resolve(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
+def _resolve(raw: dict, seed: Optional[int] = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    overrides = overrides or {}
     data = dict(raw)
     mc_raw = dict(_section(data, "mc") or {})
-    if overrides.get("seed") is not None:
-        mc_raw["seed"] = int(overrides["seed"])
+    if seed is not None:
+        mc_raw["seed"] = seed
     spectral_raw = _section(data, "spectral") or {}
     output_raw = _section(data, "output") or {}
     out_format = output_raw.get("format", "csv")
@@ -210,7 +186,7 @@ def _resolve(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad system section: {exc}") from exc
-    horizon = _number(data.get("horizon", 1.0), "horizon")
+    horizon = check_real("horizon", data.get("horizon", 1.0), ConfigError)
     if not horizon > 0:
         raise ConfigError("horizon must be positive")
     j_max = check_integer("spectral.j_max", spectral_raw.get("j_max", 200), ConfigError)
@@ -244,7 +220,7 @@ def _resolve(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
     )
 
 
-def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
+def load_config(path: str, seed: Optional[int] = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -252,17 +228,13 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return _resolve(raw, overrides)
+    return _resolve(raw, seed)
 
 
 def _sim_config(cfg: RunConfig) -> SimConfig:
-    known = {"dt", "n_traj", "seed", "scheme", "start"}
-    extra = set(cfg.mc) - known
-    if extra:
-        raise ConfigError(f"unknown mc fields: {sorted(extra)}")
     try:
         return SimConfig(T=cfg.horizon, **cfg.mc)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a field SimConfig does not have
         raise ConfigError(f"bad mc section: {exc}") from exc
 
 
@@ -270,8 +242,8 @@ def _sim_config(cfg: RunConfig) -> SimConfig:
 # subcommands
 
 
-def _out_file(cfg: RunConfig, outdir: str, name: str) -> str:
-    base = cfg.out_path if cfg.out_path else outdir
+def _out_file(cfg: Optional[RunConfig], outdir: str, name: str) -> str:
+    base = cfg.out_path if cfg is not None and cfg.out_path else outdir
     os.makedirs(base, exist_ok=True)
     return os.path.join(base, name)
 
@@ -286,7 +258,8 @@ def _emit(cfg: RunConfig, outdir: str, stem: str, tables, extra=None) -> None:
             _write_csv(_out_file(cfg, outdir, f"{stem}{suffix}.csv"), fp, header, rows)
     else:
         payload = {"fingerprint": fp, **(extra or {})}
-        payload.update({key: _rows_to_json(header, rows) for _, key, header, rows in tables})
+        payload.update({key: [dict(zip(header.split(","), row)) for row in rows]
+                        for _, key, header, rows in tables})
         _write_json(_out_file(cfg, outdir, f"{stem}.json"), payload)
 
 
@@ -301,16 +274,15 @@ def cmd_validate(cfg: RunConfig, outdir: str) -> int:
 def cmd_curves(cfg: RunConfig, outdir: str) -> int:
     sp = spectral_decompose(cfg.system)
     dom = cramer_domain(sp)  # refuses a reversible drift
-    lam_grid = (cfg.lambda_grid.points() if cfg.lambda_grid is not None
-                else np.linspace(dom.a, dom.b, 101))
+    lam_grid = cfg.lambda_grid if cfg.lambda_grid is not None else np.linspace(dom.a, dom.b, 101)
     curve = cramer_curve(sp, lam_grid, with_derivative=True)
     lam_rows = [
         (l, v, dv, bool(np.isfinite(v)))
         for l, v, dv in zip(curve.lambda_grid, curve.values, curve.derivative)
     ]
     xm = 3.0 * mean_epr(sp)
-    x_grid = cfg.x_grid.points() if cfg.x_grid is not None else np.linspace(-xm, xm, 121)
-    rate_rows = [(pt.x, pt.I, pt.ell0, pt.residual) for pt in (rate(float(x), sp) for x in x_grid)]
+    x_grid = cfg.x_grid if cfg.x_grid is not None else np.linspace(-xm, xm, 121)
+    rate_rows = [(pt.x, pt.I, pt.ell0, pt.residual) for pt in (rate(x, sp) for x in x_grid)]
     _emit(cfg, outdir, "curves", [
         ("_lambda", "lambda_curve", "lambda,Lambda,Lambda_prime,in_domain", lam_rows),
         ("_rate", "rate_curve", "x,I,ell0,residual", rate_rows)])
@@ -388,12 +360,9 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
 
 def cmd_verify(cfg: Optional[RunConfig], outdir: str) -> int:
     report = run_verification()
-    base = cfg.out_path if cfg is not None and cfg.out_path else outdir
-    path = os.path.join(base, "verify.json")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if cfg is not None:
         report = {"fingerprint": cfg.fingerprint(), **report}
-    _write_json(path, report)
+    _write_json(_out_file(cfg, outdir, "verify.json"), report)
     for c in report["checks"]:
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} "
               f"({c['seconds']}s)")
@@ -432,7 +401,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     outdir = args.out or os.environ.get(OUTDIR_ENV) or os.getcwd()
     try:
-        cfg = None if args.config is None else load_config(args.config, {"seed": args.seed})
+        cfg = None if args.config is None else load_config(args.config, args.seed)
         if args.command == "verify":
             return cmd_verify(cfg, outdir)
         if cfg is None:

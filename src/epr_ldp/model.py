@@ -442,7 +442,7 @@ def magnetic_example(theta: float, extended: bool = False) -> SystemSpec:
 
     theta must lie in (-pi/2, pi/2) so that cos(t) > 0.
     """
-    if not (-math.pi / 2 < theta < math.pi / 2):
+    if not (-math.pi / 2 < check_real("theta", theta) < math.pi / 2):
         raise DomainError("theta must lie in the open interval (-pi/2, pi/2)")
     c, s = math.cos(theta), math.sin(theta)
     A2 = np.array([[-c, s], [-s, -c]])

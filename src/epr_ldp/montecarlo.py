@@ -423,6 +423,7 @@ def simulate_epr(spec: SystemSpec, config: SimConfig) -> EprEnsemble:
     :func:`~epr_ldp.model.validate_system` raises :class:`DomainError`
     naming every such check, before any work.
     """
+    check_type(config, SimConfig)
     _require_valid(spec)
     A = spec.A
     a_norm = float(np.linalg.norm(A, 2))
@@ -465,7 +466,7 @@ def simulate_z_integral(
 ) -> np.ndarray:
     """Samples of int_0^T |N Y_s|^2 ds for the tilted unit-noise process
     started at x, exact state steps and trapezoid time integration."""
-    check_inputs(config.T, lam=lam, x=x)
+    check_inputs(check_type(config, SimConfig).T, lam=lam, x=x)
     spectrum, start = check_start(spec, x, ConfigError)
     h, n_steps = _step_grid(spec, config)
     E, root = _exact_step_matrices(spec, lam, np.eye(spectrum.dim), h)
@@ -484,7 +485,7 @@ def empirical_mgf(ensemble: EprEnsemble, lam: float) -> MgfEstimate:
     leave-one-out sum cancels to 0 (log -inf), drives the jackknife spread
     to infinity, which is the honest diagnostic near the domain boundary.
     """
-    check_inputs(check_type(ensemble, EprEnsemble).T, lam=lam)
+    check_inputs(check_type(ensemble, EprEnsemble).T, samples=ensemble.samples, lam=lam)
     s = np.asarray(ensemble.samples, dtype=float)
     n = s.size
     if n == 0:
@@ -512,7 +513,8 @@ def empirical_mgf(ensemble: EprEnsemble, lam: float) -> MgfEstimate:
 def tail_estimate(ensemble: EprEnsemble, x_threshold: float) -> TailEstimate:
     """Empirical tail probability of e_p(T) past x_threshold and its
     log-rate -(1/T) log p; the tail side is chosen by the sample mean."""
-    check_inputs(check_type(ensemble, EprEnsemble).T, x_threshold=x_threshold)
+    check_inputs(check_type(ensemble, EprEnsemble).T, samples=ensemble.samples,
+                 x_threshold=x_threshold)
     s = np.asarray(ensemble.samples, dtype=float)
     if s.size == 0:
         raise DomainError("empty ensemble")

@@ -1,10 +1,11 @@
 """Admission of arguments: every public entry point that takes a system or a
 spectrum refuses one outside the model class with a library error, never
-with a raw Python error and never with a value.
+with a raw Python error and never with a value; one that takes a query or a
+simulation config refuses an object of another type the same way.
 
-The entry points are found by signature (a parameter named ``spec`` or
-``spectrum``), so a new one is covered as soon as it is exported.  Warnings
-are errors throughout.
+The entry points are found by signature (a parameter named ``spec``,
+``spectrum``, ``q`` or ``config``), so a new one is covered as soon as it is
+exported.  Warnings are errors throughout.
 """
 
 import inspect
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 import epr_ldp
-from epr_ldp import (DataError, DomainError, EprLdpError, MgfQuery, SimConfig, SystemSpec,
-                     empirical_mgf, kernel_eval, magnetic_example, omega_roots,
+from epr_ldp import (DataError, DomainError, EprEnsemble, EprLdpError, MgfQuery, SimConfig,
+                     SystemSpec, empirical_mgf, kernel_eval, magnetic_example, omega_roots,
                      spectral_decompose, tail_estimate, validate_system)
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -27,10 +28,11 @@ SPECTRUM = spectral_decompose(SPEC)
 
 
 def _taking(kind: str) -> list:
-    """The public callables of the package with a parameter named ``kind``."""
+    """The public functions of the package with a parameter named ``kind``
+    (classes are left out: ``EprEnsemble.config`` is a fingerprint string)."""
     names = []
     for name, value in sorted(vars(epr_ldp).items()):
-        if name.startswith("_") or not callable(value):
+        if name.startswith("_") or not inspect.isfunction(value):
             continue
         try:
             params = inspect.signature(value).parameters
@@ -43,17 +45,20 @@ def _taking(kind: str) -> list:
 
 SPEC_TAKERS = _taking("spec")
 SPECTRUM_TAKERS = _taking("spectrum")
-TAKERS = [(n, "spec") for n in SPEC_TAKERS] + [(n, "spectrum") for n in SPECTRUM_TAKERS]
+TAKERS = [(n, kind) for kind in ("spec", "spectrum", "q", "config") for n in _taking(kind)]
 IDS = [f"{n}-{kind}" for n, kind in TAKERS]
 
-# One valid value per required parameter name; x is a start for a system
-# and an EPR level for a spectrum.
+# One valid value per required parameter name; x is an EPR level for a
+# spectrum and a start for every other kind.
 VALUES = {
+    "spec": SPEC, "spectrum": SPECTRUM,
     "T": 1.0, "lam": 0.1, "q": MgfQuery(x=(1.0, 0.0), theta=0.1), "u1": 0.2, "u2": 0.3,
     "config": SimConfig(T=1.0, dt=0.1, n_traj=4), "lambdas": [0.0, 0.1],
     "lambda_grid": [0.0, 0.1], "x_grid": [0.5], "j_start": 5,
 }
 START = {"spec": (1.0, 0.0), "spectrum": 0.5}
+# an argument of a model type that belongs elsewhere
+WRONG = {"spec": SPECTRUM, "spectrum": SPEC, "q": VALUES["config"], "config": VALUES["q"]}
 
 
 def _call(name: str, kind: str, value, config=None):
@@ -67,7 +72,7 @@ def _call(name: str, kind: str, value, config=None):
         elif p.name == "config" and config is not None:
             args[p.name] = config
         elif p.default is p.empty:
-            args[p.name] = START[kind] if p.name == "x" else VALUES[p.name]
+            args[p.name] = START.get(kind, START["spec"]) if p.name == "x" else VALUES[p.name]
     return fn(**args)
 
 
@@ -78,12 +83,14 @@ def test_discovery_finds_every_layer():
     assert {"cramer", "cramer_domain", "cramer_curve", "rate", "legendre_oracle",
             "symmetry_residuals", "kernel_spectrum", "spectrum_gamma_tail",
             "mean_epr"} <= set(SPECTRUM_TAKERS)
+    assert {"conditional_mgf", "conditional_mgf_series"} <= set(_taking("q"))
+    assert {"simulate_epr", "simulate_z_integral"} <= set(_taking("config"))
 
 
 @pytest.mark.parametrize("name, kind", TAKERS, ids=IDS)
 def test_valid_arguments_are_admitted(name, kind):
-    # the other arguments are valid, so the refusals below are the spec's
-    _call(name, kind, SPEC if kind == "spec" else SPECTRUM)
+    # the other arguments are valid, so the refusals below are the ``kind`` argument's
+    _call(name, kind, VALUES[kind])
 
 
 @pytest.mark.parametrize("name, kind", TAKERS, ids=IDS)
@@ -94,9 +101,10 @@ def test_string_refused(name, kind):
 
 @pytest.mark.parametrize("name, kind", TAKERS, ids=IDS)
 def test_wrong_kind_refused(name, kind):
-    # a Spectrum where a SystemSpec belongs, and the reverse
+    # a Spectrum where a SystemSpec belongs, a SimConfig where an MgfQuery
+    # belongs, and the reverse
     with pytest.raises(DataError):
-        _call(name, kind, SPECTRUM if kind == "spec" else SPEC)
+        _call(name, kind, WRONG[kind])
 
 
 @pytest.mark.parametrize("name", [n for n in SPEC_TAKERS if n != "validate_system"])
@@ -126,6 +134,15 @@ MISTYPED = [
     pytest.param(lambda: kernel_eval(SPEC, 0.0, 1.0, "a", 0.2), DomainError,
                  id="kernel_eval-u1=str"),
     pytest.param(lambda: omega_roots("a", 1.0, 2), DomainError, id="omega_roots-alpha=str"),
+    pytest.param(lambda: magnetic_example("a"), DomainError, id="magnetic_example-theta=str"),
+    pytest.param(lambda: magnetic_example(None), DomainError, id="magnetic_example-theta=None"),
+    pytest.param(lambda: magnetic_example(True), DomainError, id="magnetic_example-theta=True"),
+] + [
+    pytest.param(lambda s=samples: fn(EprEnsemble(s, 1.0, "x"), 0.1), DomainError,
+                 id=f"{fn.__name__}-samples={name}")
+    for fn in (empirical_mgf, tail_estimate)
+    for name, samples in [("str", "abc"), ("nan", np.array([1.0, math.nan])),
+                          ("inf", np.array([1.0, math.inf])), ("-inf", [-math.inf, 1.0])]
 ]
 
 

@@ -150,16 +150,32 @@ class TestExitCodes:
          ("mgf", {"mgf": {"x0": [1.0, 0.0], "lambda": "q"}}),
          ("validate", {"output": {"path": 123}}),
          ("validate", {"system": {"example": "magnetic", "theta": 0.5, "extended": "false"}}),
-         ("simulate", {"mc": {"dt": "abc", "n_traj": 4}})],
+         ("simulate", {"mc": {"dt": "abc", "n_traj": 4}}),
+         # numeric strings and booleans: a config number must be a JSON number
+         ("validate", {"horizon": "2"}),
+         ("validate", {"horizon": True}),
+         ("validate", {"system": {"example": "magnetic", "theta": "0.5"}}),
+         ("curves", {"x_grid": {"min": "-1", "max": 1.0, "count": 3}}),
+         ("mgf", {"mgf": {"x0": "10"}}),
+         ("mgf", {"mgf": {"x0": [True, 0]}}),
+         ("mgf", {"mgf": {"x0": [1.0, 0.0], "lambda": "0.1"}})],
         ids=["horizon", "j_max_text", "j_max_fraction", "j_max_bool", "count_fraction",
-             "x0", "lambda", "path", "extended", "dt"],
+             "x0", "lambda", "path", "extended", "dt", "horizon_numeric_text", "horizon_bool",
+             "theta_numeric_text", "grid_min_numeric_text", "x0_text", "x0_bool",
+             "lambda_numeric_text"],
     )
-    def test_bad_config_value_is_exit_two(self, tmp_path, command, patch):
+    def test_bad_config_value_is_exit_two(self, tmp_path, capsys, command, patch):
         # each once escaped as a raw traceback (exit 1) or was silently
-        # truncated or coerced (exit 0)
+        # truncated or coerced (exit 0); an uncaught exception fails the test
         cfg = write_config(tmp_path, {**RUNNABLE, **MAGNETIC, **patch})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_bad_config_value_from_cold_interpreter(self, tmp_path):
+        # the module entry point end to end: exit 2, the message, no traceback
+        cfg = write_config(tmp_path, {**RUNNABLE, **MAGNETIC, "horizon": "abc"})
         proc = subprocess.run(
-            [sys.executable, "-m", "epr_ldp.cli", command, "--config", cfg,
+            [sys.executable, "-m", "epr_ldp.cli", "validate", "--config", cfg,
              "--out", str(tmp_path / "out")],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
         )
